@@ -637,7 +637,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file {path} does not exist")
-        base = json.loads(path.read_text())
+        try:
+            base = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config file {path} is not readable JSON: {exc}") from None
+        if not isinstance(base, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
     base["command"] = args.command
     if args.out:
         base["out_dir"] = args.out
@@ -674,7 +679,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             g["count"] = args.grid_count
         base["r_grid"] = g
     if args.radii:
-        base["radii"] = [float(r) for r in args.radii.split(",")]
+        try:
+            base["radii"] = [float(r) for r in args.radii.split(",")]
+        except ValueError:
+            raise ConfigError(
+                f"--radii must be comma-separated numbers, got {args.radii!r}"
+            ) from None
     for nm in ("kind", "method", "term"):
         if getattr(args, nm) is not None:
             base[nm] = getattr(args, nm)

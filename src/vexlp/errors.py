@@ -9,6 +9,14 @@ class UnboundedRegionError(ToolkitError):
     """Raised when an operation needs a finite sampling envelope and none exists."""
 
 
+class SamplingBudgetError(ToolkitError):
+    """Raised when rejection sampling exhausts its draw budget.
+
+    The region is empty, or too thin for its sampling envelope; the message
+    reports how many of the drawn points were accepted.
+    """
+
+
 class AnalyticUnavailableError(ToolkitError):
     """Raised when no closed-form volume exists for a region descriptor."""
 

@@ -2,7 +2,13 @@
 
 The modular of f is the integral of |f(x)|^p(x); the norm is the smallest
 lambda making the modular of f/lambda at most 1, located by bracketing and
-bisection on a map that is monotone in lambda by construction.  Where the
+bisection on a map that is monotone in lambda by construction.  The nodes
+are frozen for the whole root search.  When the exponent is piecewise
+constant, with distinct finite values p_j, the modular of f/lambda is
+sum_j lambda^(-p_j) M_j with M_j = sum of w |f|^p_j over the nodes where
+p = p_j; one pass over the nodes gives every log M_j, and each bisection
+step is then a sum of a few scalar terms.  A callable exponent piece makes
+each step a weighted exp/log pass over every node instead.  Where the
 exponent is +inf the modular contributes nothing if the sampled sup of |f|
 stays at or below the scale and +inf otherwise, so the norm on such a
 piece degenerates to the sup norm, and the overall norm is the larger of
@@ -205,6 +211,36 @@ def _power_contrib(mag, pv, finite, lam: float) -> np.ndarray:
     return out
 
 
+def _node_modular(nodes: _NodeSet, mag, pv, finite, lam: float) -> float:
+    """Modular of f/lam as a weighted sum over every node: one exp/log pass."""
+    return float(np.sum(nodes.weights * _power_contrib(mag, pv, finite, lam)))
+
+
+def _log_moments(nodes: _NodeSet, mag, pv, finite) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct finite exponents p_j and log M_j, M_j = sum of w |f|^p_j.
+
+    Each sum runs over the nodes where p = p_j and |f| > 0, in log-sum-exp
+    form so that no M_j overflows.
+    """
+    m = finite & (mag > 0.0)
+    exps = np.unique(pv[m])
+    log_m = np.empty(exps.size)
+    for j, p_j in enumerate(exps):
+        sel = m & (pv == p_j)
+        t = p_j * np.log(mag[sel]) + np.log(nodes.weights[sel])
+        top = float(t.max())
+        if math.isfinite(top):
+            top += math.log(float(np.sum(np.exp(t - top))))
+        log_m[j] = top
+    return exps, log_m
+
+
+def _moment_modular(exps: np.ndarray, log_m: np.ndarray, lam: float) -> float:
+    """Modular of f/lam as sum_j lam^(-p_j) M_j; +inf where a term overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.exp(log_m - exps * math.log(lam))))
+
+
 def _infinite_piece_sup(
     f, p: ExponentField, domain: Optional[Region], quad: Quadrature,
     mag: np.ndarray, finite: np.ndarray, inside: np.ndarray,
@@ -261,18 +297,27 @@ def luxemburg_norm(
     quadrature nodes; on infinite-exponent pieces the norm contribution is
     the sampled ess-sup of |f|.  Escaping the bracket above 1e30 reports
     status "infinite"; a vanishing modular reports status "zero".
+
+    For a piecewise-constant exponent each bisection step evaluates the
+    modular from the per-exponent log-moments taken in one pass over the
+    nodes; a callable piece makes every step a pass over the nodes.
     """
     nodes = _build_nodes(domain, quad)
     mag, pv, finite = _node_contrib(nodes, f, p)
     sup_inf_piece = _infinite_piece_sup(f, p, domain, quad, mag, finite, nodes.inside)
     evaluations = 0
+    has_mass = bool((finite & (mag > 0.0)).any())
+    if has_mass and p.is_piecewise_constant():
+        exps, log_m = _log_moments(nodes, mag, pv, finite)
+        modular_at = lambda lam: _moment_modular(exps, log_m, lam)
+    else:
+        modular_at = lambda lam: _node_modular(nodes, mag, pv, finite, lam)
 
     def rho(lam: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return float(np.sum(nodes.weights * _power_contrib(mag, pv, finite, lam)))
+        return modular_at(lam)
 
-    has_mass = bool((finite & (mag > 0.0)).any())
     root, bracket = 0.0, 0.0
     if has_mass:
         rho_1 = rho(1.0)
@@ -435,7 +480,7 @@ def restriction_identity_check(
     )
     tol = lhs.abs_error + rhs.abs_error
     dev = abs(lhs.value - rhs.value)
-    return CheckReport(lhs.value, rhs.value, dev, tol, dev <= 3.0 * tol + 1e-12)
+    return CheckReport(lhs.value, rhs.value, dev, tol, bool(dev <= 3.0 * tol + 1e-12))
 
 
 def lemma1_check(
@@ -453,7 +498,7 @@ def lemma1_check(
     rhs = 2.0 * max(vol**inv_lo, vol**inv_hi)
     tol = 3.0 * lhs.abs_error + 1e-9 * rhs
     return CheckReport(lhs.value, rhs, max(0.0, lhs.value - rhs), tol,
-                       lhs.value <= rhs + tol)
+                       bool(lhs.value <= rhs + tol))
 
 
 def lemma2_check(
@@ -466,7 +511,7 @@ def lemma2_check(
     rhs = sup * one.value
     tol = 3.0 * (lhs.abs_error + sup * one.abs_error) + 1e-6 * max(rhs, 1.0)
     return CheckReport(lhs.value, rhs, max(0.0, lhs.value - rhs), tol,
-                       lhs.value <= rhs + tol)
+                       bool(lhs.value <= rhs + tol))
 
 
 def power_identity_check(
@@ -490,7 +535,7 @@ def power_identity_check(
     scale = max(abs(rhs), 1e-300)
     dev = abs(lhs.value - rhs) / scale
     tol = (lhs.abs_error + s * base.value ** (s - 1) * base.abs_error) / scale + 1e-12
-    return CheckReport(lhs.value, rhs, dev, tol, dev <= 3.0 * tol)
+    return CheckReport(lhs.value, rhs, dev, tol, bool(dev <= 3.0 * tol))
 
 
 def holder_check(
@@ -521,6 +566,6 @@ def holder_check(
         return CheckReport(n_fg.value, denom, 0.0, 0.0, True, note="zero")
     ratio = n_fg.value / denom
     return CheckReport(
-        n_fg.value, denom, ratio, flag_threshold, ratio <= flag_threshold,
+        n_fg.value, denom, ratio, flag_threshold, bool(ratio <= flag_threshold),
         note="" if ratio <= flag_threshold else "ratio above threshold",
     )

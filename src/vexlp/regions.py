@@ -24,10 +24,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AnalyticUnavailableError, UnboundedRegionError
+from .errors import AnalyticUnavailableError, SamplingBudgetError, UnboundedRegionError
 
 _GEOMETRIC_LEVELS = 120  # strata toward a diverging cross-section at x1 = 0
 _UNIFORM_LEVELS = 16
+# rejection sampling gives up after max(_DRAW_BUDGET, _DRAWS_PER_POINT * n)
+# draws: an empty region would otherwise loop forever
+_DRAW_BUDGET = 1 << 22
+_DRAWS_PER_POINT = 1024
 
 
 def _as_points(x) -> tuple[np.ndarray, bool]:
@@ -152,7 +156,15 @@ class Region(ABC):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         out = np.empty((0, 3))
         chunk = max(4 * n, 1024)
+        drawn, budget = 0, max(_DRAW_BUDGET, _DRAWS_PER_POINT * n)
         while out.shape[0] < n:
+            if drawn >= budget:
+                raise SamplingBudgetError(
+                    f"{type(self).__name__} accepted {out.shape[0]} of {drawn} "
+                    f"drawn points, short of the {n} requested: the region is "
+                    "empty or too thin for its sampling envelope"
+                )
+            drawn += chunk
             idx = rng.choice(len(env.boxes), size=chunk, p=weights)
             u = rng.random((chunk, 3))
             pts = los[idx] + u * (his[idx] - los[idx])

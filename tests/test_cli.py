@@ -293,3 +293,32 @@ def test_grid_count_minimum(tmp_path):
                  "--grid-start", "8", "--grid-factor", "2", "--grid-count", "3",
                  "--samples", "1000", "--seed", "1", "--out", str(tmp_path / "x")])
     assert code == 1
+
+
+def test_malformed_radii_usage_error(tmp_path, capsys):
+    code = main(["energy", "--field", '{"name":"gradient_counterexample"}',
+                 "--pressure", '{"name":"counterexample"}', "--radii", "4,x",
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "usage error: --radii" in capsys.readouterr().err
+
+
+def test_malformed_config_file_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text("{bad")
+    code = main(["volume", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "usage error: config file" in capsys.readouterr().err
+
+
+def test_lemmas_shrink_cusp_writes_json(tmp_path):
+    # the lemma checks' verdicts are plain bools, so the JSON report serializes
+    out = tmp_path / "lemmas"
+    code = main(["lemmas", "--preset", "shrink_cusp", "--sigma", "1/2", "--outer", "4",
+                 "--region", '{"type":"intersect","first":{"type":"annulus","inner":4,'
+                 '"outer":8},"second":{"type":"cylinder"}}',
+                 "--samples", "20000", "--seed", "7", "--out", str(out)])
+    assert code in (0, 2)
+    checks = json.loads((out / "lemmas.json").read_text())["checks"]
+    assert set(checks) == {"lemma1", "lemma2", "restriction", "power_identity", "holder"}
+    assert all(type(c["passed"]) is bool for c in checks.values())

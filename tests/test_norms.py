@@ -5,11 +5,25 @@ import math
 import numpy as np
 import pytest
 
+from vexlp import norms
+from vexlp.cutoff import make_cutoff
 from vexlp.errors import ExponentRangeError, ExponentRelationError
-from vexlp.exponents import PresetSpec, constant_field, preset, two_piece_field
+from vexlp.exponents import (
+    ExponentField,
+    ExponentPiece,
+    PresetSpec,
+    constant_field,
+    preset,
+    two_piece_field,
+)
 from vexlp.fields import gaussian_scalar, zero_scalar
 from vexlp.norms import (
     Quadrature,
+    _build_nodes,
+    _log_moments,
+    _moment_modular,
+    _node_contrib,
+    _node_modular,
     constant_one,
     holder_check,
     lemma1_check,
@@ -125,6 +139,84 @@ def test_norm_infinite_piece_reduces_to_sup():
 def test_norm_counts_evaluations():
     res = luxemburg_norm(constant_one, constant_field(3.0), Ball(radius=1), MC)
     assert res.evaluations > 5
+
+
+# ---------------------------------------------------------------------------
+# moment-form modular: sum_j lam^(-p_j) M_j against the pass over every node
+
+PRESETS = {
+    "cylinder": PresetSpec.make("cylinder", inner=5, outer=4),
+    "power_cusp": PresetSpec.make("power_cusp", gamma="1/2", inner=5, outer=4),
+    "shrink_cusp": PresetSpec.make("shrink_cusp", sigma="1/2", outer=4),
+}
+
+
+def cutoff_term(k: int, radius: float):
+    """The cutoff derivative paired with the k-conjugate, as the decay runs pair them."""
+    cut = make_cutoff(radius)
+    if k == 2:
+        return (lambda pts: np.abs(cut.laplacian(pts))), cut.support()
+    return (lambda pts: np.linalg.norm(cut.grad(pts), axis=1)), cut.support()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", sorted(PRESETS))
+def test_moment_modular_matches_node_pass(kind, k):
+    p = preset(PRESETS[kind]).conjugate(k)
+    assert p.is_piecewise_constant()
+    f, shell = cutoff_term(k, 16.0)
+    nodes = _build_nodes(shell, Quadrature(n=50_000, seed=3))
+    mag, pv, finite = _node_contrib(nodes, f, p)
+    exps, log_m = _log_moments(nodes, mag, pv, finite)
+    assert exps.size == 2  # one moment per preset piece
+    overflowed = 0
+    for lam in np.geomspace(1e-300, 1e3, 61):
+        with np.errstate(over="ignore"):
+            node = _node_modular(nodes, mag, pv, finite, lam)
+        moment = _moment_modular(exps, log_m, lam)
+        if math.isinf(node):
+            overflowed += 1
+            assert math.isinf(moment), lam
+        else:
+            assert moment == pytest.approx(node, rel=1e-12, abs=0.0), lam
+    assert 0 < overflowed < 61
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", sorted(PRESETS))
+def test_moment_norm_matches_node_pass_norm(kind, k, monkeypatch):
+    p = preset(PRESETS[kind]).conjugate(k)
+    f, shell = cutoff_term(k, 32.0)
+    quad = Quadrature(n=50_000, seed=4)
+    moment = luxemburg_norm(f, p, shell, quad)
+    # the node pass, as every step ran before the moment form
+    monkeypatch.setattr(ExponentField, "is_piecewise_constant", lambda self: False)
+    node = luxemburg_norm(f, p, shell, quad)
+    assert moment.evaluations == node.evaluations
+    assert moment.status == node.status == "finite"
+    assert moment.value == pytest.approx(node.value, rel=1e-12)
+    # the bracket width hi - lo is a difference of nearby iterates, so its
+    # ulp-level change is amplified by about hi / (hi - lo) = 4 / rel_tol
+    assert moment.abs_error == pytest.approx(node.abs_error, rel=1e-9)
+
+
+def test_callable_piece_takes_node_pass(monkeypatch):
+    def no_moments(*args):
+        raise AssertionError("a callable exponent piece must not use the moments")
+
+    monkeypatch.setattr(norms, "_log_moments", no_moments)
+    varying = ExponentPiece.from_callable(lambda pts: 2.0 + 0.5 * np.tanh(pts[:, 0]), 1.5, 2.5)
+    p = ExponentField(((Ball(radius=0.5), varying),), ExponentPiece.constant(4.0))
+    assert not p.is_piecewise_constant()
+    f, dom, quad = gaussian_scalar(), Ball(radius=2.0), Quadrature(n=20_000, seed=6)
+    res = luxemburg_norm(f, p, dom, quad)
+    nodes = _build_nodes(dom, quad)
+    mag, pv, finite = _node_contrib(nodes, f, p)
+    oracle = bisect_oracle(lambda lam: _node_modular(nodes, mag, pv, finite, lam),
+                           1e-3, 1e3)
+    assert res.status == "finite"
+    assert res.evaluations > 5
+    assert abs(res.value - oracle) <= 0.25 * quad.rel_tol * res.value
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ not.
 """
 
 import math
+import signal
 
 import numpy as np
 import pytest
 
-from vexlp.errors import AnalyticUnavailableError, UnboundedRegionError
+from vexlp.errors import AnalyticUnavailableError, SamplingBudgetError, UnboundedRegionError
 from vexlp.regions import (
     Annulus,
     Ball,
@@ -180,6 +181,28 @@ def test_sampler_deterministic():
 def test_sample_unbounded_raises():
     with pytest.raises(UnboundedRegionError):
         Cylinder().sample(10, seed=0)
+
+
+def test_sample_empty_region_fails_within_budget():
+    def timed_out(signum, frame):
+        raise TimeoutError("sampling an empty region still runs after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(10)
+    try:
+        with pytest.raises(SamplingBudgetError, match=r"accepted 0 of \d+ drawn"):
+            Diff(Ball(radius=1), Ball(radius=2)).sample(10, 0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_sample_thin_region_stays_within_budget():
+    # a thin shell through the tube accepts about 0.3% of its envelope draws
+    thin = Intersect(Annulus(255, 256), Cylinder())
+    pts = thin.sample(1000, seed=1)
+    assert pts.shape == (1000, 3)
+    assert np.all(thin.contains(pts))
 
 
 # ---------------------------------------------------------------------------
