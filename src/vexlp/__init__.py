@@ -34,7 +34,6 @@ from .exponents import (
     ExponentPiece,
     PresetSpec,
     constant_field,
-    holder_conjugate,
     log_holder_diagnostic,
     preset,
     two_piece_field,

@@ -6,6 +6,14 @@ JSON report into the output directory and prints a one-line verdict.
 Exit status: 0 for a completed run (informative outcomes included), 2
 when an explicit check fails, 1 for usage errors.
 
+Two tables at the end of this module drive the interface.  ``COMMANDS``
+gives each subcommand its help text, CSV columns and runner; a runner
+returns ``(rows, payload, exit_code, verdict_line)`` and ``main`` writes
+both output files.  ``FLAGS`` gives each flag the config key it
+overrides, its value type or choices, and its help; the parser, the
+flag-over-config merge and the type check of config values all read it,
+so every flag is its config key.
+
 Floating-point output is printed with 17 significant digits.  Identical
 configurations reproduce byte-identical files on the same machine and
 numpy build; across builds the last digits may differ, since numpy's SIMD
@@ -19,16 +27,17 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import estimates, fields, norms
 from .errors import ConfigError, PresetConstraintError, ToolkitError
 from .exponents import (
+    PRESET_KINDS,
     ExponentField,
     ExponentPiece,
     PresetSpec,
@@ -51,17 +60,6 @@ from .regions import (
     TruncatedShrinkCusp,
 )
 
-COMMANDS = (
-    "norm",
-    "volume",
-    "decay",
-    "energy",
-    "alpha-beta",
-    "certify",
-    "lemmas",
-    "liouville",
-)
-
 
 def fmt(x: Any) -> str:
     if isinstance(x, float):
@@ -73,66 +71,80 @@ def fmt(x: Any) -> str:
 # configuration grammar
 
 
-def region_from_dict(d: dict) -> Region:
+def _spec(d, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} spec must be a JSON object, got {d!r}")
+    return d
+
+
+def _number(d: dict, key: str, default: Optional[float] = None) -> float:
+    value = d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{key!r} must be a finite number, got {value!r}")
+    return value
+
+
+REGION_TYPES = {
+    "ball": lambda d: Ball(tuple(d.get("center", (0.0, 0.0, 0.0))), d.get("radius", 1.0)),
+    "annulus": lambda d: Annulus(d["inner"], d["outer"]),
+    "cylinder": lambda d: Cylinder(),
+    "cylinder_segment": lambda d: CylinderSegment(d["half_length"]),
+    "power_cusp": lambda d: PowerCusp(d["gamma"]),
+    "shrink_cusp": lambda d: ShrinkCusp(d["sigma"]),
+    "truncated_power_cusp": lambda d: TruncatedPowerCusp(d["gamma"], d["length"]),
+    "truncated_shrink_cusp": lambda d: TruncatedShrinkCusp(d["sigma"], d["length"]),
+    "complement": lambda d: Complement(region_from_dict(d["of"])),
+    "intersect": lambda d: Intersect(region_from_dict(d["first"]), region_from_dict(d["second"])),
+    "diff": lambda d: Diff(region_from_dict(d["keep"]), region_from_dict(d["remove"])),
+}
+
+FIELD_TYPES = {
+    "zero": lambda d: fields.zero_vector(),
+    "gradient_counterexample": lambda d: fields.gradient_counterexample()[0],
+    "decaying_solenoidal": lambda d: fields.decaying_solenoidal(_number(d, "rate")),
+    "gaussian": lambda d: fields.gaussian_scalar(),
+    "inverse_quadratic": lambda d: fields.inverse_quadratic_scalar(),
+    "constant": lambda d: fields.constant_scalar(_number(d, "value", 1.0)),
+}
+
+PRESSURE_TYPES = {
+    "zero": lambda d: fields.zero_scalar(),
+    "counterexample": lambda d: fields.gradient_counterexample()[1],
+    "gradient_counterexample": lambda d: fields.gradient_counterexample()[1],
+    "constant": lambda d: fields.constant_scalar(_number(d, "value", 0.0)),
+}
+
+
+def _build(types: dict, d, key: str, what: str):
+    """Look up ``d[key]`` in a grammar table and build it from ``d``."""
+    name = _spec(d, what).get(key)
+    if not isinstance(name, str) or name not in types:
+        raise ConfigError(f"unknown {what} {key} {name!r}")
     try:
-        kind = d["type"]
-        if kind == "ball":
-            return Ball(tuple(d.get("center", (0.0, 0.0, 0.0))), d.get("radius", 1.0))
-        if kind == "annulus":
-            return Annulus(d["inner"], d["outer"])
-        if kind == "cylinder":
-            return Cylinder()
-        if kind == "cylinder_segment":
-            return CylinderSegment(d["half_length"])
-        if kind == "power_cusp":
-            return PowerCusp(d["gamma"])
-        if kind == "shrink_cusp":
-            return ShrinkCusp(d["sigma"])
-        if kind == "truncated_power_cusp":
-            return TruncatedPowerCusp(d["gamma"], d["length"])
-        if kind == "truncated_shrink_cusp":
-            return TruncatedShrinkCusp(d["sigma"], d["length"])
-        if kind == "complement":
-            return Complement(region_from_dict(d["of"]))
-        if kind == "intersect":
-            return Intersect(region_from_dict(d["first"]), region_from_dict(d["second"]))
-        if kind == "diff":
-            return Diff(region_from_dict(d["keep"]), region_from_dict(d["remove"]))
+        return types[name](d)
     except KeyError as exc:
-        raise ConfigError(f"region spec {d!r} is missing field {exc}") from None
+        raise ConfigError(f"{what} spec {d!r} is missing field {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad region spec {d!r}: {exc}") from None
-    raise ConfigError(f"unknown region type {d.get('type')!r}")
+        raise ConfigError(f"bad {what} spec {d!r}: {exc}") from None
+
+
+def region_from_dict(d: dict) -> Region:
+    return _build(REGION_TYPES, d, "type", "region")
 
 
 def field_from_dict(d: dict):
-    name = d.get("name")
-    if name == "zero":
-        return fields.zero_vector()
-    if name == "gradient_counterexample":
-        return fields.gradient_counterexample()[0]
-    if name == "decaying_solenoidal":
-        if "rate" not in d:
-            raise ConfigError("decaying_solenoidal needs a positive 'rate'")
-        return fields.decaying_solenoidal(d["rate"])
-    if name == "gaussian":
-        return fields.gaussian_scalar()
-    if name == "inverse_quadratic":
-        return fields.inverse_quadratic_scalar()
-    if name == "constant":
-        return fields.constant_scalar(d.get("value", 1.0))
-    raise ConfigError(f"unknown field {name!r}")
+    return _build(FIELD_TYPES, d, "name", "field")
 
 
 def pressure_from_dict(d: Optional[dict]):
-    name = (d or {"name": "zero"}).get("name")
-    if name == "zero":
-        return fields.zero_scalar()
-    if name in ("counterexample", "gradient_counterexample"):
-        return fields.gradient_counterexample()[1]
-    if name == "constant":
-        return fields.constant_scalar(d.get("value", 0.0))
-    raise ConfigError(f"unknown pressure field {name!r}")
+    return _build(PRESSURE_TYPES, d or {"name": "zero"}, "name", "pressure")
+
+
+def velocity_from_dict(d: dict) -> fields.VectorField3:
+    u = field_from_dict(d)
+    if not isinstance(u, fields.VectorField3):
+        raise ConfigError(f"field {d['name']!r} is scalar; this command needs a velocity")
+    return u
 
 
 def _exponent_value(v) -> float:
@@ -140,14 +152,19 @@ def _exponent_value(v) -> float:
 
 
 def exponent_from_dict(d: dict) -> ExponentField:
-    if "constant" in d:
-        return constant_field(_exponent_value(d["constant"]))
-    if "pieces" in d:
-        pieces = tuple(
-            (region_from_dict(p["region"]), ExponentPiece.constant(_exponent_value(p["value"])))
-            for p in d["pieces"]
-        )
-        return ExponentField(pieces, ExponentPiece.constant(_exponent_value(d["default"])))
+    try:
+        if "constant" in _spec(d, "exponent"):
+            return constant_field(_exponent_value(d["constant"]))
+        if "pieces" in d:
+            pieces = tuple(
+                (region_from_dict(p["region"]), ExponentPiece.constant(_exponent_value(p["value"])))
+                for p in d["pieces"]
+            )
+            return ExponentField(pieces, ExponentPiece.constant(_exponent_value(d["default"])))
+    except KeyError as exc:
+        raise ConfigError(f"exponent spec {d!r} is missing field {exc}") from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad exponent spec {d!r}: {exc}") from None
     spec = preset_spec_from_dict(d)
     return preset(spec, validate=d.get("validate", True))
 
@@ -155,11 +172,9 @@ def exponent_from_dict(d: dict) -> ExponentField:
 def preset_spec_from_dict(d: dict) -> PresetSpec:
     try:
         return PresetSpec.make(
-            kind=d["kind"],
+            kind=_spec(d, "preset")["kind"],
             outer=str(d["outer"]),
-            inner=None if d.get("inner") is None else str(d["inner"]),
-            gamma=None if d.get("gamma") is None else str(d["gamma"]),
-            sigma=None if d.get("sigma") is None else str(d["sigma"]),
+            **{k: str(d[k]) for k in ("inner", "gamma", "sigma") if d.get(k) is not None},
         )
     except KeyError as exc:
         raise ConfigError(f"preset spec {d!r} is missing field {exc}") from None
@@ -203,10 +218,11 @@ class RunConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "command" not in d:
             raise ConfigError("config needs a 'command' field")
-        return cls(**d)
+        _check_types(d)
+        return cls(**{k: v for k, v in d.items() if v is not None})  # null: the default
 
     def quad(self) -> Quadrature:
-        q = dict(self.quadrature)
+        q = self.quadrature
         scheme = q.get("scheme", "mc")
         if scheme == "strat":
             scheme = "stratified_mc"
@@ -226,19 +242,27 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"bad quadrature spec: {exc}") from None
 
-    def grid(self) -> list[float]:
-        if self.radii:
-            return [float(r) for r in self.radii]
-        if not self.r_grid:
+    def grid(self, fit: bool = False) -> list[float]:
+        """Positive finite radii from 'radii' or 'r_grid'; a decay fit needs
+        at least four of them, strictly increasing, and so does every r_grid."""
+        if not (self.radii or self.r_grid):
             raise ConfigError("this command needs 'r_grid' or 'radii'")
         g = self.r_grid
         try:
-            start, factor, count = float(g["start"]), float(g["factor"]), int(g["count"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad r_grid {g!r}: {exc}") from None
-        if count < 4:
-            raise ConfigError("r_grid count must be at least 4 for decay commands")
-        return [start * factor**k for k in range(count)]
+            if self.radii:
+                radii = [float(r) for r in self.radii]
+            else:
+                start, factor, count = float(g["start"]), float(g["factor"]), int(g["count"])
+                radii = [start * factor**k for k in range(count)]
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad radii {self.radii or g!r}: {exc!r}") from None
+        if not all(0.0 < r < math.inf for r in radii):
+            raise ConfigError(f"radii must be positive and finite, got {radii}")
+        if len(radii) < 4 and (fit or not self.radii):
+            raise ConfigError(f"a radius grid needs at least 4 radii, got {radii}")
+        if fit and any(b <= a for a, b in zip(radii, radii[1:])):
+            raise ConfigError(f"a decay fit needs strictly increasing radii, got {radii}")
+        return radii
 
 
 # ---------------------------------------------------------------------------
@@ -268,28 +292,20 @@ def _jsonify(obj):
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners; each returns (exit_code, verdict_line)
+# subcommand runners; each returns (csv_rows, json_payload, exit_code,
+# verdict_line), and main adds the config to the payload
 
 
-def run_norm(cfg: RunConfig, out: Path):
-    if cfg.exponent is None or cfg.fieldspec is None:
-        raise ConfigError("'norm' needs 'exponent' and 'fieldspec'")
+def run_norm(cfg: RunConfig):
     f = field_from_dict(cfg.fieldspec)
     p = exponent_from_dict(cfg.exponent)
     region = region_from_dict(cfg.region) if cfg.region else None
     res = norms.luxemburg_norm(f, p, region, cfg.quad())
-    write_csv(
-        out / "norm.csv",
-        ["value", "abs_error", "status", "evaluations"],
-        [[res.value, res.abs_error, res.status, res.evaluations]],
-    )
-    write_json(out / "norm.json", {"config": cfg.public_dict(), "result": asdict(res)})
-    return 0, f"norm: value={fmt(res.value)} status={res.status}"
+    line = f"norm: value={fmt(res.value)} status={res.status}"
+    return [list(astuple(res))], {"result": asdict(res)}, 0, line
 
 
-def run_volume(cfg: RunConfig, out: Path):
-    if cfg.region is None:
-        raise ConfigError("'volume' needs a 'region'")
+def run_volume(cfg: RunConfig):
     region = region_from_dict(cfg.region)
     method = cfg.method or "analytic"
     if method == "monte_carlo":
@@ -297,22 +313,15 @@ def run_volume(cfg: RunConfig, out: Path):
         est = region.volume(method, n=q.n, seed=q.seed, strata=q.strata)
     else:
         est = region.volume(method)
-    write_csv(
-        out / "volume.csv",
-        ["value", "std_error", "method"],
-        [[est.value, est.std_error, method]],
-    )
-    write_json(out / "volume.json", {"config": cfg.public_dict(), "result": asdict(est)})
-    return 0, f"volume: {fmt(est.value)} +/- {fmt(est.std_error)} ({method})"
+    line = f"volume: {fmt(est.value)} +/- {fmt(est.std_error)} ({method})"
+    return [[est.value, est.std_error, method]], {"result": asdict(est)}, 0, line
 
 
-def run_decay(cfg: RunConfig, out: Path):
-    if cfg.exponent is None:
-        raise ConfigError("'decay' needs an 'exponent' (preset) spec")
+def run_decay(cfg: RunConfig):
     spec = preset_spec_from_dict(cfg.exponent)
     p = preset(spec, validate=cfg.validate)
-    kinds = [cfg.kind] if cfg.kind in ("laplacian", "gradient") else ["laplacian", "gradient"]
-    grid = cfg.grid()
+    kinds = [cfg.kind] if cfg.kind else ["laplacian", "gradient"]
+    grid = cfg.grid(fit=True)
     rows, summary = [], {}
     for kind in kinds:
         conj = p.conjugate(2 if kind == "laplacian" else 3)
@@ -324,46 +333,29 @@ def run_decay(cfg: RunConfig, out: Path):
             "intercept": rep.total.intercept,
             "max_residual": rep.total.max_residual,
         }
-    write_csv(out / "decay.csv", ["kind", "R", "norm", "abs_error"], rows)
-    write_json(out / "decay.json", {"config": cfg.public_dict(), "fits": summary})
     slopes = " ".join(f"{k}={fmt(v['slope'])}" for k, v in summary.items())
-    return 0, f"decay: fitted slopes {slopes}"
+    return rows, {"fits": summary}, 0, f"decay: fitted slopes {slopes}"
 
 
-def run_energy(cfg: RunConfig, out: Path):
-    if cfg.fieldspec is None:
-        raise ConfigError("'energy' needs a 'fieldspec'")
-    u = field_from_dict(cfg.fieldspec)
+def run_energy(cfg: RunConfig):
+    u = velocity_from_dict(cfg.fieldspec)
     P = pressure_from_dict(cfg.pressure)
-    radii = cfg.radii
-    if not radii:
-        raise ConfigError("'energy' needs explicit 'radii'")
     # the identity check defaults to the deterministic product rule
     quad = cfg.quad() if cfg.quadrature.get("scheme") else Quadrature(scheme="radial")
     tol = cfg.tolerances.get("gap_tol", 1e-2)
     rows, verdicts = [], []
-    for R in radii:
-        rep = estimates.energy_identity_check(u, P, float(R), quad, gap_tol=tol)
-        rows.append(
-            [rep.radius, rep.lhs, rep.alpha, rep.beta, rep.rel_gap, rep.residual_sup,
-             "withheld" if rep.verdict is None else str(rep.verdict)]
-        )
+    for R in cfg.grid():
+        rep = estimates.energy_identity_check(u, P, R, quad, gap_tol=tol)
+        # the report's fields are the CSV columns, the verdict last
+        rows.append([*astuple(rep)[:-1], "withheld" if rep.verdict is None else str(rep.verdict)])
         verdicts.append(rep.verdict)
-    write_csv(
-        out / "energy.csv",
-        ["R", "lhs", "alpha", "beta", "rel_gap", "residual_sup", "verdict"],
-        rows,
-    )
-    write_json(out / "energy.json", {"config": cfg.public_dict(), "rows": rows})
     failed = any(v is False for v in verdicts)
     line = "energy: " + ("check failed" if failed else "ok")
-    return (2 if failed else 0), line
+    return rows, {"rows": rows}, (2 if failed else 0), line
 
 
-def run_alpha_beta(cfg: RunConfig, out: Path):
-    if cfg.fieldspec is None:
-        raise ConfigError("'alpha-beta' needs a 'fieldspec'")
-    u = field_from_dict(cfg.fieldspec)
+def run_alpha_beta(cfg: RunConfig):
+    u = velocity_from_dict(cfg.fieldspec)
     P = pressure_from_dict(cfg.pressure)
     quad = cfg.quad()
     rows, majorant_ok = [], True
@@ -373,86 +365,40 @@ def run_alpha_beta(cfg: RunConfig, out: Path):
         flux = estimates.beta_terms(R, u, P, q_i)
         majorant_ok &= flux.majorant_ok
         rows.append([R, a, flux.beta1, flux.beta2, flux.beta, max(a_err, *flux.errors)])
-    write_csv(
-        out / "alpha-beta.csv",
-        ["R", "alpha", "beta1", "beta2", "beta", "errors"],
-        rows,
-    )
-    write_json(
-        out / "alpha-beta.json",
-        {"config": cfg.public_dict(), "rows": rows, "majorant_ok": majorant_ok},
-    )
     line = "alpha-beta: majorant " + ("holds" if majorant_ok else "violated")
-    return (0 if majorant_ok else 2), line
+    return rows, {"rows": rows, "majorant_ok": majorant_ok}, (0 if majorant_ok else 2), line
 
 
-def run_certify(cfg: RunConfig, out: Path):
-    if cfg.exponent is None:
-        raise ConfigError("'certify' needs an 'exponent' preset spec")
-    d = dict(cfg.exponent)
-    d.setdefault("outer", 4)
-    kind = d.get("kind")
-    if kind not in ("cylinder", "power_cusp", "shrink_cusp"):
-        raise ConfigError(f"certify needs a preset kind, got {kind!r}")
-    bound_kind = "cusp" if kind == "power_cusp" else kind
+def run_certify(cfg: RunConfig):
+    spec = preset_spec_from_dict({"outer": 4, **cfg.exponent})
     bound = estimates.admissible_upper_bound(
-        bound_kind,
-        Fraction(str(d["outer"])),
-        gamma=None if d.get("gamma") is None else Fraction(str(d["gamma"])),
+        "cusp" if spec.kind == "power_cusp" else spec.kind, spec.outer, gamma=spec.gamma
     )
-    rows = []
-    payload: dict[str, Any] = {
-        "config": cfg.public_dict(),
+    payload = {
         "upper_bound": bound if isinstance(bound, Fraction) else "inf",
         "upper_bound_float": float(bound),
     }
-    certified = None
-    if d.get("inner") is not None or kind == "shrink_cusp":
-        spec = preset_spec_from_dict(d)
+    rows, code, line = [], 0, f"certify: upper bound {float(bound):g}"
+    if spec.inner is not None or spec.kind == "shrink_cusp":
         if cfg.validate:
             spec.validate()
         terms = ["alpha", "beta"] if cfg.term in (None, "both") else [cfg.term]
-        certs = {}
-        certified = True
-        for term in terms:
-            cert = estimates.predicted_exponent(spec, term)
-            certified &= cert.overall
-            certs[term] = {
-                "overall": cert.overall,
-                "entries": [
-                    {
-                        "piece": e.piece,
-                        "growth": e.growth,
-                        "inv_conjugate": e.inv_conjugate,
-                        "exponent": e.exponent,
-                        "negative": e.negative,
-                    }
-                    for e in cert.entries
-                ],
-            }
-            for e in cert.entries:
-                rows.append(
-                    [term, e.piece, str(e.growth), str(e.inv_conjugate),
-                     str(e.exponent), e.negative]
-                )
-        payload["certificates"] = certs
+        certs = {term: estimates.predicted_exponent(spec, term) for term in terms}
+        certified = all(cert.overall for cert in certs.values())
+        # a certificate entry's fields are the CSV columns, term first
+        rows = [list(astuple(e)) for cert in certs.values() for e in cert.entries]
+        payload["certificates"] = {
+            term: {"overall": cert.overall, "entries": [
+                {k: v for k, v in asdict(e).items() if k != "term"} for e in cert.entries]}
+            for term, cert in certs.items()
+        }
         payload["certified"] = certified
-    write_csv(
-        out / "certify.csv",
-        ["term", "piece", "growth", "inv_conjugate", "exponent", "negative"],
-        rows,
-    )
-    write_json(out / "certify.json", payload)
-    line = f"certify: upper bound {float(bound):g}"
-    if certified is not None:
         line += f" certified={certified}"
-    failed = cfg.validate and certified is False
-    return (2 if failed else 0), line
+        code = 2 if cfg.validate and not certified else 0
+    return rows, payload, code, line
 
 
-def run_lemmas(cfg: RunConfig, out: Path):
-    if cfg.exponent is None or cfg.region is None:
-        raise ConfigError("'lemmas' needs 'exponent' and 'region'")
+def run_lemmas(cfg: RunConfig):
     p = exponent_from_dict(cfg.exponent)
     region = region_from_dict(cfg.region)
     f = field_from_dict(cfg.fieldspec or {"name": "inverse_quadratic"})
@@ -469,87 +415,164 @@ def run_lemmas(cfg: RunConfig, out: Path):
     checks["holder"] = norms.holder_check(
         f, fields.constant_scalar(1.0), p, doubled, doubled, region, quad
     )
-    rows = [
-        [name, c.lhs, c.rhs, c.deviation, c.tolerance, c.passed]
-        for name, c in checks.items()
-    ]
-    write_csv(
-        out / "lemmas.csv",
-        ["check", "lhs", "rhs", "deviation", "tolerance", "passed"],
-        rows,
-    )
-    write_json(
-        out / "lemmas.json",
-        {"config": cfg.public_dict(), "checks": {k: asdict(v) for k, v in checks.items()}},
-    )
+    # a check report's fields are the CSV columns after the check's name
+    rows = [[name, *astuple(c)[:5]] for name, c in checks.items()]
     n_pass = sum(c.passed for c in checks.values())
     line = f"lemmas: {n_pass}/{len(checks)} passed"
-    return (0 if n_pass == len(checks) else 2), line
+    payload = {"checks": {k: asdict(v) for k, v in checks.items()}}
+    return rows, payload, (0 if n_pass == len(checks) else 2), line
 
 
-def run_liouville(cfg: RunConfig, out: Path):
-    if cfg.exponent is None or cfg.fieldspec is None:
-        raise ConfigError("'liouville' needs 'exponent' (preset) and 'fieldspec'")
+def run_liouville(cfg: RunConfig):
     spec = preset_spec_from_dict(cfg.exponent)
-    u = field_from_dict(cfg.fieldspec)
+    u = velocity_from_dict(cfg.fieldspec)
     P = pressure_from_dict(cfg.pressure)
     margin = cfg.tolerances.get("slope_margin", estimates.SLOPE_MARGIN)
     report = estimates.liouville_pipeline(
-        spec, u, P, cfg.grid(), cfg.quad(), validate=cfg.validate, slope_margin=margin
+        spec, u, P, cfg.grid(fit=True), cfg.quad(), validate=cfg.validate,
+        slope_margin=margin,
     )
-    rows = [
-        [r["R"], r["alpha"], r["beta1"], r["beta2"], r["beta"],
-         r["lap_norm"], r["grad_norm"], r["errors"]]
-        for r in report.table()
-    ]
-    write_csv(
-        out / "liouville.csv",
-        ["R", "alpha", "beta1", "beta2", "beta", "lap_norm", "grad_norm", "errors"],
-        rows,
-    )
-    write_json(
-        out / "liouville.json",
-        {
-            "config": cfg.public_dict(),
-            "conclusion": report.conclusion,
-            "note": report.note,
-            "membership": {
-                "velocity": report.velocity_scan.verdict,
-                "pressure": report.pressure_scan.verdict,
-            },
-            "fits": {
-                k: None if f is None else {"slope": f.slope, "intercept": f.intercept}
-                for k, f in report.fits.items()
-            },
-            "certificates": {
-                "alpha": {
-                    "overall": report.alpha_certificate.overall,
-                    "max_exponent": report.alpha_certificate.max_exponent(),
-                },
-                "beta": {
-                    "overall": report.beta_certificate.overall,
-                    "max_exponent": report.beta_certificate.max_exponent(),
-                },
-            },
+    rows = [list(r.values()) for r in report.table()]  # keyed by the CSV columns
+    payload = {
+        "conclusion": report.conclusion,
+        "note": report.note,
+        "membership": {
+            "velocity": report.velocity_scan.verdict,
+            "pressure": report.pressure_scan.verdict,
         },
-    )
-    return 0, f"liouville: {report.conclusion}"
+        "fits": {
+            k: None if f is None else {"slope": f.slope, "intercept": f.intercept}
+            for k, f in report.fits.items()
+        },
+        "certificates": {
+            term: {"overall": cert.overall, "max_exponent": cert.max_exponent()}
+            for term, cert in (("alpha", report.alpha_certificate),
+                               ("beta", report.beta_certificate))
+        },
+    }
+    return rows, payload, 0, f"liouville: {report.conclusion}"
 
 
-RUNNERS = {
-    "norm": run_norm,
-    "volume": run_volume,
-    "decay": run_decay,
-    "energy": run_energy,
-    "alpha-beta": run_alpha_beta,
-    "certify": run_certify,
-    "lemmas": run_lemmas,
-    "liouville": run_liouville,
+# ---------------------------------------------------------------------------
+# the command table
+
+
+class Command(NamedTuple):
+    help: str
+    columns: str            # the CSV header; floats are printed at 17 significant digits
+    needs: tuple[str, ...]  # config fields the runner cannot do without
+    run: Callable[[RunConfig], tuple[list, dict, int, str]]
+
+
+COMMANDS = {
+    "norm": Command(
+        "Luxemburg norm of a field against an exponent spec",
+        "value,abs_error,status,evaluations", ("exponent", "fieldspec"), run_norm),
+    "volume": Command(
+        "region volume, analytic or Monte Carlo",
+        "value,std_error,method", ("region",), run_volume),
+    "decay": Command(
+        "cutoff-derivative norm decay over a radius grid",
+        "kind,R,norm,abs_error", ("exponent",), run_decay),
+    "energy": Command(
+        "localized energy identity check",
+        "R,lhs,alpha,beta,rel_gap,residual_sup,verdict", ("fieldspec", "radii"), run_energy),
+    "alpha-beta": Command(
+        "shell energy terms over a radius grid",
+        "R,alpha,beta1,beta2,beta,errors", ("fieldspec",), run_alpha_beta),
+    "certify": Command(
+        "exact decay-exponent certificate and inner-exponent threshold",
+        "term,piece,growth,inv_conjugate,exponent,negative", ("exponent",), run_certify),
+    "lemmas": Command(
+        "norm lemma, restriction, power and Hoelder checks on one region",
+        "check,lhs,rhs,deviation,tolerance,passed", ("exponent", "region"), run_lemmas),
+    "liouville": Command(
+        "full decay verification pipeline",
+        "R,alpha,beta1,beta2,beta,lap_norm,grad_norm,errors", ("exponent", "fieldspec"),
+        run_liouville),
 }
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the flag table
+
+
+class Value(NamedTuple):
+    what: str                    # names the type in usage errors
+    parse: Callable[[str], Any]  # flag text -> config value; raises ValueError
+    types: tuple[type, ...]      # the types a config-file value may have
+
+
+TEXT = Value("a string", str, (str,))
+INTEGER = Value("an integer", int, (int,))
+NUMBER = Value("a number", float, (int, float))
+RATIONAL = Value("a number or a fraction string", str, (str, int, float))
+OBJECT = Value("a JSON object", json.loads, (dict,))
+NUMBERS = Value("a list of numbers", lambda t: [float(r) for r in t.split(",")], (list,))
+SWITCH = Value("true or false", bool, (bool,))
+
+
+class Flag(NamedTuple):
+    name: Optional[str]  # None for a config key without a flag
+    key: Optional[str]   # the dotted config key it writes; --config has none
+    value: Value
+    help: str
+    choices: tuple[str, ...] = ()
+
+
+FLAGS = (
+    Flag("--config", None, TEXT, "JSON config file"),
+    Flag("--out", "out_dir", TEXT, "output directory"),
+    Flag("--seed", "quadrature.seed", INTEGER, "Monte Carlo seed"),
+    Flag("--quad", "quadrature.scheme", TEXT, "quadrature rule (strat: stratified MC)",
+         ("radial", "mc", "strat", "stratified_mc")),
+    Flag("--samples", "quadrature.n", INTEGER, "MC sample budget"),
+    Flag("--tol", "quadrature.rel_tol", NUMBER, "norm bisection rel tol"),
+    Flag("--region", "region", OBJECT, "region spec as JSON"),
+    Flag("--field", "fieldspec", OBJECT, "field spec as JSON"),
+    Flag("--pressure", "pressure", OBJECT, "pressure spec as JSON"),
+    Flag("--exponent", "exponent", OBJECT, "exponent spec as JSON"),
+    Flag("--preset", "exponent.kind", TEXT, "exponent preset", PRESET_KINDS),
+    Flag("--inner", "exponent.inner", RATIONAL, "preset inner exponent"),
+    Flag("--outer", "exponent.outer", RATIONAL, "preset outer exponent"),
+    Flag("--gamma", "exponent.gamma", RATIONAL, "widening-cusp power"),
+    Flag("--sigma", "exponent.sigma", RATIONAL, "shrinking-cusp power"),
+    Flag("--grid-start", "r_grid.start", NUMBER, "first grid radius"),
+    Flag("--grid-factor", "r_grid.factor", NUMBER, "ratio of successive grid radii"),
+    Flag("--grid-count", "r_grid.count", INTEGER, "number of grid radii"),
+    Flag("--radii", "radii", NUMBERS, "comma-separated radii"),
+    Flag("--kind", "kind", TEXT, "decay norm (default: both)", ("laplacian", "gradient")),
+    Flag("--method", "method", TEXT, "volume method", ("analytic", "monte_carlo")),
+    Flag("--term", "term", TEXT, "certified term", ("alpha", "beta", "both")),
+    Flag("--no-validate", "validate", SWITCH, "skip the preset constraint checks"),
+    # config keys without a flag
+    Flag(None, "quadrature.strata", INTEGER, "x1 slabs of the stratified-MC envelope"),
+    Flag(None, "quadrature.truncation_radius", NUMBER, "ball radius standing in for R^3"),
+    Flag(None, "tolerances.gap_tol", NUMBER, "energy identity relative gap"),
+    Flag(None, "tolerances.slope_margin", NUMBER, "decay slope margin over the certificate"),
+)
+
+
+def _holder(d: dict, key: str, create: bool = False) -> Optional[dict]:
+    """The object holding a dotted key's last part; None when absent."""
+    for part in key.split(".")[:-1]:
+        if d.get(part) is None:
+            if not create:
+                return None
+            d[part] = {}
+        d = d[part]
+        if not isinstance(d, dict):
+            raise ConfigError(f"config field {part!r} must be a JSON object, got {d!r}")
+    return d
+
+
+def _check_types(d: dict) -> None:
+    for flag in filter(lambda f: f.key, FLAGS):
+        v = (_holder(d, flag.key) or {}).get(flag.key.rsplit(".", 1)[-1])
+        ok = isinstance(v, flag.value.types) and (not flag.choices or v in flag.choices)
+        if v is not None and not ok:
+            what = f"one of {', '.join(flag.choices)}" if flag.choices else flag.value.what
+            raise ConfigError(f"config field {flag.key!r} must be {what}, got {v!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -557,139 +580,47 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-CSV_COLUMNS = {
-    "norm": "value,abs_error,status,evaluations",
-    "volume": "value,std_error,method",
-    "decay": "kind,R,norm,abs_error",
-    "energy": "R,lhs,alpha,beta,rel_gap,residual_sup,verdict",
-    "alpha-beta": "R,alpha,beta1,beta2,beta,errors",
-    "certify": "term,piece,growth,inv_conjugate,exponent,negative",
-    "lemmas": "check,lhs,rhs,deviation,tolerance,passed",
-    "liouville": "R,alpha,beta1,beta2,beta,lap_norm,grad_norm,errors",
-}
-
-SUBCOMMAND_HELP = {
-    "norm": "Luxemburg norm of a field against an exponent spec",
-    "volume": "region volume, analytic or Monte Carlo",
-    "decay": "cutoff-derivative norm decay over a radius grid",
-    "energy": "localized energy identity check",
-    "alpha-beta": "shell energy terms over a radius grid",
-    "certify": "exact decay-exponent certificate and inner-exponent threshold",
-    "lemmas": "norm lemma, restriction, power and Hoelder checks on one region",
-    "liouville": "full decay verification pipeline",
-}
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="vexlp", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(
             name,
-            add_help=True,
-            help=SUBCOMMAND_HELP[name],
+            help=command.help,
             description=(
-                f"{SUBCOMMAND_HELP[name]}. Writes {name}.csv with the fixed "
-                f"columns {CSV_COLUMNS[name]} (floats at 17 significant digits) "
-                f"and {name}.json."
+                f"{command.help}. Writes {name}.csv with the fixed columns "
+                f"{command.columns} (floats at 17 significant digits) and {name}.json."
             ),
         )
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--quad", type=str, default=None, choices=["radial", "mc", "strat"])
-        p.add_argument("--samples", type=int, default=None, help="MC sample budget")
-        p.add_argument("--tol", type=float, default=None, help="norm bisection rel tol")
-        p.add_argument("--region", type=str, default=None, help="region spec as JSON")
-        p.add_argument("--field", type=str, default=None, help="field spec as JSON")
-        p.add_argument("--pressure", type=str, default=None, help="pressure spec as JSON")
-        p.add_argument("--exponent", type=str, default=None, help="exponent spec as JSON")
-        p.add_argument("--preset", type=str, default=None,
-                       choices=["cylinder", "power_cusp", "shrink_cusp"])
-        p.add_argument("--inner", type=str, default=None)
-        p.add_argument("--outer", type=str, default=None)
-        p.add_argument("--gamma", type=str, default=None)
-        p.add_argument("--sigma", type=str, default=None)
-        p.add_argument("--grid-start", type=float, default=None)
-        p.add_argument("--grid-factor", type=float, default=None)
-        p.add_argument("--grid-count", type=int, default=None)
-        p.add_argument("--radii", type=str, default=None, help="comma-separated radii")
-        p.add_argument("--kind", type=str, default=None, choices=["laplacian", "gradient"])
-        p.add_argument("--method", type=str, default=None,
-                       choices=["analytic", "monte_carlo"])
-        p.add_argument("--term", type=str, default=None, choices=["alpha", "beta", "both"])
-        p.add_argument("--no-validate", action="store_true")
+        for flag in filter(lambda f: f.name, FLAGS):
+            how = (dict(action="store_const", const=False) if flag.value is SWITCH
+                   else dict(choices=flag.choices or None))
+            p.add_argument(flag.name, dest=flag.key or "config", help=flag.help, **how)
     return parser
 
 
-def _parse_json_flag(name: str, text: Optional[str]) -> Optional[dict]:
-    if text is None:
-        return None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--{name} is not valid JSON: {exc}") from None
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The config file, if any, with each given flag written over its key."""
     base: dict = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
         try:
-            base = json.loads(path.read_text())
+            base = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"config file {path} is not readable JSON: {exc}") from None
+            raise ConfigError(f"config file {args.config} is not readable JSON: {exc}") from None
         if not isinstance(base, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
     base["command"] = args.command
-    if args.out:
-        base["out_dir"] = args.out
-    quad = dict(base.get("quadrature", {}))
-    if args.quad:
-        quad["scheme"] = args.quad
-    if args.samples is not None:
-        quad["n"] = args.samples
-    if args.seed is not None:
-        quad["seed"] = args.seed
-    if args.tol is not None:
-        quad["rel_tol"] = args.tol
-    if quad:
-        base["quadrature"] = quad
-    for flag, key in (("region", "region"), ("field", "fieldspec"),
-                      ("pressure", "pressure"), ("exponent", "exponent")):
-        val = _parse_json_flag(flag, getattr(args, flag))
-        if val is not None:
-            base[key] = val
-    if args.preset:
-        spec = dict(base.get("exponent") or {})
-        spec["kind"] = args.preset
-        for nm in ("inner", "outer", "gamma", "sigma"):
-            if getattr(args, nm) is not None:
-                spec[nm] = getattr(args, nm)
-        base["exponent"] = spec
-    if args.grid_start is not None or args.grid_factor is not None or args.grid_count is not None:
-        g = dict(base.get("r_grid") or {})
-        if args.grid_start is not None:
-            g["start"] = args.grid_start
-        if args.grid_factor is not None:
-            g["factor"] = args.grid_factor
-        if args.grid_count is not None:
-            g["count"] = args.grid_count
-        base["r_grid"] = g
-    if args.radii:
+    for flag in FLAGS:
+        text = vars(args).get(flag.key)
+        if text is None:
+            continue
         try:
-            base["radii"] = [float(r) for r in args.radii.split(",")]
+            value = flag.value.parse(text)
         except ValueError:
-            raise ConfigError(
-                f"--radii must be comma-separated numbers, got {args.radii!r}"
-            ) from None
-    for nm in ("kind", "method", "term"):
-        if getattr(args, nm) is not None:
-            base[nm] = getattr(args, nm)
-    if args.no_validate:
-        base["validate"] = False
+            value = None
+        if not isinstance(value, flag.value.types):
+            raise ConfigError(f"{flag.name} must be {flag.value.what}, got {text!r}")
+        _holder(base, flag.key, create=True)[flag.key.rsplit(".", 1)[-1]] = value
     return RunConfig.from_dict(base)
 
 
@@ -700,15 +631,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not args.command:
             raise ConfigError(f"choose a subcommand: {', '.join(COMMANDS)}")
         cfg = config_from_args(args)
+        command = COMMANDS[cfg.command]
+        missing = [k for k in command.needs if not getattr(cfg, k)]
+        if missing:
+            raise ConfigError(f"'{cfg.command}' needs {' and '.join(map(repr, missing))}")
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        code, line = RUNNERS[cfg.command](cfg, out)
+        rows, payload, code, line = command.run(cfg)
+        write_csv(out / f"{cfg.command}.csv", command.columns.split(","), rows)
+        write_json(out / f"{cfg.command}.json", {"config": cfg.public_dict(), **payload})
         print(line)
         return code
     except (ConfigError, PresetConstraintError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ToolkitError as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidRadiusError
-from .regions import Annulus, Region
+from .regions import Annulus, Region, as_points
 
 
 def transition(t: np.ndarray) -> np.ndarray:
@@ -48,21 +49,18 @@ class RadialCutoff:
     def _t(self, rho: np.ndarray) -> np.ndarray:
         return np.clip((2.0 * rho - self.radius) / self.radius, 0.0, 1.0)
 
+    def _radial(self, x) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Points as (n, 3), their norms, and whether one point (3,) was given."""
+        pts, single = as_points(x)
+        return pts, np.linalg.norm(pts, axis=1), single
+
     def __call__(self, x) -> np.ndarray | float:
-        pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts.reshape(1, 3)
-        rho = np.linalg.norm(pts, axis=1)
+        _, rho, single = self._radial(x)
         val = 1.0 - transition(self._t(rho))
         return float(val[0]) if single else val
 
     def grad(self, x) -> np.ndarray:
-        pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts.reshape(1, 3)
-        rho = np.linalg.norm(pts, axis=1)
+        pts, rho, single = self._radial(x)
         inside = (rho > self.radius / 2.0) & (rho < self.radius)
         dtheta = np.where(
             inside, -(2.0 / self.radius) * transition_d1(self._t(rho)), 0.0
@@ -72,11 +70,7 @@ class RadialCutoff:
         return out[0] if single else out
 
     def laplacian(self, x) -> np.ndarray | float:
-        pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts.reshape(1, 3)
-        rho = np.linalg.norm(pts, axis=1)
+        pts, rho, single = self._radial(x)
         inside = (rho > self.radius / 2.0) & (rho < self.radius)
         t = self._t(rho)
         d1 = -(2.0 / self.radius) * transition_d1(t)
@@ -84,6 +78,12 @@ class RadialCutoff:
         safe_rho = np.where(rho > 0, rho, 1.0)
         val = np.where(inside, d2 + 2.0 * d1 / safe_rho, 0.0)
         return float(val[0]) if single else val
+
+    def size(self, kind: str) -> Callable[[np.ndarray], np.ndarray]:
+        """|Laplacian| (kind "laplacian") or |grad| (kind "gradient") as a function."""
+        if kind == "laplacian":
+            return lambda pts: np.abs(self.laplacian(pts))
+        return lambda pts: np.linalg.norm(self.grad(pts), axis=1)
 
     def sup_grad(self) -> float:
         """Exact sup of |grad|, attained mid-shell."""

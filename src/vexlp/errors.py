@@ -17,8 +17,16 @@ class SamplingBudgetError(ToolkitError):
     """
 
 
+class QuadratureDomainError(ToolkitError, ValueError):
+    """Raised when a quadrature rule cannot integrate over the requested domain."""
+
+
 class AnalyticUnavailableError(ToolkitError):
     """Raised when no closed-form volume exists for a region descriptor."""
+
+
+class DecayFitError(ToolkitError, ValueError):
+    """Raised when fewer than three norms of a decay fit are above the zero floor."""
 
 
 class InvalidRadiusError(ToolkitError):

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cutoff import RadialCutoff, make_cutoff
-from .errors import PresetConstraintError
+from .errors import DecayFitError, PresetConstraintError
 from .exponents import ExponentField, PresetSpec, preset
 from .fields import ScalarField3, ScanResult, VectorField3, membership_scan, ns_residual
 from .norms import (
@@ -64,7 +64,7 @@ def fit_decay(radii: Sequence[float], values: Sequence[float]) -> DecayFit:
         (r, v) for r, v in zip(radii, values) if math.isfinite(v) and v > _ZERO_FLOOR
     ]
     if len(pairs) < 3:
-        raise ValueError(
+        raise DecayFitError(
             "decay fit needs at least three values above the zero floor; "
             f"got {len(pairs)}"
         )
@@ -187,11 +187,7 @@ def cutoff_norm_decay(
     for i, R in enumerate(radii):
         cut = make_cutoff(R)
         shell = cut.support()
-        f = (
-            (lambda pts, c=cut: np.abs(c.laplacian(pts)))
-            if kind == "laplacian"
-            else (lambda pts, c=cut: np.linalg.norm(c.grad(pts), axis=1))
-        )
+        f = cut.size(kind)
         q_i = quad.with_seed(quad.seed + 101 * i)
         res = luxemburg_norm(f, conjugate_field, shell, q_i)
         totals.append(res.value)
@@ -451,15 +447,8 @@ def liouville_pipeline(
         q_i = quad.with_seed(quad.seed + 31 * i)
         a, a_err = alpha_term(R, u, q_i, cutoff=cut)
         flux = beta_terms(R, u, P, q_i, cutoff=cut)
-        lap = luxemburg_norm(
-            lambda pts, c=cut: np.abs(c.laplacian(pts)), q_field, cut.support(), q_i
-        )
-        grad = luxemburg_norm(
-            lambda pts, c=cut: np.linalg.norm(c.grad(pts), axis=1),
-            r_field,
-            cut.support(),
-            q_i,
-        )
+        lap = luxemburg_norm(cut.size("laplacian"), q_field, cut.support(), q_i)
+        grad = luxemburg_norm(cut.size("gradient"), r_field, cut.support(), q_i)
         rows.append(
             PipelineRow(
                 R, a, flux.beta1, flux.beta2, flux.beta, lap.value, grad.value,
@@ -470,11 +459,8 @@ def liouville_pipeline(
     cert_a = predicted_exponent(spec, "alpha")
     cert_b = predicted_exponent(spec, "beta")
     fits = {
-        "alpha": _maybe_fit(radii, [r.alpha for r in rows]),
-        "beta1": _maybe_fit(radii, [r.beta1 for r in rows]),
-        "beta2": _maybe_fit(radii, [r.beta2 for r in rows]),
-        "lap_norm": _maybe_fit(radii, [r.lap_norm for r in rows]),
-        "grad_norm": _maybe_fit(radii, [r.grad_norm for r in rows]),
+        name: _maybe_fit(radii, [getattr(r, name) for r in rows])
+        for name in ("alpha", "beta1", "beta2", "lap_norm", "grad_norm")
     }
 
     if scan_u.verdict == "diverging" or scan_p.verdict == "diverging":

@@ -28,7 +28,7 @@ from .errors import (
     PresetConstraintError,
     UnboundedRegionError,
 )
-from .regions import Ball, Cylinder, Intersect, PowerCusp, Region, ShrinkCusp
+from .regions import Ball, Cylinder, Intersect, PowerCusp, Region, ShrinkCusp, as_points
 
 RationalLike = Union[int, float, str, Fraction]
 
@@ -38,8 +38,6 @@ _PROBE_RADIUS = 64.0  # bounded window used to sample unbounded regions
 def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        return Fraction(value)
     return Fraction(value)
 
 
@@ -134,10 +132,7 @@ class ExponentField:
     default: ExponentPiece
 
     def __call__(self, x) -> np.ndarray | float:
-        pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts.reshape(1, 3)
+        pts, single = as_points(x)
         out = self.default(pts)
         unclaimed = np.ones(pts.shape[0], dtype=bool)
         for region, piece in self.pieces:
@@ -226,15 +221,6 @@ class ExponentField:
         )
 
 
-def holder_conjugate(p: ExponentField, k: int) -> ExponentField:
-    """Pointwise k-conjugate x -> p(x)/(p(x) - k) for k in {1, 2, 3}.
-
-    k = 1 is the classical dual index; k = 2 and k = 3 pair with squares
-    and cubes of a field in the corresponding Hoelder splits.
-    """
-    return p.conjugate(k)
-
-
 def constant_field(value: float) -> ExponentField:
     return ExponentField((), ExponentPiece.constant(value))
 
@@ -263,6 +249,13 @@ class PresetSpec:
     inner: Optional[Fraction] = None
     gamma: Optional[Fraction] = None
     sigma: Optional[Fraction] = None
+
+    def __post_init__(self):
+        shape = {"power_cusp": "gamma", "shrink_cusp": "sigma"}.get(self.kind)
+        if shape and getattr(self, shape) is None:
+            raise PresetConstraintError(f"{self.kind} preset needs {shape}")
+        if self.inner is not None and self.inner < 1:
+            raise PresetConstraintError(f"inner exponent must be at least 1; got {self.inner}")
 
     @classmethod
     def make(
@@ -328,7 +321,9 @@ def preset(spec: PresetSpec, validate: bool = True) -> ExponentField:
     if validate:
         spec.validate()
     else:
-        # geometry still needs usable shape parameters
+        # geometry still needs usable shape parameters and an inner exponent
+        if spec.kind != "shrink_cusp" and spec.inner is None:
+            raise PresetConstraintError(f"{spec.kind} preset needs an inner exponent")
         if spec.kind == "power_cusp" and not 0 < spec.gamma < 1:
             raise PresetConstraintError(f"gamma must lie in (0,1); got {spec.gamma}")
         if spec.kind == "shrink_cusp" and not 0 < spec.sigma < 1:

@@ -22,37 +22,26 @@ import numpy as np
 
 from .exponents import ExponentField
 from .norms import Quadrature, modular
-from .regions import Annulus, Ball, Region
+from .regions import Annulus, Ball, Region, as_points
 
 Array = np.ndarray
 
 _FD_STEP = 1e-4
 
 
-def _batch(x) -> tuple[Array, bool]:
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 1:
-        return pts.reshape(1, 3), True
-    return pts, False
-
-
-def fd_gradient(fn: Callable[[Array], Array], pts: Array, h: float = _FD_STEP) -> Array:
-    out = np.empty_like(pts)
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        out[:, j] = (fn(pts + e) - fn(pts - e)) / (2.0 * h)
-    return out
-
 def fd_jacobian(fn: Callable[[Array], Array], pts: Array, h: float = _FD_STEP) -> Array:
-    """J[n, i, j] = d u_i / d x_j by central differences."""
-    n = pts.shape[0]
-    out = np.empty((n, 3, 3))
+    """d f / d x_j by central differences, stacked on a new last axis.
+
+    A scalar field gives its gradient (n, 3); a vector field its Jacobian
+    J[n, i, j] = d u_i / d x_j.
+    """
+    cols = []
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
-        out[:, :, j] = (fn(pts + e) - fn(pts - e)) / (2.0 * h)
-    return out
+        cols.append((fn(pts + e) - fn(pts - e)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
 
 def fd_laplacian(fn: Callable[[Array], Array], pts: Array, h: float = _FD_STEP) -> Array:
     center = fn(pts)
@@ -64,6 +53,13 @@ def fd_laplacian(fn: Callable[[Array], Array], pts: Array, h: float = _FD_STEP) 
     return out / h**2
 
 
+def _derivative(analytic: Optional[Callable], fd: Callable, fn: Callable, x) -> Array:
+    """The analytic derivative where one is given, else finite differences of fn."""
+    pts, single = as_points(x)
+    out = analytic(pts) if analytic is not None else fd(fn, pts)
+    return out[0] if single else out
+
+
 @dataclass(frozen=True)
 class ScalarField3:
     fn: Callable[[Array], Array]
@@ -71,18 +67,12 @@ class ScalarField3:
     name: str = ""
 
     def __call__(self, x):
-        pts, single = _batch(x)
+        pts, single = as_points(x)
         vals = np.asarray(self.fn(pts), dtype=float)
         return float(vals[0]) if single else vals
 
     def gradient(self, x) -> Array:
-        pts, single = _batch(x)
-        g = (
-            self.analytic_gradient(pts)
-            if self.analytic_gradient is not None
-            else fd_gradient(self.fn, pts)
-        )
-        return g[0] if single else g
+        return _derivative(self.analytic_gradient, fd_jacobian, self.fn, x)
 
 
 @dataclass(frozen=True)
@@ -95,35 +85,19 @@ class VectorField3:
     divergence_free: bool = False
 
     def __call__(self, x):
-        pts, single = _batch(x)
+        pts, single = as_points(x)
         vals = np.asarray(self.fn(pts), dtype=float)
         return vals[0] if single else vals
 
     def jacobian(self, x) -> Array:
-        pts, single = _batch(x)
-        j = (
-            self.analytic_jacobian(pts)
-            if self.analytic_jacobian is not None
-            else fd_jacobian(self.fn, pts)
-        )
-        return j[0] if single else j
+        return _derivative(self.analytic_jacobian, fd_jacobian, self.fn, x)
 
     def laplacian(self, x) -> Array:
-        pts, single = _batch(x)
-        l = (
-            self.analytic_laplacian(pts)
-            if self.analytic_laplacian is not None
-            else fd_laplacian(self.fn, pts)
-        )
-        return l[0] if single else l
+        return _derivative(self.analytic_laplacian, fd_laplacian, self.fn, x)
 
     def divergence(self, x) -> Array | float:
-        pts, single = _batch(x)
-        jac = (
-            self.analytic_jacobian(pts)
-            if self.analytic_jacobian is not None
-            else fd_jacobian(self.fn, pts)
-        )
+        pts, single = as_points(x)
+        jac = self.jacobian(pts)
         d = jac[:, 0, 0] + jac[:, 1, 1] + jac[:, 2, 2]
         return float(d[0]) if single else d
 
@@ -271,7 +245,7 @@ def decaying_solenoidal(rate: float) -> VectorField3:
 
 def ns_residual(u: VectorField3, p: ScalarField3, x) -> Array:
     """Pointwise momentum residual: Laplacian(u) - (u . grad) u - grad P."""
-    pts, single = _batch(x)
+    pts, single = as_points(x)
     lap = u.laplacian(pts)
     jac = u.jacobian(pts)
     vel = u(pts)

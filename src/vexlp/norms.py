@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     ExponentRangeError,
     ExponentRelationError,
+    QuadratureDomainError,
 )
 from .exponents import ExponentField
 from .regions import Annulus, Ball, Region
@@ -64,6 +65,18 @@ class Quadrature:
     def __post_init__(self):
         if self.scheme not in ("mc", "stratified_mc", "radial"):
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
+        if self.n < 1:
+            raise ValueError(f"sample budget n must be at least 1, got {self.n}")
+        if self.seed < 0 or self.strata < 0:
+            raise ValueError(
+                f"seed and strata must be non-negative, got {self.seed}, {self.strata}"
+            )
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
+        if not self.truncation_radius > 0.0:
+            raise ValueError(
+                f"truncation_radius must be positive, got {self.truncation_radius}"
+            )
 
     def with_seed(self, seed: int) -> "Quadrature":
         return replace(self, seed=seed)
@@ -136,7 +149,7 @@ def _radial_nodes(domain: Region, quad: Quadrature) -> _NodeSet:
     elif isinstance(domain, Annulus):
         r0, r1 = domain.r_inner, domain.r_outer
     else:
-        raise ValueError(
+        raise QuadratureDomainError(
             "the radial product rule needs an origin-centered ball or shell; "
             f"got {type(domain).__name__}"
         )
@@ -179,9 +192,18 @@ def _stratified_se(nodes: _NodeSet, contrib: np.ndarray) -> float:
     return math.sqrt(var)
 
 
-def _weighted_sum(nodes: _NodeSet, contrib: np.ndarray) -> tuple[float, float]:
+def _estimate(
+    nodes: _NodeSet, contrib: np.ndarray, coarse: Optional[np.ndarray]
+) -> tuple[float, float]:
+    """Weighted sum of contrib and its error: the fine-minus-coarse gap of
+    the product rule (coarse: contrib on ``nodes.coarse``) or the stratified
+    standard error, plus the tail bound times the largest |contrib|."""
     value = float(np.sum(nodes.weights * contrib))
-    return value, _stratified_se(nodes, contrib)
+    if coarse is None:
+        se = _stratified_se(nodes, contrib)
+    else:
+        se = abs(value - float(np.sum(nodes.coarse.weights * coarse)))
+    return value, se + nodes.tail_bound * float(np.max(np.abs(contrib), initial=0.0))
 
 
 def _node_contrib(
@@ -272,13 +294,10 @@ def modular(
     """
     nodes = _build_nodes(domain, quad)
     mag, pv, finite = _node_contrib(nodes, f, p)
-    contrib = _power_contrib(mag, pv, finite, 1.0)
-    value, se = _weighted_sum(nodes, contrib)
+    coarse = None
     if nodes.coarse is not None:
-        cmag, cpv, cfin = _node_contrib(nodes.coarse, f, p)
-        cval = float(np.sum(nodes.coarse.weights * _power_contrib(cmag, cpv, cfin, 1.0)))
-        se = abs(value - cval)
-    se += nodes.tail_bound * float(np.max(contrib, initial=0.0))
+        coarse = _power_contrib(*_node_contrib(nodes.coarse, f, p), 1.0)
+    value, se = _estimate(nodes, _power_contrib(mag, pv, finite, 1.0), coarse)
     sup = _infinite_piece_sup(f, p, domain, quad, mag, finite, nodes.inside)
     if sup > 1.0 or math.isinf(value):
         return math.inf, se
@@ -345,6 +364,8 @@ def luxemburg_norm(
                 return _finish(0.0, 0.0, sup_inf_piece, 0.0, evaluations)
         while (hi - lo) > 0.25 * quad.rel_tol * hi:
             mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
+                break
             if rho(mid) > 1.0:
                 lo = mid
             else:
@@ -399,11 +420,10 @@ def integrate_many(
         contrib = np.zeros(nodes.points.shape[0])
         if idx.size:
             contrib[idx] = np.asarray(fn(nodes.points[idx]), dtype=float)
-        value, se = _weighted_sum(nodes, contrib)
+        coarse = None
         if nodes.coarse is not None:
-            cc = np.asarray(fn(nodes.coarse.points), dtype=float)
-            se = abs(value - float(np.sum(nodes.coarse.weights * cc)))
-        se += nodes.tail_bound * float(np.max(np.abs(contrib), initial=0.0))
+            coarse = np.asarray(fn(nodes.coarse.points), dtype=float)
+        value, se = _estimate(nodes, contrib, coarse)
         values.append(value)
         errors.append(se)
     return values, errors
@@ -438,7 +458,8 @@ def magnitude_power(f, s: float):
 
 
 def pointwise_product(f, g):
-    """f * g for scalars, the dot product for vector pairs."""
+    """f * g for scalars, the dot product for vector pairs, and the vector
+    scaled pointwise for a vector and a scalar."""
 
     def wrapped(pts):
         a = np.asarray(f(pts), dtype=float)
@@ -446,7 +467,7 @@ def pointwise_product(f, g):
         if a.ndim == 2 and b.ndim == 2:
             return np.einsum("ij,ij->i", a, b)
         if a.ndim == 2 or b.ndim == 2:
-            raise ValueError("cannot multiply a vector field by a scalar field here")
+            return a * b[:, None] if a.ndim == 2 else a[:, None] * b
         return a * b
 
     return wrapped

@@ -34,7 +34,8 @@ _DRAW_BUDGET = 1 << 22
 _DRAWS_PER_POINT = 1024
 
 
-def _as_points(x) -> tuple[np.ndarray, bool]:
+def as_points(x) -> tuple[np.ndarray, bool]:
+    """Points as (n, 3), and whether one point (3,) was given."""
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         return pts.reshape(1, 3), True
@@ -106,7 +107,7 @@ class Region(ABC):
 
     def contains(self, x) -> np.ndarray | bool:
         """Membership test; accepts one point (3,) or a batch (n, 3)."""
-        pts, single = _as_points(x)
+        pts, single = as_points(x)
         mask = self._contains_batch(pts)
         return bool(mask[0]) if single else mask
 
@@ -142,9 +143,10 @@ class Region(ABC):
             if rho <= 0.0 or b <= a:
                 continue
             boxes.append(Box((float(a), -rho, -rho), (float(b), rho, rho)))
-        if not boxes:
+        env = Envelope(tuple(boxes), tail)
+        if not env.total_volume() > 0.0:  # no boxes, or their volume underflows
             raise UnboundedRegionError(f"{type(self).__name__} envelope is empty")
-        return Envelope(tuple(boxes), tail)
+        return env
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n points uniform over the region; deterministic for a fixed seed."""
@@ -236,7 +238,9 @@ class Ball(Region):
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if len(self.center) != 3 or not all(map(math.isfinite, self.center)):
+            raise ValueError(f"ball center needs three finite coordinates, got {self.center}")
+        if not self.radius > 0:
             raise ValueError("ball radius must be positive")
 
     def _contains_batch(self, pts):
@@ -296,7 +300,7 @@ class CylinderSegment(Region):
     half_length: float
 
     def __post_init__(self):
-        if self.half_length <= 0:
+        if not self.half_length > 0:
             raise ValueError("half_length must be positive")
 
     def _contains_batch(self, pts):
@@ -309,90 +313,34 @@ class CylinderSegment(Region):
         return Extent(-self.half_length, self.half_length, lambda a, b: 1.0)
 
 
-def _check_unit_interval(name: str, value: float):
+def _check_cusp(name: str, value: float, length: float):
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    if not length > 0:
+        raise ValueError(f"length must be positive, got {length}")
 
 
 @dataclass(frozen=True)
 class PowerCusp(Region):
-    """Solid of revolution sqrt(x2^2 + x3^2) <= x1^gamma, x1 > 0.
+    """Solid of revolution sqrt(x2^2 + x3^2) <= x1^gamma, 0 < x1 <= length.
 
     The cross-section *radius* grows like x1^gamma, so a truncation to
-    0 < x1 < L has volume pi * L^(2*gamma+1) / (2*gamma+1).
+    0 < x1 <= L has volume pi * L^(2*gamma+1) / (2*gamma+1); the default
+    length inf is the unbounded cusp.
     """
 
     gamma: float
+    length: float = math.inf
 
     def __post_init__(self):
-        _check_unit_interval("gamma", self.gamma)
+        _check_cusp("gamma", self.gamma, self.length)
 
     def _contains_batch(self, pts):
-        x1 = pts[:, 0]
-        with np.errstate(invalid="ignore"):
-            bound = np.where(x1 > 0, np.abs(x1) ** (2.0 * self.gamma), -1.0)
-        return (x1 > 0) & (_axis_dist_sq(pts) <= bound)
+        return _cusp_contains(pts, 2.0 * self.gamma, self.length)
 
     def analytic_volume(self):
-        raise UnboundedRegionError("the widening cusp has infinite volume")
-
-    def _extent(self):
-        g = self.gamma
-        return Extent(0.0, math.inf, lambda a, b: max(b, 0.0) ** g)
-
-
-@dataclass(frozen=True)
-class ShrinkCusp(Region):
-    """Solid of revolution sqrt(x2^2 + x3^2) <= x1^(-sigma/2), x1 > 0.
-
-    The cross-section radius shrinks along the axis but diverges as
-    x1 -> 0+, so the set is unbounded in every direction near the plane
-    x1 = 0 even though its truncations have finite volume.
-    """
-
-    sigma: float
-
-    def __post_init__(self):
-        _check_unit_interval("sigma", self.sigma)
-
-    def _contains_batch(self, pts):
-        x1 = pts[:, 0]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            bound = np.where(x1 > 0, np.abs(x1) ** (-self.sigma), -1.0)
-        return (x1 > 0) & (_axis_dist_sq(pts) <= bound)
-
-    def analytic_volume(self):
-        raise UnboundedRegionError("the shrinking cusp has infinite volume")
-
-    def _rho(self, a: float, b: float) -> float:
-        return math.inf if a <= 0 else a ** (-self.sigma / 2.0)
-
-    def _tail(self, delta: float) -> float:
-        return math.pi * delta ** (1.0 - self.sigma) / (1.0 - self.sigma)
-
-    def _extent(self):
-        return Extent(0.0, math.inf, self._rho, diverging_lo=True, tail_volume=self._tail)
-
-
-@dataclass(frozen=True)
-class TruncatedPowerCusp(Region):
-    """Widening cusp clipped to 0 < x1 <= length."""
-
-    gamma: float
-    length: float
-
-    def __post_init__(self):
-        _check_unit_interval("gamma", self.gamma)
-        if self.length <= 0:
-            raise ValueError("length must be positive")
-
-    def _contains_batch(self, pts):
-        x1 = pts[:, 0]
-        with np.errstate(invalid="ignore"):
-            bound = np.where(x1 > 0, np.abs(x1) ** (2.0 * self.gamma), -1.0)
-        return (x1 > 0) & (x1 <= self.length) & (_axis_dist_sq(pts) <= bound)
-
-    def analytic_volume(self):
+        if math.isinf(self.length):
+            raise UnboundedRegionError("the widening cusp has infinite volume")
         e = 2.0 * self.gamma + 1.0
         return math.pi * self.length**e / e
 
@@ -402,28 +350,27 @@ class TruncatedPowerCusp(Region):
 
 
 @dataclass(frozen=True)
-class TruncatedShrinkCusp(Region):
-    """Shrinking cusp clipped to 0 < x1 <= length.
+class ShrinkCusp(Region):
+    """Solid of revolution sqrt(x2^2 + x3^2) <= x1^(-sigma/2), 0 < x1 <= length.
 
-    Finite volume pi * length^(1-sigma) / (1-sigma) but no finite
-    bounding box: the cross-section radius diverges as x1 -> 0+.
+    The cross-section radius shrinks along the axis but diverges as
+    x1 -> 0+, so the set is unbounded in every direction near the plane
+    x1 = 0: a truncation has finite volume pi * length^(1-sigma) / (1-sigma)
+    but no finite bounding box.  The default length inf is the unbounded cusp.
     """
 
     sigma: float
-    length: float
+    length: float = math.inf
 
     def __post_init__(self):
-        _check_unit_interval("sigma", self.sigma)
-        if self.length <= 0:
-            raise ValueError("length must be positive")
+        _check_cusp("sigma", self.sigma, self.length)
 
     def _contains_batch(self, pts):
-        x1 = pts[:, 0]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            bound = np.where(x1 > 0, np.abs(x1) ** (-self.sigma), -1.0)
-        return (x1 > 0) & (x1 <= self.length) & (_axis_dist_sq(pts) <= bound)
+        return _cusp_contains(pts, -self.sigma, self.length)
 
     def analytic_volume(self):
+        if math.isinf(self.length):
+            raise UnboundedRegionError("the shrinking cusp has infinite volume")
         e = 1.0 - self.sigma
         return math.pi * self.length**e / e
 
@@ -437,6 +384,27 @@ class TruncatedShrinkCusp(Region):
         return Extent(
             0.0, self.length, self._rho, diverging_lo=True, tail_volume=self._tail
         )
+
+
+def _cusp_contains(pts: np.ndarray, power: float, length: float) -> np.ndarray:
+    """0 < x1 <= length and x2^2 + x3^2 <= x1^power."""
+    x1 = pts[:, 0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bound = np.where(x1 > 0, np.abs(x1) ** power, -1.0)
+    mask = (x1 > 0) & (_axis_dist_sq(pts) <= bound)
+    return mask & (x1 <= length) if math.isfinite(length) else mask
+
+
+# A truncated family is its parent with a required length; the subclass
+# only gives it its own constructor name and repr.
+@dataclass(frozen=True)
+class TruncatedPowerCusp(PowerCusp):
+    length: float
+
+
+@dataclass(frozen=True)
+class TruncatedShrinkCusp(ShrinkCusp):
+    length: float
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,19 @@
 """CLI behavior: golden outputs, determinism, config round-trip, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 import re
+import signal
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vexlp.cli import COMMANDS, RunConfig, main, region_from_dict
 from vexlp.errors import ConfigError
@@ -322,3 +327,256 @@ def test_lemmas_shrink_cusp_writes_json(tmp_path):
     checks = json.loads((out / "lemmas.json").read_text())["checks"]
     assert set(checks) == {"lemma1", "lemma2", "restriction", "power_identity", "holder"}
     assert all(type(c["passed"]) is bool for c in checks.values())
+
+
+# ---------------------------------------------------------------------------
+# config values of the wrong type, and inputs that used to hang
+
+GAUSSIAN_NORM = ["norm", "--field", '{"name":"gaussian"}', "--quad", "radial"]
+COUNTEREXAMPLE = {"fieldspec": {"name": "gradient_counterexample"},
+                  "pressure": {"name": "counterexample"}}
+CYLINDER = {"kind": "cylinder", "inner": "5", "outer": "4"}
+SMALL_MC = {"scheme": "mc", "n": 1000, "seed": 1}
+GRID = {"start": 8, "factor": 2, "count": 4}
+
+WRONG_TYPES = {
+    "quadrature-not-object": (["volume"], {"region": {"type": "ball"}, "quadrature": 5}),
+    "radii-not-numbers": (["energy"], {**COUNTEREXAMPLE, "radii": [4, "x"]}),
+    "r_grid-not-object": (["decay"], {"exponent": CYLINDER, "quadrature": SMALL_MC,
+                                      "r_grid": 5}),
+    "tolerances-not-object": (["energy"], {**COUNTEREXAMPLE, "radii": [4],
+                                           "tolerances": [1]}),
+    "field-not-object": (["norm", "--field", "[1]", "--exponent", '{"constant":2}',
+                          "--quad", "radial"], None),
+    "exponent-not-rational": (GAUSSIAN_NORM + ["--exponent", '{"constant":"x"}'], None),
+    "volume-method-unknown": (["volume"], {"region": {"type": "ball"}, "method": "foo"}),
+    "decay-kind-unknown": (["decay"], {"exponent": CYLINDER, "quadrature": SMALL_MC,
+                                       "r_grid": GRID, "kind": "foo"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPES))
+def test_wrongly_typed_config_is_usage_error(name, tmp_path, capsys):
+    argv, config = WRONG_TYPES[name]
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "run.json")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "usage error: " in capsys.readouterr().err
+
+
+@pytest.fixture
+def ten_second_alarm():
+    def timed_out(signum, frame):
+        raise TimeoutError("still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("flags", [["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
+                                   ["--samples", "-5"], ["--samples", "0"]],
+                         ids=["tol-0", "tol-negative", "tol-nan", "samples-negative", "samples-0"])
+def test_bad_quadrature_budget_is_usage_error(flags, tmp_path, capsys, ten_second_alarm):
+    argv = ["norm", "--field", '{"name":"gaussian"}', "--exponent", '{"constant":2}',
+            "--seed", "1", *flags, "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "usage error: bad quadrature spec" in capsys.readouterr().err
+
+
+def test_tiny_rel_tol_bisection_stops(ten_second_alarm):
+    from vexlp.exponents import constant_field
+    from vexlp.fields import gaussian_scalar
+    from vexlp.norms import Quadrature, luxemburg_norm
+
+    quad = Quadrature(scheme="radial", rel_tol=1e-300)
+    res = luxemburg_norm(gaussian_scalar(), constant_field(2.0), None, quad)
+    coarse = luxemburg_norm(gaussian_scalar(), constant_field(2.0), None,
+                            Quadrature(scheme="radial"))
+    assert res.status == "finite"
+    assert abs(res.value - coarse.value) <= coarse.abs_error
+
+
+def test_lemmas_on_a_velocity_field(tmp_path):
+    # the Hoelder check multiplies the field by the constant 1
+    code = main(["lemmas", "--preset", "cylinder", "--inner", "5", "--outer", "4",
+                 "--region", '{"type":"ball","radius":2}',
+                 "--field", '{"name":"gradient_counterexample"}',
+                 "--samples", "2000", "--seed", "3", "--out", str(tmp_path)])
+    assert code in (0, 2)
+    assert json.loads((tmp_path / "lemmas.json").read_text())["checks"]["holder"]["passed"]
+
+
+def test_malformed_region_center_is_usage_error():
+    with pytest.raises(ConfigError, match="three finite coordinates"):
+        region_from_dict({"type": "ball", "center": [1, 0], "radius": 2})
+
+
+def test_preset_parameter_flags_override_config_preset(tmp_path):
+    # each flag writes only its own config key, so --inner applies to a
+    # preset read from --config even without --preset
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"exponent": {"kind": "power_cusp", "gamma": "1/2", "inner": "5", "outer": "4"}}))
+    out = tmp_path / "out"
+    code = main(["certify", "--config", str(tmp_path / "run.json"), "--inner", "11/2",
+                 "--out", str(out)])
+    assert code == 0
+    payload = json.loads((out / "certify.json").read_text())
+    assert payload["config"]["exponent"] == {"kind": "power_cusp", "gamma": "1/2",
+                                             "inner": "11/2", "outer": "4"}
+    assert payload["certified"] is True
+
+
+def test_flag_table_keeps_every_flag_and_config_field(capsys):
+    from vexlp.cli import FLAGS
+
+    flags = [f.name for f in FLAGS if f.name]
+    assert len(flags) == len(set(flags)) == 23
+    assert len(RunConfig.__dataclass_fields__) == 14
+    top = {f.key.split(".")[0] for f in FLAGS if f.key}
+    assert top == set(RunConfig.__dataclass_fields__) - {"command"}
+    with pytest.raises(SystemExit):
+        main(["decay", "--help"])
+    help_text = capsys.readouterr().out
+    assert "{laplacian,gradient}" in help_text and "kind,R,norm,abs_error" in help_text
+
+
+# ---------------------------------------------------------------------------
+# property: every input ends in an exit code, never in a traceback or a hang
+
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
+                    st.floats(-2.0, 20.0), st.sampled_from(["x", "9/2", "1/2", "inf", ""]),
+                    st.lists(st.integers(0, 4), max_size=2))
+_REGION = st.one_of(
+    st.sampled_from([
+        {"type": "ball", "radius": 1},
+        {"type": "ball", "center": [1, 0], "radius": 2},
+        {"type": "annulus", "inner": 1, "outer": 2},
+        {"type": "cylinder"},
+        {"type": "power_cusp", "gamma": 0.5},
+        {"type": "truncated_power_cusp", "gamma": 0.5, "length": 4},
+        {"type": "truncated_shrink_cusp", "sigma": 0.5, "length": 4},
+        {"type": "intersect", "first": {"type": "annulus", "inner": 2, "outer": 4},
+         "second": {"type": "cylinder"}},
+        {"type": "diff", "keep": {"type": "ball", "radius": 2}, "remove": {"type": "cylinder"}},
+        {"type": "complement", "of": 5},
+    ]),
+    st.fixed_dictionaries({"type": st.sampled_from(["ball", "annulus", "nope"])},
+                          optional={"radius": _SCALAR, "inner": _SCALAR, "outer": _SCALAR}),
+    _SCALAR,
+)
+_EXPONENT = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["cylinder", "power_cusp", "shrink_cusp", "foo"])},
+        optional={"inner": st.sampled_from(["5", "6", 5, "x", None]),
+                  "outer": st.sampled_from(["4", "7/2", 4, 3, "x"]),
+                  "gamma": st.sampled_from(["1/2", 0.5, 2, "x"]),
+                  "sigma": st.sampled_from(["1/2", 0.5, 0, "x"])}),
+    st.fixed_dictionaries({"constant": _SCALAR}),
+    st.fixed_dictionaries({"pieces": st.sampled_from([[{"region": {"type": "ball"},
+                                                        "value": 3}], [1], 5]),
+                           "default": _SCALAR}),
+    _SCALAR,
+)
+_FIELD = st.one_of(
+    st.fixed_dictionaries(
+        {"name": st.sampled_from(["zero", "gradient_counterexample", "decaying_solenoidal",
+                                  "gaussian", "inverse_quadratic", "constant",
+                                  "counterexample", "nope"])},
+        optional={"rate": _SCALAR, "value": _SCALAR}),
+    _SCALAR,
+)
+_NUMBERS = st.lists(st.floats(0.5, 40.0), min_size=4, max_size=5)
+# per config field: values of the right shape mixed with wrong ones
+_CONFIG_VALUES = {
+    "region": _REGION,
+    "exponent": _EXPONENT,
+    "fieldspec": _FIELD,
+    "pressure": _FIELD,
+    "quadrature": st.one_of(_SCALAR, st.fixed_dictionaries({}, optional={
+        "scheme": st.sampled_from(["mc", "radial", "strat", "stratified_mc", "foo", 3]),
+        "seed": _SCALAR, "strata": st.integers(-1, 4),
+        "rel_tol": st.sampled_from([1e-4, 1e-3, 0, -1, 2, "x"]),
+        "truncation_radius": st.sampled_from([4, 8.0, 0, -1, "x"])})),
+    "r_grid": st.one_of(_SCALAR, st.fixed_dictionaries({}, optional={
+        "start": st.one_of(st.floats(-2.0, 16.0), _SCALAR),
+        "factor": st.one_of(st.floats(0.5, 3.0), _SCALAR),
+        "count": st.one_of(st.integers(0, 5), _SCALAR)})),
+    "radii": st.one_of(_NUMBERS, st.lists(_SCALAR, min_size=1, max_size=4), _SCALAR),
+    "kind": st.one_of(st.sampled_from(["laplacian", "gradient"]), _SCALAR),
+    "method": st.one_of(st.sampled_from(["analytic", "monte_carlo"]), _SCALAR),
+    "term": st.one_of(st.sampled_from(["alpha", "beta", "both"]), _SCALAR),
+    "validate": _SCALAR,
+    "tolerances": st.one_of(_SCALAR, st.fixed_dictionaries(
+        {}, optional={"gap_tol": _SCALAR, "slope_margin": _SCALAR})),
+    "out_dir": _SCALAR,
+    "bogus": _SCALAR,
+}
+_OVERRIDE = st.sampled_from(sorted(_CONFIG_VALUES)).flatmap(
+    lambda key: st.tuples(st.just(key), _CONFIG_VALUES[key]))
+# a config per command that runs as it stands; the test perturbs it
+_BASES = {
+    "norm": {"fieldspec": {"name": "gaussian"}, "exponent": {"constant": 2},
+             "quadrature": {"scheme": "radial"}},
+    "volume": {"region": {"type": "ball"}, "method": "monte_carlo", "quadrature": {"seed": 3}},
+    "decay": {"exponent": CYLINDER, "r_grid": GRID, "kind": "gradient",
+              "quadrature": {"seed": 3}},
+    "energy": {**COUNTEREXAMPLE, "radii": [4]},
+    "alpha-beta": {"fieldspec": {"name": "decaying_solenoidal", "rate": 2}, "r_grid": GRID,
+                   "quadrature": {"seed": 3}},
+    "certify": {"exponent": {"kind": "power_cusp", "gamma": "1/2", "inner": "5", "outer": "4"}},
+    "lemmas": {"exponent": CYLINDER, "region": {"type": "ball", "radius": 2},
+               "quadrature": {"seed": 3}},
+    "liouville": {"exponent": CYLINDER, "fieldspec": {"name": "zero"}, "r_grid": GRID,
+                  "quadrature": {"seed": 3}},
+}
+_JSON_TEXT = st.one_of(st.sampled_from(["{bad", "[1]", "5", "null"]),
+                       st.one_of(_REGION, _EXPONENT, _FIELD).map(json.dumps))
+_FLAG = st.one_of(
+    st.tuples(st.sampled_from(["--seed", "--grid-count"]),
+              st.one_of(st.integers(-2, 5).map(str), st.just("x"))),
+    st.tuples(st.sampled_from(["--tol", "--grid-start", "--grid-factor"]),
+              st.sampled_from(["0", "-1", "1e-300", "1e-3", "0.5", "2", "8", "nan", "inf", "x"])),
+    st.tuples(st.just("--radii"), st.one_of(
+        _NUMBERS.map(lambda rs: ",".join(f"{r:g}" for r in rs)), st.just("4,x"))),
+    st.tuples(st.sampled_from(["--inner", "--outer", "--gamma", "--sigma"]),
+              st.sampled_from(["5", "4", "1/2", "0", "x", "inf"])),
+    st.tuples(st.sampled_from(["--region", "--field", "--pressure", "--exponent"]), _JSON_TEXT),
+    st.tuples(st.just("--quad"), st.sampled_from(["radial", "mc", "strat", "bad"])),
+    st.tuples(st.just("--preset"), st.sampled_from(["cylinder", "power_cusp", "shrink_cusp"])),
+    st.tuples(st.just("--kind"), st.sampled_from(["laplacian", "gradient"])),
+    st.tuples(st.just("--method"), st.sampled_from(["analytic", "monte_carlo"])),
+    st.tuples(st.just("--term"), st.sampled_from(["alpha", "beta", "both"])),
+    st.just(("--no-validate",)),
+)
+
+
+@st.composite
+def _runs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    config = None
+    if draw(st.integers(0, 3)):
+        base = _BASES[draw(st.sampled_from([command] * 3 + sorted(_BASES)))]
+        config = {**base, **dict(draw(st.lists(_OVERRIDE, max_size=2)))}
+    flags = draw(st.lists(_FLAG, max_size=3))
+    # every run stays small: at most 2,000 samples and grids of at most 5 radii
+    samples = draw(st.integers(-2, 2000))
+    return command, config, [part for flag in flags for part in flag], samples
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=_runs())
+def test_main_never_raises(run):
+    command, config, flags, samples = run
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, *flags]
+        if config is not None:
+            Path(tmp, "run.json").write_text(json.dumps(config))
+            argv += ["--config", str(Path(tmp, "run.json"))]
+        argv += ["--samples", str(samples), "--out", str(Path(tmp, "out"))]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

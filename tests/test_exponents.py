@@ -71,14 +71,6 @@ def test_essential_bounds_windowed_fallback():
     assert not rep.exact
 
 
-def test_holder_conjugate_function_alias():
-    from vexlp.exponents import holder_conjugate
-
-    q = holder_conjugate(preset(CYL), 2)
-    assert q(pt(0, 0, 0)) == pytest.approx(5 / 3)
-    assert q(pt(0, 3, 0)) == pytest.approx(2.0)
-
-
 def test_conjugate_values():
     assert constant_field(3.0).conjugate(1)(pt(0, 0, 0)) == pytest.approx(1.5)
     assert constant_field(4.5).conjugate(2)(pt(0, 0, 0)) == pytest.approx(9 / 5)
@@ -86,6 +78,9 @@ def test_conjugate_values():
     t3_conj = preset(SHRINK).conjugate(2)
     assert t3_conj(pt(1, 0, 0)) == pytest.approx(1.0)
     assert t3_conj(pt(0, 3, 0)) == pytest.approx(2.0)
+    cyl_conj = preset(CYL).conjugate(2)
+    assert cyl_conj(pt(0, 0, 0)) == pytest.approx(5 / 3)
+    assert cyl_conj(pt(0, 3, 0)) == pytest.approx(2.0)
 
 
 def test_conjugate_requires_margin():
@@ -207,3 +202,15 @@ def test_log_holder_smooth_radial():
     assert rep.satisfied
     assert 0 < rep.local_constant < 10
     assert 0 < rep.decay_constant < 10
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("power_cusp", {"inner": 5}),
+    ("shrink_cusp", {}),
+    ("cylinder", {"inner": 0}),
+    ("power_cusp", {"inner": "1/2", "gamma": "1/2"}),
+], ids=["power-cusp-without-gamma", "shrink-cusp-without-sigma", "inner-0", "inner-below-1"])
+def test_preset_spec_needs_its_shape_parameter_and_inner_at_least_1(kind, params):
+    # checked even when the admissibility band is not (validate=False)
+    with pytest.raises(PresetConstraintError):
+        PresetSpec.make(kind, outer=4, **params)

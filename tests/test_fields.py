@@ -7,6 +7,8 @@ import pytest
 
 from vexlp.exponents import PresetSpec, constant_field, preset
 from vexlp.fields import (
+    ScalarField3,
+    VectorField3,
     decaying_solenoidal,
     fd_jacobian,
     gaussian_scalar,
@@ -119,6 +121,17 @@ def test_scalar_gradients_match_finite_differences():
             e[j] = h
             fd = (field(pts + e) - field(pts - e)) / (2 * h)
             assert np.abs(fd - an[:, j]).max() <= 1e-5 * max(np.abs(an).max(), 1e-12)
+
+
+def test_finite_difference_fallbacks_match_analytic_derivatives():
+    u, g = decaying_solenoidal(2.0), gaussian_scalar()
+    u_fd, g_fd = VectorField3(fn=u.fn), ScalarField3(fn=g.fn)
+    pts = smoke_grid(extent=2.0)
+    assert np.abs(g_fd.gradient(pts) - g.gradient(pts)).max() <= 1e-6
+    assert np.abs(u_fd.jacobian(pts) - u.jacobian(pts)).max() <= 1e-6
+    assert np.abs(u_fd.divergence(pts)).max() <= 1e-6
+    assert g_fd.gradient(pts[0]).shape == (3,)
+    assert u_fd.jacobian(pts[0]).shape == (3, 3)
 
 
 # ---------------------------------------------------------------------------

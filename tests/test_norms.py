@@ -358,6 +358,14 @@ def test_pointwise_product_vector_dot():
     assert prod(pts)[0] == pytest.approx(9.0)
 
 
+def test_pointwise_product_scales_a_vector_by_a_scalar():
+    f = lambda pts: np.stack([pts[:, 0], pts[:, 1], pts[:, 2]], axis=1)
+    g = lambda pts: np.full(pts.shape[0], -2.0)
+    pts = np.array([[1.0, 2.0, 2.0]])
+    np.testing.assert_array_equal(pointwise_product(f, g)(pts), [[-2.0, -4.0, -4.0]])
+    np.testing.assert_array_equal(pointwise_product(g, f)(pts), [[-2.0, -4.0, -4.0]])
+
+
 def test_magnitude_power():
     f = lambda pts: np.stack([pts[:, 0], pts[:, 1], pts[:, 2]], axis=1)
     assert magnitude_power(f, 2)(np.array([[1.0, 2.0, 2.0]]))[0] == pytest.approx(9.0)
@@ -434,3 +442,13 @@ def test_constant_exponent_reduction_randomized():
         norm = luxemburg_norm(f, constant_field(p0), dom, quad).value
         classical = modular(f, constant_field(p0), dom, quad)[0] ** (1.0 / p0)
         assert norm == pytest.approx(classical, rel=2 * quad.rel_tol)
+
+
+@pytest.mark.parametrize("bad", [
+    {"n": 0}, {"n": -5}, {"seed": -1}, {"strata": -1}, {"rel_tol": 0.0}, {"rel_tol": -1.0},
+    {"rel_tol": 1.0}, {"rel_tol": math.nan}, {"rel_tol": math.inf},
+    {"truncation_radius": 0.0}, {"truncation_radius": -2.0},
+], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+def test_quadrature_rejects_unusable_budgets(bad):
+    with pytest.raises(ValueError):
+        Quadrature(**bad)

@@ -181,6 +181,9 @@ def test_sampler_deterministic():
 def test_sample_unbounded_raises():
     with pytest.raises(UnboundedRegionError):
         Cylinder().sample(10, seed=0)
+    # a box volume that underflows to 0 leaves no sampling weights
+    with pytest.raises(UnboundedRegionError, match="envelope is empty"):
+        Ball(radius=5e-324).sample(10, seed=0)
 
 
 def test_sample_empty_region_fails_within_budget():
@@ -290,3 +293,30 @@ def test_shell_minus_cylinder_volume():
     exact = Annulus(R / 2, R).volume().value - tube
     est = Diff(Annulus(R / 2, R), Cylinder()).volume("monte_carlo", n=300_000, seed=4)
     assert abs(est.value - exact) <= 4.0 * est.std_error + 1e-3 * exact
+
+
+def test_one_class_per_cusp_family():
+    assert isinstance(TruncatedPowerCusp(0.5, 4), PowerCusp)
+    assert isinstance(TruncatedShrinkCusp(0.5, 16), ShrinkCusp)
+    assert repr(TruncatedShrinkCusp(0.5, 16)) == "TruncatedShrinkCusp(sigma=0.5, length=16)"
+    for unbounded in (PowerCusp(0.5), ShrinkCusp(0.5)):
+        assert unbounded.length == math.inf
+        with pytest.raises(UnboundedRegionError):
+            unbounded.analytic_volume()
+    pts = np.random.default_rng(0).uniform(-1.0, 20.0, (20_000, 3))
+    for cusp in (PowerCusp, ShrinkCusp):
+        clipped = cusp(0.5, 4).contains(pts)
+        assert (clipped == (cusp(0.5).contains(pts) & (pts[:, 0] <= 4))).all()
+        assert clipped.any()
+        with pytest.raises(ValueError, match="length must be positive"):
+            cusp(0.5, 0)
+
+
+def test_ball_center_needs_three_finite_coordinates():
+    for center in ((1.0, 0.0), (0.0, 0.0, math.nan)):
+        with pytest.raises(ValueError, match="three finite coordinates"):
+            Ball(center, 1.0)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        Ball(radius=math.nan)
+    with pytest.raises(ValueError, match="half_length must be positive"):
+        CylinderSegment(math.nan)
