@@ -224,9 +224,9 @@ class RunConfig:
     def quad(self) -> Quadrature:
         q = self.quadrature
         scheme = q.get("scheme", "mc")
-        if scheme == "strat":
-            scheme = "stratified_mc"
-        if scheme in ("mc", "stratified_mc") and q.get("seed") is None:
+        if scheme in ("strat", "stratified_mc"):  # older names for mc
+            scheme = "mc"
+        if scheme == "mc" and q.get("seed") is None:
             raise ConfigError(
                 "Monte Carlo schemes require an explicit 'seed' (config or --seed)"
             )
@@ -524,7 +524,7 @@ FLAGS = (
     Flag("--config", None, TEXT, "JSON config file"),
     Flag("--out", "out_dir", TEXT, "output directory"),
     Flag("--seed", "quadrature.seed", INTEGER, "Monte Carlo seed"),
-    Flag("--quad", "quadrature.scheme", TEXT, "quadrature rule (strat: stratified MC)",
+    Flag("--quad", "quadrature.scheme", TEXT, "quadrature rule (strat, stratified_mc: mc)",
          ("radial", "mc", "strat", "stratified_mc")),
     Flag("--samples", "quadrature.n", INTEGER, "MC sample budget"),
     Flag("--tol", "quadrature.rel_tol", NUMBER, "norm bisection rel tol"),
@@ -546,7 +546,7 @@ FLAGS = (
     Flag("--term", "term", TEXT, "certified term", ("alpha", "beta", "both")),
     Flag("--no-validate", "validate", SWITCH, "skip the preset constraint checks"),
     # config keys without a flag
-    Flag(None, "quadrature.strata", INTEGER, "x1 slabs of the stratified-MC envelope"),
+    Flag(None, "quadrature.strata", INTEGER, "x1 slabs of every Monte Carlo envelope"),
     Flag(None, "quadrature.truncation_radius", NUMBER, "ball radius standing in for R^3"),
     Flag(None, "tolerances.gap_tol", NUMBER, "energy identity relative gap"),
     Flag(None, "tolerances.slope_margin", NUMBER, "decay slope margin over the certificate"),

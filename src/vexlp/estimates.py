@@ -101,10 +101,10 @@ def alpha_term(
 
     def integrand(pts):
         vel = u(pts)
-        return cut.laplacian(pts) * 0.5 * np.einsum("ij,ij->i", vel, vel)
+        return [cut.laplacian(pts) * 0.5 * np.einsum("ij,ij->i", vel, vel)]
 
-    values, errors = integrate_many([integrand], cut.support(), quad)
-    return values[0], errors[0]
+    (value,), (error,) = integrate_many(integrand, cut.support(), quad)
+    return value, error
 
 
 @dataclass(frozen=True)
@@ -123,29 +123,22 @@ def beta_terms(
     quad: Quadrature = Quadrature(),
     cutoff: Optional[RadialCutoff] = None,
 ) -> FluxReport:
-    """Flux term and its two majorants on shared quadrature nodes."""
+    """Flux term and its two majorants from one evaluation of u, P and the
+    cutoff gradient on each node set."""
     cut = cutoff or make_cutoff(R)
 
-    def common(pts):
-        vel = u(pts)
+    def integrands(pts):
+        vel, pressure, grad = u(pts), P(pts), cut.grad(pts)
         speed = np.linalg.norm(vel, axis=1)
-        grad = cut.grad(pts)
-        return vel, speed, grad
+        grad_size = np.linalg.norm(grad, axis=1)
+        head = 0.5 * speed**2 + pressure
+        return [  # beta1, beta2, beta
+            grad_size * speed**3,
+            grad_size * np.abs(pressure) * speed,
+            np.einsum("ij,ij->i", grad, vel) * head,
+        ]
 
-    def f_beta1(pts):
-        _, speed, grad = common(pts)
-        return np.linalg.norm(grad, axis=1) * speed**3
-
-    def f_beta2(pts):
-        _, speed, grad = common(pts)
-        return np.linalg.norm(grad, axis=1) * np.abs(P(pts)) * speed
-
-    def f_beta(pts):
-        vel, speed, grad = common(pts)
-        head = 0.5 * speed**2 + P(pts)
-        return np.einsum("ij,ij->i", grad, vel) * head
-
-    values, errors = integrate_many([f_beta1, f_beta2, f_beta], cut.support(), quad)
+    values, errors = integrate_many(integrands, cut.support(), quad)
     b1, b2, b = values
     tol = 3.0 * sum(errors) + 1e-12 * max(abs(b1), abs(b2), 1.0)
     return FluxReport(b1, b2, b, tuple(errors), abs(b) <= 0.5 * b1 + b2 + tol)
@@ -351,9 +344,9 @@ def energy_identity_check(
 
     def energy_density(pts):
         jac = u.jacobian(pts)
-        return cut(pts) * np.einsum("nij,nij->n", jac, jac)
+        return [cut(pts) * np.einsum("nij,nij->n", jac, jac)]
 
-    (lhs,), _ = integrate_many([energy_density], Ball(radius=R), quad)
+    (lhs,), _ = integrate_many(energy_density, Ball(radius=R), quad)
     a, _ = alpha_term(R, u, quad, cutoff=cut)
     flux = beta_terms(R, u, P, quad, cutoff=cut)
     rhs = a + flux.beta

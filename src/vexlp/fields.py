@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exponents import ExponentField
-from .norms import Quadrature, modular
+from .norms import Quadrature, luxemburg_norm, magnitude_power, modular
 from .regions import Annulus, Ball, Region, as_points
 
 Array = np.ndarray
@@ -259,6 +259,7 @@ class ScanResult:
     rows: tuple[tuple[float, float, float], ...]  # (radius, truncated modular, err)
     increments: tuple[float, ...]
     verdict: str  # "convergent" | "diverging"
+    scale: float = 1.0  # the lambda whose f / lambda was scanned
 
 
 def membership_scan(
@@ -267,7 +268,14 @@ def membership_scan(
     radii,
     quad: Optional[Quadrature] = None,
 ) -> ScanResult:
-    """Truncated modulars over growing balls with a trend verdict.
+    """Truncated modulars of f / lambda over growing balls with a trend verdict.
+
+    f lies in the space iff the modular of f / lambda is finite for some
+    lambda > 0.  lambda is 1 unless p has an infinite piece, where the
+    modular is +inf wherever sup |f / lambda| > 1; lambda is then the
+    larger of 1 and the (finite) norm of f over the innermost ball, which
+    keeps that ball finite, and a field that grows past lambda on a later
+    shell still gives +inf there.
 
     The verdict is "convergent" when the shell-by-shell increments decay
     under a fixed geometric envelope (ratio <= 0.9 over the last shells)
@@ -281,10 +289,16 @@ def membership_scan(
     quad = quad or Quadrature(n=60_000)
     shells: list[Region] = [Ball(radius=radii[0])]
     shells += [Annulus(a, b) for a, b in zip(radii, radii[1:])]
+    scale, g = 1.0, f
+    if p.has_infinite_piece:
+        norm = luxemburg_norm(f, p, shells[0], quad).value
+        if 1.0 < norm < math.inf:
+            size = magnitude_power(f, 1.0)
+            scale, g = norm, lambda pts: size(pts) / norm  # |f| / norm keeps sup <= 1 exact
     increments = []
     errors = []
     for shell in shells:
-        val, err = modular(f, p, shell, quad)
+        val, err = modular(g, p, shell, quad)
         increments.append(val)
         errors.append(err)
     cums = np.cumsum(increments)
@@ -292,7 +306,7 @@ def membership_scan(
         (r, float(c), float(e)) for r, c, e in zip(radii, cums, np.cumsum(errors))
     )
     verdict = _trend_verdict(increments)
-    return ScanResult(rows, tuple(float(v) for v in increments), verdict)
+    return ScanResult(rows, tuple(float(v) for v in increments), verdict, scale)
 
 
 def _trend_verdict(increments: list[float]) -> str:

@@ -41,15 +41,18 @@ from .regions import Annulus, Ball, Region
 
 _CAP = 1e30
 _ESS_SUP_EXTRA = 10_000
+_PRODUCT_RULE = (96, 24, 24)  # radial, polar, azimuthal nodes; the coarse rule halves each
 
 
 @dataclass(frozen=True)
 class Quadrature:
     """Integration scheme description; deterministic given its fields.
 
-    ``scheme`` is "mc", "stratified_mc" or "radial".  ``n`` is the Monte
-    Carlo sample budget; the radial rule uses the explicit node counts.
-    ``truncation_radius`` stands in for all of R^3 when no domain is given.
+    ``scheme`` is "mc" (stratified rejection Monte Carlo over the region
+    envelope) or "radial" (the fixed spherical product rule).  ``n`` is the
+    Monte Carlo sample budget; ``strata`` > 1 sets the number of x1 slabs
+    of the envelope wherever Monte Carlo runs.  ``truncation_radius``
+    stands in for all of R^3 when no domain is given.
     """
 
     scheme: str = "mc"
@@ -58,12 +61,9 @@ class Quadrature:
     strata: int = 0
     rel_tol: float = 1e-4
     truncation_radius: float = 8.0
-    n_radial: int = 96
-    n_polar: int = 24
-    n_azimuth: int = 24
 
     def __post_init__(self):
-        if self.scheme not in ("mc", "stratified_mc", "radial"):
+        if self.scheme not in ("mc", "radial"):
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if self.n < 1:
             raise ValueError(f"sample budget n must be at least 1, got {self.n}")
@@ -95,9 +95,19 @@ class _NodeSet:
     points: np.ndarray          # (n, 3)
     weights: np.ndarray         # (n,)
     inside: np.ndarray          # (n,) bool
-    slices: tuple[tuple[int, int], ...]
-    coarse: Optional["_NodeSet"] = None
+    slices: tuple[tuple[int, int], ...] = ()  # Monte Carlo strata
+    coarse: Optional["_NodeSet"] = None       # the half-size product rule
     tail_bound: float = 0.0
+
+    def on_domain(self, fn, fill=0.0) -> np.ndarray:
+        """fn's values on the in-domain nodes, ``fill`` on the rest; fn maps
+        (m, 3) points to (m,) values or a (k, m) stack of rows, and a column
+        ``fill`` gives each row its own value."""
+        idx = np.flatnonzero(self.inside)
+        vals = np.asarray(fn(self.points[idx]), dtype=float)
+        out = np.full(vals.shape[:-1] + self.inside.shape, fill)
+        out[..., idx] = vals
+        return out
 
 
 def _resolve_domain(domain: Optional[Region], quad: Quadrature) -> Region:
@@ -105,23 +115,13 @@ def _resolve_domain(domain: Optional[Region], quad: Quadrature) -> Region:
 
 
 def _mc_nodes(domain: Region, quad: Quadrature) -> _NodeSet:
-    strata = quad.strata if quad.scheme == "stratified_mc" and quad.strata > 1 else 0
-    env = domain.envelope(strata=strata)
-    vols = np.array([b.volume() for b in env.boxes])
-    alloc = np.maximum(1, np.round(quad.n * vols / vols.sum()).astype(int))
-    streams = np.random.SeedSequence(quad.seed).spawn(len(env.boxes))
-    pts_list, w_list, slices = [], [], []
-    start = 0
-    for box, vol, n_i, ss in zip(env.boxes, vols, alloc, streams):
-        rng = np.random.default_rng(ss)
-        pts_list.append(box.sample(rng, int(n_i)))
-        w_list.append(np.full(int(n_i), vol / n_i))
-        slices.append((start, start + int(n_i)))
-        start += int(n_i)
-    points = np.concatenate(pts_list)
-    weights = np.concatenate(w_list)
-    inside = domain.contains(points)
-    return _NodeSet(points, weights, inside, tuple(slices), tail_bound=env.tail_bound)
+    env = domain.envelope(strata=quad.strata)
+    blocks = list(env.strata(quad.n, quad.seed))
+    points = np.concatenate([pts for _, pts in blocks])
+    weights = np.concatenate([np.full(len(pts), vol / len(pts)) for vol, pts in blocks])
+    ends = np.cumsum([len(pts) for _, pts in blocks]).tolist()
+    slices = tuple(zip([0] + ends[:-1], ends))
+    return _NodeSet(points, weights, domain.contains(points), slices, tail_bound=env.tail_bound)
 
 
 def _product_nodes(r0: float, r1: float, n_r: int, n_mu: int, n_phi: int) -> _NodeSet:
@@ -139,11 +139,10 @@ def _product_nodes(r0: float, r1: float, n_r: int, n_mu: int, n_phi: int) -> _No
         axis=1,
     )
     weights = (WR * WM * wphi * R**2).ravel()
-    n = pts.shape[0]
-    return _NodeSet(pts, weights, np.ones(n, dtype=bool), ((0, n),))
+    return _NodeSet(pts, weights, np.ones(len(pts), dtype=bool))
 
 
-def _radial_nodes(domain: Region, quad: Quadrature) -> _NodeSet:
+def _radial_nodes(domain: Region) -> _NodeSet:
     if isinstance(domain, Ball) and domain.center == (0.0, 0.0, 0.0):
         r0, r1 = 0.0, domain.radius
     elif isinstance(domain, Annulus):
@@ -153,22 +152,15 @@ def _radial_nodes(domain: Region, quad: Quadrature) -> _NodeSet:
             "the radial product rule needs an origin-centered ball or shell; "
             f"got {type(domain).__name__}"
         )
-    fine = _product_nodes(r0, r1, quad.n_radial, quad.n_polar, quad.n_azimuth)
-    coarse = _product_nodes(
-        r0,
-        r1,
-        max(8, quad.n_radial // 2),
-        max(6, quad.n_polar // 2),
-        max(6, quad.n_azimuth // 2),
-    )
-    fine.coarse = coarse
+    fine = _product_nodes(r0, r1, *_PRODUCT_RULE)
+    fine.coarse = _product_nodes(r0, r1, *(k // 2 for k in _PRODUCT_RULE))
     return fine
 
 
 def _build_nodes(domain: Optional[Region], quad: Quadrature) -> _NodeSet:
     dom = _resolve_domain(domain, quad)
     if quad.scheme == "radial":
-        return _radial_nodes(dom, quad)
+        return _radial_nodes(dom)
     return _mc_nodes(dom, quad)
 
 
@@ -210,16 +202,9 @@ def _node_contrib(
     nodes: _NodeSet, f, p: ExponentField
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-node |f|, p and the finite-exponent mask (zero off-domain)."""
-    n = nodes.points.shape[0]
-    mag = np.zeros(n)
-    pv = np.full(n, math.inf)
-    idx = np.flatnonzero(nodes.inside)
-    if idx.size:
-        pts_in = nodes.points[idx]
-        mag[idx] = _magnitude(f, pts_in)
-        pv[idx] = p(pts_in)
-    finite = nodes.inside & np.isfinite(pv)
-    return mag, pv, finite
+    both = lambda pts: [_magnitude(f, pts), p(pts)]
+    mag, pv = nodes.on_domain(both, fill=[[0.0], [math.inf]])
+    return mag, pv, nodes.inside & np.isfinite(pv)
 
 
 def _power_contrib(mag, pv, finite, lam: float) -> np.ndarray:
@@ -263,21 +248,19 @@ def _moment_modular(exps: np.ndarray, log_m: np.ndarray, lam: float) -> float:
         return float(np.sum(np.exp(log_m - exps * math.log(lam))))
 
 
-def _infinite_piece_sup(
-    f, p: ExponentField, domain: Optional[Region], quad: Quadrature,
-    mag: np.ndarray, finite: np.ndarray, inside: np.ndarray,
-) -> float:
-    """Sampled ess-sup of |f| over the part of the domain where p = +inf."""
-    if not p.has_infinite_piece:
-        return 0.0
-    sup = float(mag[inside & ~finite].max()) if (inside & ~finite).any() else 0.0
-    dom = _resolve_domain(domain, quad)
-    extra = dom.sample(_ESS_SUP_EXTRA, quad.seed + 9901)
-    pv = p(extra)
-    mask = ~np.isfinite(pv)
-    if mask.any():
-        sup = max(sup, float(_magnitude(f, extra[mask]).max()))
-    return sup
+def _frozen(f, p: ExponentField, domain: Optional[Region], quad: Quadrature):
+    """The frozen data of the modular and the norm: nodes, per-node |f|, p and
+    finite mask, and the sampled ess-sup of |f| where p = +inf (else 0)."""
+    nodes = _build_nodes(domain, quad)
+    mag, pv, finite = _node_contrib(nodes, f, p)
+    sup = 0.0
+    if p.has_infinite_piece:  # the nodes first (|f| is 0 off the domain), then extra draws
+        sup = float(np.max(mag, where=~finite, initial=0.0))
+        extra = _resolve_domain(domain, quad).sample(_ESS_SUP_EXTRA, quad.seed + 9901)
+        mask = ~np.isfinite(p(extra))
+        if mask.any():
+            sup = max(sup, float(_magnitude(f, extra[mask]).max()))
+    return nodes, mag, pv, finite, sup
 
 
 def modular(
@@ -292,13 +275,11 @@ def modular(
     the contribution is 0 if the sampled sup of |f| there is at most 1 and
     +inf otherwise.  An overflowing power at any node reports +inf.
     """
-    nodes = _build_nodes(domain, quad)
-    mag, pv, finite = _node_contrib(nodes, f, p)
+    nodes, mag, pv, finite, sup = _frozen(f, p, domain, quad)
     coarse = None
     if nodes.coarse is not None:
         coarse = _power_contrib(*_node_contrib(nodes.coarse, f, p), 1.0)
     value, se = _estimate(nodes, _power_contrib(mag, pv, finite, 1.0), coarse)
-    sup = _infinite_piece_sup(f, p, domain, quad, mag, finite, nodes.inside)
     if sup > 1.0 or math.isinf(value):
         return math.inf, se
     return value, se
@@ -321,9 +302,7 @@ def luxemburg_norm(
     modular from the per-exponent log-moments taken in one pass over the
     nodes; a callable piece makes every step a pass over the nodes.
     """
-    nodes = _build_nodes(domain, quad)
-    mag, pv, finite = _node_contrib(nodes, f, p)
-    sup_inf_piece = _infinite_piece_sup(f, p, domain, quad, mag, finite, nodes.inside)
+    nodes, mag, pv, finite, sup_inf_piece = _frozen(f, p, domain, quad)
     evaluations = 0
     has_mass = bool((finite & (mag > 0.0)).any())
     if has_mass and p.is_piecewise_constant():
@@ -399,34 +378,27 @@ def integrate(
     quad: Quadrature = Quadrature(),
 ) -> tuple[float, float]:
     """Quadrature of a plain scalar integrand over a region."""
-    values, errors = integrate_many([fn], domain, quad)
-    return values[0], errors[0]
+    (value,), (error,) = integrate_many(lambda pts: [fn(pts)], domain, quad)
+    return value, error
 
 
 def integrate_many(
-    fns: Sequence[Callable[[np.ndarray], np.ndarray]],
+    fn: Callable[[np.ndarray], Sequence[np.ndarray]],
     domain: Optional[Region] = None,
     quad: Quadrature = Quadrature(),
 ) -> tuple[list[float], list[float]]:
-    """Integrate several integrands on shared nodes.
+    """Integrate each row of fn on one node set, with its error.
 
-    Sharing nodes keeps pointwise inequalities between integrands intact
-    in the quadrature values, which the majorant checks rely on.
+    fn maps (m, 3) points to a (k, m) stack of integrands (a list of k
+    arrays will do), so values the rows share are computed once per node
+    set.  Sharing nodes keeps pointwise inequalities between the rows
+    intact in the quadrature values, which the majorant checks rely on.
     """
     nodes = _build_nodes(domain, quad)
-    idx = np.flatnonzero(nodes.inside)
-    values, errors = [], []
-    for fn in fns:
-        contrib = np.zeros(nodes.points.shape[0])
-        if idx.size:
-            contrib[idx] = np.asarray(fn(nodes.points[idx]), dtype=float)
-        coarse = None
-        if nodes.coarse is not None:
-            coarse = np.asarray(fn(nodes.coarse.points), dtype=float)
-        value, se = _estimate(nodes, contrib, coarse)
-        values.append(value)
-        errors.append(se)
-    return values, errors
+    fine = nodes.on_domain(fn)
+    coarse = nodes.coarse.on_domain(fn) if nodes.coarse is not None else [None] * len(fine)
+    results = [_estimate(nodes, row, c) for row, c in zip(fine, coarse)]
+    return [v for v, _ in results], [e for _, e in results]
 
 
 # ---------------------------------------------------------------------------

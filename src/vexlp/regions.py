@@ -84,8 +84,17 @@ class Envelope:
     boxes: tuple[Box, ...]
     tail_bound: float = 0.0
 
-    def total_volume(self) -> float:
-        return sum(b.volume() for b in self.boxes)
+    def volumes(self) -> np.ndarray:
+        return np.array([b.volume() for b in self.boxes])
+
+    def strata(self, n: int, seed: int):
+        """(box volume, points) for each box: n points split by volume, at
+        least one per box, each box drawn from its own spawned stream."""
+        vols = self.volumes()
+        alloc = np.maximum(1, np.round(n * vols / vols.sum()).astype(int))
+        streams = np.random.SeedSequence(seed).spawn(len(self.boxes))
+        for box, vol, n_i, ss in zip(self.boxes, vols, alloc, streams):
+            yield vol, box.sample(np.random.default_rng(ss), int(n_i))
 
 
 @dataclass(frozen=True)
@@ -144,14 +153,14 @@ class Region(ABC):
                 continue
             boxes.append(Box((float(a), -rho, -rho), (float(b), rho, rho)))
         env = Envelope(tuple(boxes), tail)
-        if not env.total_volume() > 0.0:  # no boxes, or their volume underflows
+        if not env.volumes().sum() > 0.0:  # no boxes, or their volume underflows
             raise UnboundedRegionError(f"{type(self).__name__} envelope is empty")
         return env
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n points uniform over the region; deterministic for a fixed seed."""
         env = self.envelope()
-        vols = np.array([b.volume() for b in env.boxes])
+        vols = env.volumes()
         weights = vols / vols.sum()
         los = np.array([b.lo for b in env.boxes])
         his = np.array([b.hi for b in env.boxes])
@@ -187,17 +196,12 @@ class Region(ABC):
         if method != "monte_carlo":
             raise ValueError(f"unknown volume method {method!r}")
         env = self.envelope(strata=strata)
-        vols = np.array([b.volume() for b in env.boxes])
-        alloc = np.maximum(1, np.round(n * vols / vols.sum()).astype(int))
-        streams = np.random.SeedSequence(seed).spawn(len(env.boxes))
         total = 0.0
         var = 0.0
-        for box, vol, n_i, ss in zip(env.boxes, vols, alloc, streams):
-            rng = np.random.default_rng(ss)
-            hits = int(np.count_nonzero(self._contains_batch(box.sample(rng, n_i))))
-            p = hits / n_i
+        for vol, pts in env.strata(n, seed):  # one box at a time: no budget-sized array
+            p = float(np.mean(self._contains_batch(pts)))
             total += vol * p
-            var += vol**2 * p * (1.0 - p) / n_i
+            var += vol**2 * p * (1.0 - p) / len(pts)
         return VolumeEstimate(total, math.sqrt(var) + env.tail_bound)
 
 

@@ -1,0 +1,94 @@
+"""Write the output of every documented CLI run to one directory tree.
+
+    python tests/cli_snapshot.py OUT
+
+Runs each `CASES` entry of `tests/test_cli.py`, each `vexlp` command of the
+README examples block (parsed from README.md, with its `--out` replaced)
+and the few `EXTRA` runs below, in this process, against the `vexlp`
+package of this checkout.  Each run writes `OUT/<name>/<command>.csv`,
+`OUT/<name>/<command>.json` and `OUT/<name>/stdout` (the lines printed
+to stdout and stderr, then the exit code).  A change keeps the same-machine output contract when
+
+    diff -r OUT_BEFORE OUT_AFTER
+
+is empty for snapshots of the two checkouts taken on one machine.  pytest
+does not collect this file; a snapshot takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import shlex
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from test_cli import CASES  # noqa: E402
+from vexlp.cli import main  # noqa: E402
+
+# runs outside CASES and the README that reach the Monte Carlo norm, an
+# infinite exponent piece and the radial shell terms
+EXTRA = {
+    "norm-mc-cylinder": [
+        "norm", "--field", '{"name":"inverse_quadratic"}', "--preset", "cylinder",
+        "--inner", "5", "--outer", "4", "--samples", "50000", "--seed", "2"],
+    "norm-mc-shrink-cusp": [
+        "norm", "--field", '{"name":"inverse_quadratic"}', "--preset", "shrink_cusp",
+        "--sigma", "1/2", "--outer", "4", "--samples", "50000", "--seed", "2"],
+    "alpha-beta-radial": [
+        "alpha-beta", "--field", '{"name":"gradient_counterexample"}',
+        "--pressure", '{"name":"counterexample"}', "--radii", "4,8,16", "--quad", "radial"],
+    "liouville-shrink-cusp": [
+        "liouville", "--preset", "shrink_cusp", "--sigma", "0.5", "--outer", "4",
+        "--field", '{"name":"decaying_solenoidal","rate":2}', "--grid-start", "8",
+        "--grid-factor", "2", "--grid-count", "6", "--samples", "200000", "--seed", "7"],
+    "liouville-power-cusp": [
+        "liouville", "--preset", "power_cusp", "--gamma", "1/2", "--inner", "5",
+        "--outer", "4", "--field", '{"name":"gradient_counterexample"}',
+        "--pressure", '{"name":"counterexample"}', "--grid-start", "8",
+        "--grid-factor", "2", "--grid-count", "4", "--samples", "20000", "--seed", "3"],
+}
+
+
+def readme_runs() -> dict[str, list[str]]:
+    """The `vexlp` commands of the README examples block, without `--out`."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    runs = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if not argv or argv[0] != "vexlp":
+            continue
+        if "--out" in argv:
+            at = argv.index("--out")
+            del argv[at:at + 2]
+        runs[f"readme-{len(runs) + 1}-{argv[1]}"] = argv[1:]
+    return runs
+
+
+def snapshot(name: str, argv: list[str], out: Path) -> None:
+    target = out / name
+    target.mkdir(parents=True)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        code = main(argv + ["--out", str(target)])
+    (target / "stdout").write_text(f"{printed.getvalue()}exit {code}\n")
+
+
+def run_all(out: Path) -> None:
+    runs = {**CASES, **readme_runs(), **EXTRA}
+    for name, argv in runs.items():
+        snapshot(name, argv, out)
+        print(name, (out / name / "stdout").read_text().splitlines()[0])
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/cli_snapshot.py OUT")
+    out = Path(sys.argv[1])
+    if out.exists() and any(out.iterdir()):
+        sys.exit(f"{out} is not empty")
+    run_all(out)

@@ -1,10 +1,12 @@
 """Shell energy terms, decay fits, certificates and the pipeline."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from vexlp.cutoff import RadialCutoff
 from vexlp.errors import PresetConstraintError
 from vexlp.estimates import (
     admissible_upper_bound,
@@ -89,6 +91,25 @@ def test_beta_majorant_without_pressure():
     assert rep.beta1 > 0
     assert abs(rep.beta) <= 0.5 * rep.beta1 + 1e-12
     assert rep.majorant_ok
+
+
+@pytest.mark.parametrize("quad, calls", [
+    (Quadrature(n=20_000, seed=2), 1), (RADIAL, 2),  # the radial rule: fine and coarse
+], ids=["mc", "radial"])
+def test_beta_evaluates_each_field_once_per_node_set(quad, calls, monkeypatch):
+    counts = {"u": 0, "P": 0, "grad": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    u, P = gradient_counterexample()
+    u, P = replace(u, fn=counted("u", u.fn)), replace(P, fn=counted("P", P.fn))
+    monkeypatch.setattr(RadialCutoff, "grad", counted("grad", RadialCutoff.grad))
+    assert beta_terms(8.0, u, P, quad).majorant_ok
+    assert counts == {"u": calls, "P": calls, "grad": calls}
 
 
 def test_beta_majorant_holds_on_grid():

@@ -19,7 +19,7 @@ from vexlp.fields import (
     zero_scalar,
     zero_vector,
 )
-from vexlp.norms import Quadrature
+from vexlp.norms import Quadrature, luxemburg_norm, modular
 from vexlp.regions import Ball
 
 
@@ -175,6 +175,23 @@ def test_scan_infinite_modular_diverges():
     # sup over the infinite-exponent piece exceeds one somewhere
     u, _ = gradient_counterexample()
     shrink = preset(PresetSpec.make("shrink_cusp", outer=4, sigma="1/2"))
-    scan = membership_scan(u, shrink, [4, 8, 16], Quadrature(n=20_000, seed=7))
+    quad = Quadrature(n=20_000, seed=7)
+    scan = membership_scan(u, shrink, [4, 8, 16], quad)
     assert scan.verdict == "diverging"
-    assert math.isinf(scan.rows[-1][1])
+    assert math.isinf(modular(u, shrink, Ball(radius=16), quad)[0])
+
+
+def test_scan_scales_a_bounded_field_on_an_infinite_piece():
+    # sup |u| = 2 > 1 on the cusp: the modular of u is +inf, that of u / lambda
+    # is finite once lambda is at least the norm over the innermost ball
+    u = decaying_solenoidal(2)
+    shrink = preset(PresetSpec.make("shrink_cusp", outer=4, sigma="1/2"))
+    quad = Quadrature(n=25_000, seed=10)
+    radii = [8 * 2**k for k in range(6)]
+    assert math.isinf(modular(u, shrink, Ball(radius=8), quad)[0])
+    scan = membership_scan(u, shrink, radii, quad)
+    assert scan.verdict == "convergent"
+    assert scan.scale == luxemburg_norm(u, shrink, Ball(radius=8), quad).value > 1.0
+    assert all(math.isfinite(v) for v in scan.increments)
+    # a finite exponent needs no scale
+    assert membership_scan(u, constant_field(4.0), radii, quad).scale == 1.0

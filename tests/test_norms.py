@@ -26,6 +26,7 @@ from vexlp.norms import (
     _node_modular,
     constant_one,
     holder_check,
+    integrate,
     lemma1_check,
     lemma2_check,
     luxemburg_norm,
@@ -36,7 +37,15 @@ from vexlp.norms import (
     power_identity_check,
     restriction_identity_check,
 )
-from vexlp.regions import Annulus, Ball, ShrinkCusp
+from vexlp.regions import (
+    Annulus,
+    Ball,
+    Cylinder,
+    CylinderSegment,
+    Intersect,
+    ShrinkCusp,
+    TruncatedShrinkCusp,
+)
 
 MC = Quadrature(n=100_000, seed=0)
 RADIAL = Quadrature(scheme="radial")
@@ -422,7 +431,7 @@ def test_dilation_invariance_constant_exponent():
 
 
 def test_stratified_scheme():
-    quad = Quadrature(scheme="stratified_mc", n=50_000, seed=1, strata=8)
+    quad = Quadrature(scheme="mc", n=50_000, seed=1, strata=8)
     val, err = modular(constant_one, constant_field(2.0), Ball(radius=1), quad)
     assert val == pytest.approx(4 * math.pi / 3, rel=0.02)
     assert err > 0
@@ -452,3 +461,30 @@ def test_constant_exponent_reduction_randomized():
 def test_quadrature_rejects_unusable_budgets(bad):
     with pytest.raises(ValueError):
         Quadrature(**bad)
+
+
+# ---------------------------------------------------------------------------
+# the node set
+
+
+@pytest.mark.parametrize("strata", [0, 8])
+@pytest.mark.parametrize("region", [
+    Intersect(Annulus(8, 16), Cylinder()), TruncatedShrinkCusp(0.5, 16.0),
+], ids=["shell-tube", "shrink-cusp"])
+def test_mc_volume_counts_the_norm_nodes(region, strata):
+    # one stratified draw: the volume's hit count is the in-domain weight
+    # of the node set built from the same budget, seed and strata
+    n, seed = 30_000, 4
+    est = region.volume("monte_carlo", n=n, seed=seed, strata=strata)
+    nodes = _build_nodes(region, Quadrature(n=n, seed=seed, strata=strata))
+    weight = float(np.sum(nodes.weights[nodes.inside]))
+    assert est.value == pytest.approx(weight, rel=1e-12, abs=0.0)
+
+
+def test_domain_without_nodes_integrates_to_zero():
+    empty = Intersect(Annulus(8, 16), CylinderSegment(0.001))
+    quad = Quadrature(n=20_000, seed=1)
+    assert not _build_nodes(empty, quad).inside.any()
+    assert integrate(constant_one, empty, quad) == (0.0, 0.0)
+    res = luxemburg_norm(constant_one, constant_field(3.0), empty, quad)
+    assert res.status == "zero" and res.value == 0.0
