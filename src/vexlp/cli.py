@@ -222,8 +222,9 @@ class RunConfig:
         return cls(**{k: v for k, v in d.items() if v is not None})  # null: the default
 
     def quad(self) -> Quadrature:
+        """The quadrature; without a scheme, the command's default scheme."""
         q = self.quadrature
-        scheme = q.get("scheme", "mc")
+        scheme = q.get("scheme") or COMMANDS[self.command].scheme
         if scheme in ("strat", "stratified_mc"):  # older names for mc
             scheme = "mc"
         if scheme == "mc" and q.get("seed") is None:
@@ -241,6 +242,11 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"bad quadrature spec: {exc}") from None
+
+    def tolerance(self, key: str, default: float) -> float:
+        """A 'tolerances' entry; absent or null means the default."""
+        value = self.tolerances.get(key)
+        return default if value is None else value
 
     def grid(self, fit: bool = False) -> list[float]:
         """Positive finite radii from 'radii' or 'r_grid'; a decay fit needs
@@ -340,9 +346,8 @@ def run_decay(cfg: RunConfig):
 def run_energy(cfg: RunConfig):
     u = velocity_from_dict(cfg.fieldspec)
     P = pressure_from_dict(cfg.pressure)
-    # the identity check defaults to the deterministic product rule
-    quad = cfg.quad() if cfg.quadrature.get("scheme") else Quadrature(scheme="radial")
-    tol = cfg.tolerances.get("gap_tol", 1e-2)
+    quad = cfg.quad()
+    tol = cfg.tolerance("gap_tol", 1e-2)
     rows, verdicts = [], []
     for R in cfg.grid():
         rep = estimates.energy_identity_check(u, P, R, quad, gap_tol=tol)
@@ -427,7 +432,7 @@ def run_liouville(cfg: RunConfig):
     spec = preset_spec_from_dict(cfg.exponent)
     u = velocity_from_dict(cfg.fieldspec)
     P = pressure_from_dict(cfg.pressure)
-    margin = cfg.tolerances.get("slope_margin", estimates.SLOPE_MARGIN)
+    margin = cfg.tolerance("slope_margin", estimates.SLOPE_MARGIN)
     report = estimates.liouville_pipeline(
         spec, u, P, cfg.grid(fit=True), cfg.quad(), validate=cfg.validate,
         slope_margin=margin,
@@ -462,6 +467,7 @@ class Command(NamedTuple):
     columns: str            # the CSV header; floats are printed at 17 significant digits
     needs: tuple[str, ...]  # config fields the runner cannot do without
     run: Callable[[RunConfig], tuple[list, dict, int, str]]
+    scheme: str = "mc"      # the quadrature scheme when none is given
 
 
 COMMANDS = {
@@ -473,10 +479,11 @@ COMMANDS = {
         "value,std_error,method", ("region",), run_volume),
     "decay": Command(
         "cutoff-derivative norm decay over a radius grid",
-        "kind,R,norm,abs_error", ("exponent",), run_decay),
+        "kind,R,norm,abs_error", ("exponent",), run_decay, "radial"),
     "energy": Command(
         "localized energy identity check",
-        "R,lhs,alpha,beta,rel_gap,residual_sup,verdict", ("fieldspec", "radii"), run_energy),
+        "R,lhs,alpha,beta,rel_gap,residual_sup,verdict", ("fieldspec", "radii"), run_energy,
+        "radial"),
     "alpha-beta": Command(
         "shell energy terms over a radius grid",
         "R,alpha,beta1,beta2,beta,errors", ("fieldspec",), run_alpha_beta),
@@ -524,7 +531,8 @@ FLAGS = (
     Flag("--config", None, TEXT, "JSON config file"),
     Flag("--out", "out_dir", TEXT, "output directory"),
     Flag("--seed", "quadrature.seed", INTEGER, "Monte Carlo seed"),
-    Flag("--quad", "quadrature.scheme", TEXT, "quadrature rule (strat, stratified_mc: mc)",
+    Flag("--quad", "quadrature.scheme", TEXT,
+         "quadrature rule (default: {scheme}; strat, stratified_mc: mc)",
          ("radial", "mc", "strat", "stratified_mc")),
     Flag("--samples", "quadrature.n", INTEGER, "MC sample budget"),
     Flag("--tol", "quadrature.rel_tol", NUMBER, "norm bisection rel tol"),
@@ -595,7 +603,8 @@ def build_parser() -> _Parser:
         for flag in filter(lambda f: f.name, FLAGS):
             how = (dict(action="store_const", const=False) if flag.value is SWITCH
                    else dict(choices=flag.choices or None))
-            p.add_argument(flag.name, dest=flag.key or "config", help=flag.help, **how)
+            p.add_argument(flag.name, dest=flag.key or "config",
+                           help=flag.help.format(scheme=command.scheme), **how)
     return parser
 
 

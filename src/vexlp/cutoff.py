@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,6 +33,9 @@ def transition_d2(t: np.ndarray) -> np.ndarray:
 
 # sup of S' on [0,1], attained at t = 1/2
 _SUP_D1 = 30.0 / 16.0
+# Delta = -(4/R^2) (S''(t)(1+t) + 2S'(t)) / (1+t) with t = 2r/R - 1, and
+# S''(t)(1+t) + 2S'(t) = 60t(t-1)(3t^2-1) changes sign at t = 1/sqrt(3)
+_LAPLACIAN_ZERO_T = 1.0 / math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,11 @@ class RadialCutoff:
         val = np.where(inside, d2 + 2.0 * d1 / safe_rho, 0.0)
         return float(val[0]) if single else val
 
-    def size(self, kind: str) -> Callable[[np.ndarray], np.ndarray]:
-        """|Laplacian| (kind "laplacian") or |grad| (kind "gradient") as a function."""
-        if kind == "laplacian":
-            return lambda pts: np.abs(self.laplacian(pts))
-        return lambda pts: np.linalg.norm(self.grad(pts), axis=1)
+    def size(self, kind: str) -> "RadialProfile":
+        """|Laplacian| (kind "laplacian") or |grad| (kind "gradient") as a
+        function of (n, 3) points; it depends on |x| alone and names the
+        radii where it is not smooth, so a radial rule can split there."""
+        return RadialProfile(self, kind)
 
     def sup_grad(self) -> float:
         """Exact sup of |grad|, attained mid-shell."""
@@ -95,6 +97,32 @@ class RadialCutoff:
 
     def plateau_volume(self) -> float:
         return 4.0 / 3.0 * math.pi * (self.radius / 2.0) ** 3
+
+
+@dataclass(frozen=True)
+class RadialProfile:
+    """The size of a cutoff derivative, |Laplacian| or |grad|, as a field.
+
+    Its values equal those of the cutoff's derivative methods.  ``kinks``
+    are the radii where the profile is not smooth: the shell edges R/2 and
+    R, and for the Laplacian the radius R(1 + 1/sqrt(3))/2 where it
+    changes sign; |grad| has no kink inside the shell.
+    """
+
+    cutoff: RadialCutoff
+    kind: str
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        if self.kind == "laplacian":
+            return np.abs(self.cutoff.laplacian(pts))
+        return np.linalg.norm(self.cutoff.grad(pts), axis=1)
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        R = self.cutoff.radius
+        if self.kind == "laplacian":
+            return (R / 2.0, R * (1.0 + _LAPLACIAN_ZERO_T) / 2.0, R)
+        return (R / 2.0, R)
 
 
 def make_cutoff(radius: float) -> RadialCutoff:

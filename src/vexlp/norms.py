@@ -16,8 +16,16 @@ the bisection root and that sup.
 
 Quadrature is either stratified rejection Monte Carlo over a region
 envelope (works for any samplable region, piecewise integrands included)
-or a spherical product rule (fast and accurate, but only for smooth
-integrands over origin-centered balls and shells).
+or a radial rule over origin-centered balls and shells.  For a radial
+profile (a cutoff derivative's size, `cutoff.RadialProfile`) against an
+exponent whose pieces are solids of revolution about the x1 axis, the
+radial rule is piece-aware: Gauss-Legendre in r, with cells split at the
+profile's kinks, times the exact spherical measure of each arc of the
+meridian on which the exponent is constant, so every piece is integrated
+exactly whatever its share of the shell.  Any other integrand gets a fixed
+spherical product rule, which is accurate only for smooth integrands.
+Both radial rules are deterministic; their error is the gap to the same
+rule at half the order (for a norm, between the two roots).
 
 Fields enter as plain callables mapping (n, 3) point arrays to scalars or
 vectors; vector values are reduced by the Euclidean magnitude.
@@ -31,6 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .cutoff import RadialProfile
 from .errors import (
     ExponentRangeError,
     ExponentRelationError,
@@ -42,6 +51,15 @@ from .regions import Annulus, Ball, Region
 _CAP = 1e30
 _ESS_SUP_EXTRA = 10_000
 _PRODUCT_RULE = (96, 24, 24)  # radial, polar, azimuthal nodes; the coarse rule halves each
+# The piece-aware radial rule: Gauss-Legendre nodes per radial cell (the
+# coarse rule takes half); the polar grid, refined geometrically toward 0,
+# pi/2 and pi, where cusp tips and the shrinking cusp's flare sit, plus
+# uniform cells; and the cap on the bisection steps that locate a change
+# of exponent along a meridian (adjacent floats are reached well before).
+_RADIAL_ORDER = 32
+_THETA_LEVELS = 60
+_THETA_CELLS = 64
+_BISECT_STEPS = 80
 
 
 @dataclass(frozen=True)
@@ -49,7 +67,9 @@ class Quadrature:
     """Integration scheme description; deterministic given its fields.
 
     ``scheme`` is "mc" (stratified rejection Monte Carlo over the region
-    envelope) or "radial" (the fixed spherical product rule).  ``n`` is the
+    envelope) or "radial" (over an origin-centered ball or shell: the
+    piece-aware radial rule for the norm or modular of a radial profile,
+    the fixed spherical product rule otherwise).  ``n`` is the
     Monte Carlo sample budget; ``strata`` > 1 sets the number of x1 slabs
     of the envelope wherever Monte Carlo runs.  ``truncation_radius``
     stands in for all of R^3 when no domain is given.
@@ -96,7 +116,7 @@ class _NodeSet:
     weights: np.ndarray         # (n,)
     inside: np.ndarray          # (n,) bool
     slices: tuple[tuple[int, int], ...] = ()  # Monte Carlo strata
-    coarse: Optional["_NodeSet"] = None       # the half-size product rule
+    coarse: Optional["_NodeSet"] = None       # the same radial rule at half the order
     tail_bound: float = 0.0
 
     def on_domain(self, fn, fill=0.0) -> np.ndarray:
@@ -142,26 +162,116 @@ def _product_nodes(r0: float, r1: float, n_r: int, n_mu: int, n_phi: int) -> _No
     return _NodeSet(pts, weights, np.ones(len(pts), dtype=bool))
 
 
-def _radial_nodes(domain: Region) -> _NodeSet:
+def _radial_span(domain: Region) -> tuple[float, float]:
     if isinstance(domain, Ball) and domain.center == (0.0, 0.0, 0.0):
-        r0, r1 = 0.0, domain.radius
-    elif isinstance(domain, Annulus):
-        r0, r1 = domain.r_inner, domain.r_outer
-    else:
+        return 0.0, domain.radius
+    if isinstance(domain, Annulus):
+        return domain.r_inner, domain.r_outer
+    raise QuadratureDomainError(
+        "the radial rule needs an origin-centered ball or shell; "
+        f"got {type(domain).__name__}"
+    )
+
+
+def _gauss_radii(r0: float, r1: float, kinks, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre radii and weights on [r0, r1], ``order`` per cell
+    between the kinks that lie inside."""
+    edges = np.array([r0, *sorted(k for k in kinks if r0 < k < r1), r1])
+    x, w = np.polynomial.legendre.leggauss(order)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+def _meridian(r: np.ndarray, theta: np.ndarray, axis: int = 1) -> np.ndarray:
+    """The points (r cos theta, r sin theta) of the (x1, x_axis) half-plane."""
+    pts = np.zeros((r.size, 3))
+    pts[:, 0] = r * np.cos(theta)
+    pts[:, axis] = r * np.sin(theta)
+    return pts
+
+
+def _polar_grid() -> np.ndarray:
+    """Polar angles on [0, pi], refined geometrically toward 0, pi/2 and pi."""
+    h = 0.5 * math.pi * 2.0 ** -np.arange(1.0, _THETA_LEVELS + 1)
+    uniform = np.linspace(0.0, 0.5 * math.pi, _THETA_CELLS // 2 + 1)
+    half = np.concatenate([h, 0.5 * math.pi - h, uniform])
+    return np.unique(np.concatenate([half, math.pi - half]))
+
+
+def _polar_arcs(r: np.ndarray, p: ExponentField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arcs of the meridians of radii r on which p is constant.
+
+    Returns (row, start, end) per arc, row indexing r; each radius's arcs
+    run in order from 0 to pi.  p itself is evaluated, so the first
+    matching piece wins as everywhere else; each change of value between
+    two grid angles is bisected down to adjacent floats.  An exponent that
+    differs on the meridian turned into x3 is not axisymmetric.
+    """
+    grid = _polar_grid()
+    rr, tt = np.repeat(r, grid.size), np.tile(grid, r.size)
+    vals = p(_meridian(rr, tt))
+    if not np.array_equal(vals, p(_meridian(rr, tt, axis=2))):
         raise QuadratureDomainError(
-            "the radial product rule needs an origin-centered ball or shell; "
-            f"got {type(domain).__name__}"
+            "the piece-aware radial rule needs exponent pieces that are solids "
+            "of revolution about the x1 axis"
         )
-    fine = _product_nodes(r0, r1, *_PRODUCT_RULE)
-    fine.coarse = _product_nodes(r0, r1, *(k // 2 for k in _PRODUCT_RULE))
+    vals = vals.reshape(r.size, grid.size)
+    row, col = np.nonzero(vals[:, 1:] != vals[:, :-1])
+    lo, hi, left = grid[col], grid[col + 1], vals[row, col]
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        live = np.flatnonzero((lo < mid) & (mid < hi))
+        if live.size == 0:
+            break
+        same = p(_meridian(r[row[live]], mid[live])) == left[live]
+        lo[live[same]] = mid[live[same]]
+        hi[live[~same]] = mid[live[~same]]
+    # each radius's arcs: 0 before its first change, pi after its last
+    counts = np.bincount(row, minlength=r.size)
+    ends = np.cumsum(counts)
+    start = np.insert(hi, ends - counts, 0.0)
+    end = np.insert(hi, ends, math.pi)
+    return np.repeat(np.arange(r.size), counts + 1), start, end
+
+
+def _piece_nodes(r0: float, r1: float, kinks, p: ExponentField) -> _NodeSet:
+    """The piece-aware radial rule and, as its ``coarse`` set, the same rule
+    at half the order; one node per (radius, arc) at the arc's mid-angle,
+    weighted by w_r 2 pi r^2 (cos a - cos b), the arc's spherical measure."""
+    rules = [_gauss_radii(r0, r1, kinks, k) for k in (_RADIAL_ORDER, _RADIAL_ORDER // 2)]
+    r = np.concatenate([radii for radii, _ in rules])
+    wr = np.concatenate([w for _, w in rules])
+    row, a, b = _polar_arcs(r, p)
+    # cos a - cos b, without the cancellation of tiny arcs
+    measure = 2.0 * np.sin(0.5 * (a + b)) * np.sin(0.5 * (b - a))
+    weights = wr[row] * 2.0 * math.pi * r[row] ** 2 * measure
+    points = _meridian(r[row], 0.5 * (a + b))
+    keep = weights > 0.0
+    is_fine = row < rules[0][0].size
+
+    def node_set(mask):
+        return _NodeSet(points[mask], weights[mask], np.ones(int(mask.sum()), dtype=bool))
+
+    fine = node_set(keep & is_fine)
+    fine.coarse = node_set(keep & ~is_fine)
     return fine
 
 
-def _build_nodes(domain: Optional[Region], quad: Quadrature) -> _NodeSet:
+def _build_nodes(
+    domain: Optional[Region], quad: Quadrature, f=None, p: Optional[ExponentField] = None
+) -> _NodeSet:
+    """The frozen nodes of a quadrature over a domain.  Under the radial
+    scheme, the norm or modular of a radial profile f against p gets the
+    piece-aware rule; every other integrand gets the product rule."""
     dom = _resolve_domain(domain, quad)
-    if quad.scheme == "radial":
-        return _radial_nodes(dom)
-    return _mc_nodes(dom, quad)
+    if quad.scheme == "mc":
+        return _mc_nodes(dom, quad)
+    r0, r1 = _radial_span(dom)
+    if isinstance(f, RadialProfile) and p is not None:
+        return _piece_nodes(r0, r1, f.kinks, p)
+    fine = _product_nodes(r0, r1, *_PRODUCT_RULE)
+    fine.coarse = _product_nodes(r0, r1, *(k // 2 for k in _PRODUCT_RULE))
+    return fine
 
 
 def _magnitude(f, pts: np.ndarray) -> np.ndarray:
@@ -251,7 +361,7 @@ def _moment_modular(exps: np.ndarray, log_m: np.ndarray, lam: float) -> float:
 def _frozen(f, p: ExponentField, domain: Optional[Region], quad: Quadrature):
     """The frozen data of the modular and the norm: nodes, per-node |f|, p and
     finite mask, and the sampled ess-sup of |f| where p = +inf (else 0)."""
-    nodes = _build_nodes(domain, quad)
+    nodes = _build_nodes(domain, quad, f, p)
     mag, pv, finite = _node_contrib(nodes, f, p)
     sup = 0.0
     if p.has_infinite_piece:  # the nodes first (|f| is 0 off the domain), then extra draws
@@ -300,58 +410,75 @@ def luxemburg_norm(
 
     For a piecewise-constant exponent each bisection step evaluates the
     modular from the per-exponent log-moments taken in one pass over the
-    nodes; a callable piece makes every step a pass over the nodes.
+    nodes; a callable piece makes every step a pass over the nodes.  The
+    quadrature part of ``abs_error`` is the gap to the root on the coarse
+    rule for the deterministic radial rules, and the propagated standard
+    error for Monte Carlo.
     """
     nodes, mag, pv, finite, sup_inf_piece = _frozen(f, p, domain, quad)
     evaluations = 0
-    has_mass = bool((finite & (mag > 0.0)).any())
-    if has_mass and p.is_piecewise_constant():
-        exps, log_m = _log_moments(nodes, mag, pv, finite)
-        modular_at = lambda lam: _moment_modular(exps, log_m, lam)
-    else:
-        modular_at = lambda lam: _node_modular(nodes, mag, pv, finite, lam)
-
-    def rho(lam: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return modular_at(lam)
-
     root, bracket = 0.0, 0.0
-    if has_mass:
-        rho_1 = rho(1.0)
-        lam = max(1.0, min(rho_1, _CAP))
-        if rho(lam) > 1.0:
-            lo = lam
-            while True:
-                lam *= 2.0
-                if lam > _CAP:
-                    return NormResult(math.inf, math.inf, "infinite", evaluations)
-                if rho(lam) <= 1.0:
-                    break
-                lo = lam
-            hi = lam
-        else:
-            hi = lam
-            lo = None
-            while lam > 1e-300:
-                lam *= 0.5
-                if rho(lam) > 1.0:
-                    lo = lam
-                    break
-                hi = lam
-            if lo is None:  # modular stays below 1 at every positive scale
-                return _finish(0.0, 0.0, sup_inf_piece, 0.0, evaluations)
-        while (hi - lo) > 0.25 * quad.rel_tol * hi:
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
-                break
-            if rho(mid) > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        root, bracket = hi, hi - lo
-    quad_err = _root_uncertainty(nodes, mag, pv, finite, root) if root > 0 else 0.0
+    if (finite & (mag > 0.0)).any():
+        modular_at = _modular_at(nodes, mag, pv, finite, p)
+
+        def rho(lam: float) -> float:
+            nonlocal evaluations
+            evaluations += 1
+            return modular_at(lam)
+
+        root, bracket = _bisect_root(rho, quad.rel_tol)
+        if math.isinf(root):
+            return NormResult(math.inf, math.inf, "infinite", evaluations)
+    quad_err = 0.0
+    if root > 0:
+        quad_err = _root_uncertainty(nodes, f, p, mag, pv, finite, root, quad.rel_tol)
     return _finish(root, bracket, sup_inf_piece, quad_err, evaluations)
+
+
+def _modular_at(nodes: _NodeSet, mag, pv, finite, p: ExponentField):
+    """lam -> modular of f/lam on frozen nodes."""
+    if p.is_piecewise_constant():
+        exps, log_m = _log_moments(nodes, mag, pv, finite)
+        return lambda lam: _moment_modular(exps, log_m, lam)
+    return lambda lam: _node_modular(nodes, mag, pv, finite, lam)
+
+
+def _bisect_root(rho, rel_tol: float) -> tuple[float, float]:
+    """The root of rho(lam) = 1 for rho decreasing in lam, and its bracket
+    width, by doubling/halving from lam = max(1, rho(1)) and bisecting to
+    rel_tol/4.  (inf, inf) when the bracket escapes _CAP; (0, 0) when rho
+    stays at or below 1 at every positive scale."""
+    lam = max(1.0, min(rho(1.0), _CAP))
+    if rho(lam) > 1.0:
+        lo = lam
+        while True:
+            lam *= 2.0
+            if lam > _CAP:
+                return math.inf, math.inf
+            if rho(lam) <= 1.0:
+                break
+            lo = lam
+        hi = lam
+    else:
+        hi = lam
+        lo = None
+        while lam > 1e-300:
+            lam *= 0.5
+            if rho(lam) > 1.0:
+                lo = lam
+                break
+            hi = lam
+        if lo is None:
+            return 0.0, 0.0
+    while (hi - lo) > 0.25 * rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
+            break
+        if rho(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi, hi - lo
 
 
 def _finish(root, bracket, sup, quad_err, evaluations) -> NormResult:
@@ -362,10 +489,13 @@ def _finish(root, bracket, sup, quad_err, evaluations) -> NormResult:
     return NormResult(value, err, "finite", evaluations)
 
 
-def _root_uncertainty(nodes, mag, pv, finite, lam: float) -> float:
-    """Quadrature noise propagated through the root: se(rho) / |d rho / d lam|."""
+def _root_uncertainty(nodes, f, p, mag, pv, finite, lam: float, rel_tol: float) -> float:
+    """Quadrature error of the root lam.  On deterministic nodes, the gap to
+    the root of the coarse rule's modular, found by the same bracketing and
+    bisection; on Monte Carlo nodes, se(rho) / |d rho / d lam| at lam."""
     if nodes.coarse is not None:
-        return 0.0  # deterministic product rule; the bracket width dominates
+        coarse = _modular_at(nodes.coarse, *_node_contrib(nodes.coarse, f, p), p)
+        return abs(lam - _bisect_root(coarse, rel_tol)[0])
     contrib = _power_contrib(mag, pv, finite, lam)
     se = _stratified_se(nodes, contrib)
     deriv = float(np.sum(nodes.weights * np.where(finite, pv, 0.0) * contrib)) / lam

@@ -1,6 +1,7 @@
 """Write the output of every documented CLI run to one directory tree.
 
     python tests/cli_snapshot.py OUT
+    python tests/cli_snapshot.py --goldens [CASE ...]
 
 Runs each `CASES` entry of `tests/test_cli.py`, each `vexlp` command of the
 README examples block (parsed from README.md, with its `--out` replaced)
@@ -13,12 +14,18 @@ to stdout and stderr, then the exit code).  A change keeps the same-machine outp
 
 is empty for snapshots of the two checkouts taken on one machine.  pytest
 does not collect this file; a snapshot takes a few seconds.
+
+With ``--goldens`` it rewrites ``tests/golden/<case>/`` from `CASES` (the
+named cases, or all of them) and records this machine's fingerprint for
+each in ``tests/golden/FINGERPRINT.json``, which the golden test prints
+next to its own when a case no longer matches.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import shlex
 import sys
 from pathlib import Path
@@ -26,11 +33,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from test_cli import CASES  # noqa: E402
+from test_cli import CASES, GOLDEN, fingerprint  # noqa: E402
 from vexlp.cli import main  # noqa: E402
 
 # runs outside CASES and the README that reach the Monte Carlo norm, an
-# infinite exponent piece and the radial shell terms
+# infinite exponent piece, the radial shell terms, Monte Carlo cutoff norms
+# and the piece-aware radial rule on the shrinking cusp
 EXTRA = {
     "norm-mc-cylinder": [
         "norm", "--field", '{"name":"inverse_quadratic"}', "--preset", "cylinder",
@@ -50,6 +58,13 @@ EXTRA = {
         "--outer", "4", "--field", '{"name":"gradient_counterexample"}',
         "--pressure", '{"name":"counterexample"}', "--grid-start", "8",
         "--grid-factor", "2", "--grid-count", "4", "--samples", "20000", "--seed", "3"],
+    "decay-mc": [
+        "decay", "--preset", "cylinder", "--inner", "5", "--outer", "4", "--grid-start", "8",
+        "--grid-factor", "2", "--grid-count", "6", "--quad", "mc", "--samples", "1000000",
+        "--seed", "7"],
+    "decay-shrink-cusp": [
+        "decay", "--preset", "shrink_cusp", "--sigma", "1/2", "--outer", "4",
+        "--grid-start", "8", "--grid-factor", "2", "--grid-count", "6"],
 }
 
 
@@ -85,9 +100,28 @@ def run_all(out: Path) -> None:
         print(name, (out / name / "stdout").read_text().splitlines()[0])
 
 
+def write_goldens(names: list[str]) -> None:
+    unknown = set(names) - set(CASES)
+    if unknown:
+        sys.exit(f"no golden case {sorted(unknown)}; cases: {', '.join(CASES)}")
+    stamp = GOLDEN / "FINGERPRINT.json"
+    stamps = json.loads(stamp.read_text()) if stamp.exists() else {}
+    for name in names or list(CASES):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(CASES[name] + ["--out", str(GOLDEN / name)])
+        if code != 0:
+            sys.exit(f"golden case {name} exited {code}")
+        stamps[name] = fingerprint()
+        print(name, "written")
+    stamp.write_text(json.dumps(stamps, indent=2, sort_keys=True) + "\n")
+
+
 if __name__ == "__main__":
+    if len(sys.argv) >= 2 and sys.argv[1] == "--goldens":
+        write_goldens(sys.argv[2:])
+        sys.exit()
     if len(sys.argv) != 2:
-        sys.exit("usage: python tests/cli_snapshot.py OUT")
+        sys.exit("usage: python tests/cli_snapshot.py OUT | --goldens [CASE ...]")
     out = Path(sys.argv[1])
     if out.exists() and any(out.iterdir()):
         sys.exit(f"{out} is not empty")

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import platform
 import re
 import signal
 import tempfile
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vexlp import __version__
 from vexlp.cli import COMMANDS, RunConfig, main, region_from_dict
 from vexlp.errors import ConfigError
 
@@ -72,12 +74,22 @@ CANCELLATION_SCALES = {
 }
 
 
-def _numpy_build() -> str:
+def fingerprint() -> dict:
+    """The build a run's floats depend on: vexlp, Python, numpy and the
+    SIMD extensions numpy dispatches to."""
     try:
         found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
     except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
         found = ["unknown"]
-    return f"numpy {np.__version__}, SIMD found: {', '.join(found) or 'none'}"
+    return {"vexlp": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "simd": list(found)}
+
+
+def _golden_fingerprint(name: str):
+    """The fingerprint stored when the golden case was last written."""
+    path = GOLDEN / "FINGERPRINT.json"
+    stored = json.loads(path.read_text()) if path.exists() else {}
+    return stored.get(name, "unknown (written before fingerprints were kept)")
 
 
 def _csv_value(text: str):
@@ -181,7 +193,9 @@ def test_golden_output(name, tmp_path):
             got_cells = _json_cells(json.loads(produced), header)
         problems += _golden_mismatches(name, golden_file.name, want_cells, got_cells)
     assert not problems, "\n".join(
-        [f"{name} differs from tests/golden/{name} ({_numpy_build()}):"] + problems
+        [f"{name} differs from tests/golden/{name}",
+         f"  golden written on: {_golden_fingerprint(name)}",
+         f"  this run: {fingerprint()}"] + problems
     )
 
 
@@ -298,6 +312,26 @@ def test_grid_count_minimum(tmp_path):
                  "--grid-start", "8", "--grid-factor", "2", "--grid-count", "3",
                  "--samples", "1000", "--seed", "1", "--out", str(tmp_path / "x")])
     assert code == 1
+
+
+def test_decay_defaults_to_the_radial_rule(tmp_path, capsys):
+    # decay's norms are deterministic by default, so they need no seed;
+    # Monte Carlo still does
+    argv = ["decay", "--preset", "cylinder", "--inner", "5", "--outer", "4",
+            "--grid-start", "8", "--grid-factor", "2", "--grid-count", "4"]
+    assert main(argv + ["--out", str(tmp_path / "radial")]) == 0
+    assert main(argv + ["--quad", "mc", "--out", str(tmp_path / "mc")]) == 1
+    assert "require an explicit 'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (CASES["energy"], "gap_tol"),
+    (CASES["liouville"] + ["--field", '{"name":"decaying_solenoidal","rate":2}'], "slope_margin"),
+], ids=["energy", "liouville"])
+def test_null_tolerance_means_the_default(argv, key, tmp_path):
+    (tmp_path / "run.json").write_text(json.dumps({"tolerances": {key: None}}))
+    assert main(argv + ["--config", str(tmp_path / "run.json"),
+                        "--out", str(tmp_path / "out")]) == 0
 
 
 def test_malformed_radii_usage_error(tmp_path, capsys):
@@ -442,6 +476,7 @@ def test_flag_table_keeps_every_flag_and_config_field(capsys):
         main(["decay", "--help"])
     help_text = capsys.readouterr().out
     assert "{laplacian,gradient}" in help_text and "kind,R,norm,abs_error" in help_text
+    assert "(default: radial;" in help_text
 
 
 # ---------------------------------------------------------------------------

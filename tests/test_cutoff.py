@@ -125,3 +125,23 @@ def test_invalid_radius():
         make_cutoff(1.0)
     with pytest.raises(InvalidRadiusError):
         make_cutoff(0.5)
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "gradient"])
+def test_size_profile_values_and_kinks(kind):
+    c = make_cutoff(16.0)
+    rng = np.random.default_rng(2)
+    pts = rng.normal(size=(500, 3)) * 6.0
+    size = c.size(kind)
+    want = np.abs(c.laplacian(pts)) if kind == "laplacian" else np.linalg.norm(c.grad(pts), axis=1)
+    assert np.array_equal(size(pts), want)
+    if kind == "gradient":
+        assert size.kinks == (8.0, 16.0)  # the shell edges only
+        return
+    # the Laplacian changes sign at R(1 + 1/sqrt(3))/2, the one kink inside the shell
+    lo, star, hi = size.kinks
+    assert (lo, hi) == (8.0, 16.0)
+    assert star == pytest.approx(8.0 * (1.0 + 1.0 / math.sqrt(3.0)), rel=1e-15)
+    near = np.array([[star * (1.0 - 1e-9), 0.0, 0.0], [star * (1.0 + 1e-9), 0.0, 0.0]])
+    below, above = c.laplacian(near)
+    assert below < 0.0 < above

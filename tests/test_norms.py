@@ -7,7 +7,7 @@ import pytest
 
 from vexlp import norms
 from vexlp.cutoff import make_cutoff
-from vexlp.errors import ExponentRangeError, ExponentRelationError
+from vexlp.errors import ExponentRangeError, ExponentRelationError, QuadratureDomainError
 from vexlp.exponents import (
     ExponentField,
     ExponentPiece,
@@ -488,3 +488,69 @@ def test_domain_without_nodes_integrates_to_zero():
     assert integrate(constant_one, empty, quad) == (0.0, 0.0)
     res = luxemburg_norm(constant_one, constant_field(3.0), empty, quad)
     assert res.status == "zero" and res.value == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the piece-aware radial rule
+
+PRESETS = {
+    "cylinder": PresetSpec.make("cylinder", outer=4, inner=5),
+    "power_cusp": PresetSpec.make("power_cusp", outer=4, inner=5, gamma="1/2"),
+    "shrink_cusp": PresetSpec.make("shrink_cusp", outer=4, sigma="1/2"),
+}
+
+
+@pytest.mark.parametrize("R, reference", [(8, 11.806036), (64, 4.106474), (256, 2.051485)])
+def test_radial_rule_reproduces_the_cylinder_reference(R, reference):
+    # Laplacian-cutoff norm against the 2-conjugate of the cylinder preset on
+    # R/2 <= |x| <= R; the reference is a 2-D Gauss-Legendre rule in
+    # (x1, rho) split at the tube boundary, stable to 2e-9 under doubling
+    cut = make_cutoff(R)
+    res = luxemburg_norm(cut.size("laplacian"), preset(PRESETS["cylinder"]).conjugate(2),
+                         cut.support(), Quadrature(scheme="radial", rel_tol=1e-10))
+    assert res.value == pytest.approx(reference, rel=1e-6)
+
+
+def test_cylinder_arc_measure_is_exact():
+    # the meridian at radius r lies in the unit tube for sin(theta) <= 1/r:
+    # its arcs there have cos-measure 2 (1 - sqrt(1 - 1/r^2))
+    r = np.array([1.25, 4.0, 8.0, 100.0, 256.0])
+    p = preset(PRESETS["cylinder"])
+    row, a, b = norms._polar_arcs(r, p)
+    inner = p(norms._meridian(r[row], 0.5 * (a + b))) == 5.0
+    measure = 2.0 * np.sin(0.5 * (a + b)) * np.sin(0.5 * (b - a))  # cos a - cos b
+    got = np.bincount(row[inner], weights=measure[inner], minlength=r.size)
+    want = 2.0 / (r**2 * (1.0 + np.sqrt(1.0 - 1.0 / r**2)))
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_radial_rule_piece_weights_match_mc_volumes(name):
+    spec = PRESETS[name]
+    p = preset(spec)
+    cut = make_cutoff(16.0)
+    nodes = _build_nodes(cut.support(), RADIAL, cut.size("laplacian"), p)
+    inner = p(nodes.points) == spec.inner_exponent()
+    est = Intersect(cut.support(), spec.inner_region()).volume("monte_carlo", n=200_000, seed=5)
+    assert abs(float(nodes.weights[inner].sum()) - est.value) <= 3.0 * est.std_error
+    assert float(nodes.weights.sum()) == pytest.approx(cut.support().analytic_volume(), rel=1e-12)
+
+
+@pytest.mark.parametrize("R", [8.0, 256.0])
+@pytest.mark.parametrize("kind", ["laplacian", "gradient"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_radial_rule_error_covers_the_doubled_order(name, kind, R, monkeypatch):
+    cut = make_cutoff(R)
+    p = preset(PRESETS[name]).conjugate(2 if kind == "laplacian" else 3)
+    quad = Quadrature(scheme="radial", rel_tol=1e-10)
+    res = luxemburg_norm(cut.size(kind), p, cut.support(), quad)
+    monkeypatch.setattr(norms, "_RADIAL_ORDER", 2 * norms._RADIAL_ORDER)
+    doubled = luxemburg_norm(cut.size(kind), p, cut.support(), quad)
+    assert abs(doubled.value - res.value) <= res.abs_error
+
+
+def test_radial_rule_refuses_a_piece_off_the_axis():
+    p = two_piece_field(Ball(center=(0.0, 6.0, 0.0), radius=1.0), 5.0, 4.0).conjugate(2)
+    cut = make_cutoff(8.0)
+    with pytest.raises(QuadratureDomainError, match="solids of revolution"):
+        luxemburg_norm(cut.size("laplacian"), p, cut.support(), RADIAL)
