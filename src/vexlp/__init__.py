@@ -31,10 +31,8 @@ from .estimates import (
 )
 from .exponents import (
     ExponentField,
-    ExponentPiece,
     PresetSpec,
     constant_field,
-    log_holder_diagnostic,
     preset,
     two_piece_field,
 )

@@ -39,7 +39,6 @@ from .errors import ConfigError, PresetConstraintError, ToolkitError
 from .exponents import (
     PRESET_KINDS,
     ExponentField,
-    ExponentPiece,
     PresetSpec,
     constant_field,
     preset,
@@ -157,10 +156,9 @@ def exponent_from_dict(d: dict) -> ExponentField:
             return constant_field(_exponent_value(d["constant"]))
         if "pieces" in d:
             pieces = tuple(
-                (region_from_dict(p["region"]), ExponentPiece.constant(_exponent_value(p["value"])))
-                for p in d["pieces"]
+                (region_from_dict(p["region"]), _exponent_value(p["value"])) for p in d["pieces"]
             )
-            return ExponentField(pieces, ExponentPiece.constant(_exponent_value(d["default"])))
+            return ExponentField(pieces, _exponent_value(d["default"]))
     except KeyError as exc:
         raise ConfigError(f"exponent spec {d!r} is missing field {exc}") from None
     except (TypeError, ValueError, ZeroDivisionError) as exc:

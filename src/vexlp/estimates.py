@@ -43,6 +43,7 @@ from .regions import Ball, Complement, Diff, Intersect, Region
 
 SLOPE_MARGIN = 0.15
 _ZERO_FLOOR = 1e-12
+_RESIDUAL_TOL = 1e-8  # energy_identity_check withholds its verdict above this
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,6 @@ def fit_decay(radii: Sequence[float], values: Sequence[float]) -> DecayFit:
         float(intercept),
         float(np.max(np.abs(resid))),
     )
-
-
-def round_growth(slope: float, max_denominator: int = 8) -> Fraction:
-    """Round a measured volume-growth exponent to a small rational."""
-    return Fraction(slope).limit_denominator(max_denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -240,26 +236,19 @@ def _inv_conjugate(p: Optional[Fraction], k: int) -> Fraction:
     return (p - k) / p
 
 
-def predicted_exponent(
-    spec: PresetSpec,
-    term: str,
-    growth_override: Optional[dict[str, Fraction]] = None,
-) -> ExponentCertificate:
+def predicted_exponent(spec: PresetSpec, term: str) -> ExponentCertificate:
     """Exact per-piece decay exponents -k + d/q for a preset layout.
 
     The alpha term pays the Laplacian scaling (k = 2) against the
     2-conjugate q = p/(p-2); the beta term pays the gradient scaling
     (k = 1) against the 3-conjugate r = p/(p-3).  d is the shell
     volume-growth exponent of each piece and the conjugate bound is the
-    worst one there.  ``growth_override`` substitutes measured growth
-    exponents (already rounded to small rationals) for the closed forms.
+    worst one there.
     """
     if term not in ("alpha", "beta"):
         raise ValueError(f"term must be 'alpha' or 'beta', got {term!r}")
     k_scale, k_conj = (2, 2) if term == "alpha" else (1, 3)
     growths = {"inner": _growth_inner(spec), "outer": Fraction(3)}
-    if growth_override:
-        growths.update(growth_override)
     inner_p = None if spec.kind == "shrink_cusp" else spec.inner
     entries = []
     for piece, p_val in (("inner", inner_p), ("outer", spec.outer)):
@@ -328,13 +317,12 @@ def energy_identity_check(
     P: ScalarField3,
     R: float,
     quad: Optional[Quadrature] = None,
-    residual_tol: float = 1e-8,
     gap_tol: float = 1e-2,
 ) -> EnergyReport:
     """Check gradient-energy = alpha + beta for a pointwise solution.
 
     The verdict is withheld (None) when the momentum residual exceeds
-    ``residual_tol`` on sampled points, since the identity is derived from
+    ``_RESIDUAL_TOL`` on sampled points, since the identity is derived from
     the equation itself.
     """
     quad = quad or Quadrature(scheme="radial")
@@ -351,7 +339,7 @@ def energy_identity_check(
     flux = beta_terms(R, u, P, quad, cutoff=cut)
     rhs = a + flux.beta
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    verdict = None if residual_sup > residual_tol else (gap <= gap_tol)
+    verdict = None if residual_sup > _RESIDUAL_TOL else (gap <= gap_tol)
     return EnergyReport(R, lhs, a, flux.beta, gap, residual_sup, verdict)
 
 

@@ -1,10 +1,10 @@
 """Piecewise variable exponents p(.) on R^3 and their arithmetic.
 
-An `ExponentField` is an ordered list of (region, piece) pairs plus a
-default piece for points covered by no listed region.  Pieces are either
-constants (with +inf allowed) or callables carrying declared lower/upper
-bounds, so essential bounds over any region reduce to piece bookkeeping
-instead of global optimization.
+An `ExponentField` is an ordered table of (region, value) pairs plus a
+default value for points covered by no listed region; every value is a
+constant in [1, +inf].  Essential bounds over a listed piece region are
+read off the table, and over any other region they are the extremes of
+the values found on sampled points.
 
 Three ready-made two-piece layouts mirror the hypotheses the decay
 estimates need: a high exponent inside the infinite unit tube, a high
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -41,79 +41,23 @@ def _as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class ExponentPiece:
-    """One branch of a piecewise exponent: a constant or a bounded callable."""
-
-    value: Optional[float] = None
-    evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    lower: float = 1.0
-    upper: float = math.inf
-
-    @classmethod
-    def constant(cls, value: float) -> "ExponentPiece":
-        v = float(value)
-        if v < 1.0:
-            raise ExponentRangeError(f"exponent must be >= 1, got {v}")
-        return cls(value=v, lower=v, upper=v)
-
-    @classmethod
-    def from_callable(
-        cls, fn: Callable[[np.ndarray], np.ndarray], lower: float, upper: float
-    ) -> "ExponentPiece":
-        if not 1.0 <= lower <= upper:
-            raise ExponentRangeError(
-                f"declared bounds must satisfy 1 <= lower <= upper, got "
-                f"({lower}, {upper})"
-            )
-        if math.isinf(upper):
-            raise ExponentRangeError("+inf is representable only as a constant piece")
-        return cls(evaluator=fn, lower=float(lower), upper=float(upper))
-
-    @property
-    def is_constant(self) -> bool:
-        return self.value is not None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is not None and math.isinf(self.value)
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        if self.is_constant:
-            return np.full(pts.shape[0], self.value)
-        return np.asarray(self.evaluator(pts), dtype=float)
-
-    def conjugate(self, k: int) -> "ExponentPiece":
-        if self.is_infinite:
-            return ExponentPiece.constant(1.0)
-        if self.lower <= k:
-            raise ExponentRangeError(
-                f"conjugate with numerator {k} needs every piece bound > {k}; "
-                f"got lower bound {self.lower}"
-            )
-        if self.is_constant:
-            return ExponentPiece.constant(self.value / (self.value - k))
-        fn = self.evaluator
-        # order reversal: v -> v/(v-k) is decreasing for v > k
-        return ExponentPiece.from_callable(
-            lambda pts: fn(pts) / (fn(pts) - k),
-            lower=self.upper / (self.upper - k),
-            upper=self.lower / (self.lower - k),
+def _conjugate_value(v: float, k: int) -> float:
+    if math.isinf(v):
+        return 1.0
+    if v <= k:
+        raise ExponentRangeError(
+            f"conjugate with numerator {k} needs every piece bound > {k}; "
+            f"got lower bound {v}"
         )
+    return v / (v - k)
 
-    def divided_by(self, s: float) -> "ExponentPiece":
-        if self.is_infinite:
-            return self
-        if self.lower / s < 1.0:
-            raise ExponentRangeError(
-                f"dividing by {s} drops the lower bound {self.lower} below 1"
-            )
-        if self.is_constant:
-            return ExponentPiece.constant(self.value / s)
-        fn = self.evaluator
-        return ExponentPiece.from_callable(
-            lambda pts: fn(pts) / s, self.lower / s, self.upper / s
-        )
+
+def _divided_value(v: float, s: float) -> float:
+    if math.isinf(v):
+        return v
+    if v / s < 1.0:
+        raise ExponentRangeError(f"dividing by {s} drops the lower bound {v} below 1")
+    return v / s
 
 
 @dataclass(frozen=True)
@@ -126,53 +70,54 @@ class BoundsReport:
 
 @dataclass(frozen=True)
 class ExponentField:
-    """Piecewise exponent: first matching region wins, else the default."""
+    """Piecewise-constant exponent: first matching region wins, else the
+    default.  Every value lies in [1, +inf]."""
 
-    pieces: tuple[tuple[Region, ExponentPiece], ...]
-    default: ExponentPiece
+    pieces: tuple[tuple[Region, float], ...]
+    default: float
+
+    def __post_init__(self):
+        for v in self._values():
+            if not v >= 1.0:
+                raise ExponentRangeError(f"exponent must be >= 1, got {v}")
 
     def __call__(self, x) -> np.ndarray | float:
         pts, single = as_points(x)
-        out = self.default(pts)
+        out = np.full(pts.shape[0], self.default)
         unclaimed = np.ones(pts.shape[0], dtype=bool)
-        for region, piece in self.pieces:
+        for region, value in self.pieces:
             mask = unclaimed & region.contains(pts)
-            if mask.any():
-                out[mask] = piece(pts[mask])
+            out[mask] = value
             unclaimed &= ~mask
         return float(out[0]) if single else out
+
+    def _values(self) -> tuple[float, ...]:
+        return (*(v for _, v in self.pieces), self.default)
 
     def piece_regions(self) -> tuple[Region, ...]:
         return tuple(region for region, _ in self.pieces)
 
     @property
     def declared_lower(self) -> float:
-        return min([p.lower for _, p in self.pieces] + [self.default.lower])
-
-    @property
-    def declared_upper(self) -> float:
-        return max([p.upper for _, p in self.pieces] + [self.default.upper])
+        return min(self._values())
 
     @property
     def has_infinite_piece(self) -> bool:
-        return self.default.is_infinite or any(p.is_infinite for _, p in self.pieces)
-
-    def is_piecewise_constant(self) -> bool:
-        return self.default.is_constant and all(p.is_constant for _, p in self.pieces)
+        return any(math.isinf(v) for v in self._values())
 
     def essential_bounds(
         self, region: Region, seed: int = 0, n: int = 4096
     ) -> BoundsReport:
         """Essential inf/sup of the exponent over a region.
 
-        Exact when the region coincides with a listed piece region, or when
-        the field is piecewise constant and the region can be sampled to
-        identify the intersecting pieces.  Falls back to sampling a bounded
-        window for unbounded regions.
+        Read off the table when the region is a listed piece region, else
+        the extremes over points sampled in the region, which identify the
+        pieces it meets; an unbounded region is sampled in a bounded window,
+        which is not exact.
         """
-        for piece_region, piece in self.pieces:
+        for piece_region, v in self.pieces:
             if region == piece_region:
-                return BoundsReport(piece.lower, piece.upper, 0, piece.is_constant)
+                return BoundsReport(v, v, 0, True)
         try:
             pts = region.sample(n, seed)
             windowed = False
@@ -186,34 +131,31 @@ class ExponentField:
                 ) from exc
             windowed = True
         vals = self(pts)
-        exact = self.is_piecewise_constant() and not windowed
         # python floats: lemma1_check raises volumes to these bounds
-        return BoundsReport(float(vals.min()), float(vals.max()), pts.shape[0], exact)
+        return BoundsReport(float(vals.min()), float(vals.max()), pts.shape[0], not windowed)
 
     def conjugate(self, k: int) -> "ExponentField":
-        """Pointwise k-conjugate p -> p/(p - k) with bounds transformed."""
+        """Pointwise k-conjugate p -> p/(p - k); +inf maps to 1."""
         if k not in (1, 2, 3):
             raise ValueError(f"conjugate numerator must be 1, 2 or 3, got {k}")
         return ExponentField(
-            tuple((r, p.conjugate(k)) for r, p in self.pieces),
-            self.default.conjugate(k),
+            tuple((r, _conjugate_value(v, k)) for r, v in self.pieces),
+            _conjugate_value(self.default, k),
         )
 
     def divided_by(self, s: float) -> "ExponentField":
         return ExponentField(
-            tuple((r, p.divided_by(s)) for r, p in self.pieces),
-            self.default.divided_by(s),
+            tuple((r, _divided_value(v, s)) for r, v in self.pieces),
+            _divided_value(self.default, s),
         )
 
 
 def constant_field(value: float) -> ExponentField:
-    return ExponentField((), ExponentPiece.constant(value))
+    return ExponentField((), float(value))
 
 
 def two_piece_field(region: Region, inner: float, outer: float) -> ExponentField:
-    return ExponentField(
-        ((region, ExponentPiece.constant(inner)),), ExponentPiece.constant(outer)
-    )
+    return ExponentField(((region, float(inner)),), float(outer))
 
 
 PRESET_KINDS = ("cylinder", "power_cusp", "shrink_cusp")
@@ -316,60 +258,3 @@ def preset(spec: PresetSpec, validate: bool = True) -> ExponentField:
     return two_piece_field(
         spec.inner_region(), spec.inner_exponent(), float(spec.outer)
     )
-
-
-@dataclass(frozen=True)
-class LogHolderReport:
-    """Sampled diagnostic of the modulus-of-continuity condition.
-
-    ``local_constant`` estimates sup |1/p(x) - 1/p(y)| * log(e + 1/|x-y|)
-    over nearby pairs; ``decay_constant`` estimates the matching supremum
-    along rays against the radial limit of 1/p, when such a limit exists.
-    The boolean is a heuristic, not a certificate.
-    """
-
-    local_constant: float
-    decay_constant: float
-    satisfied: bool
-    reason: str = ""
-
-
-def log_holder_diagnostic(
-    p: ExponentField,
-    n_pairs: int = 4000,
-    seed: int = 0,
-    window: float = 10.0,
-    far_radius: float = 1.0e6,
-) -> LogHolderReport:
-    rng = np.random.default_rng(seed)
-    x = Ball(radius=window).sample(n_pairs, seed)
-    # pair each sample with a log-uniform nearby offset
-    dirs = rng.normal(size=(n_pairs, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    dist = np.exp(rng.uniform(np.log(1e-6), np.log(1.0), n_pairs))
-    y = x + dirs * dist[:, None]
-    with np.errstate(divide="ignore"):
-        inv_px = 1.0 / p(x)
-        inv_py = 1.0 / p(y)
-    local = float(np.max(np.abs(inv_px - inv_py) * np.log(math.e + 1.0 / dist)))
-
-    # radial limit: evaluate 1/p far out along many directions, always
-    # including the coordinate axes (piece regions hug the x1 axis, which
-    # random directions miss almost surely)
-    ray_dirs = rng.normal(size=(512, 3))
-    ray_dirs /= np.linalg.norm(ray_dirs, axis=1, keepdims=True)
-    axes = np.concatenate([np.eye(3), -np.eye(3)])
-    ray_dirs = np.concatenate([axes, ray_dirs])
-    with np.errstate(divide="ignore"):
-        far = 1.0 / p(ray_dirs * far_radius)
-    if float(far.max() - far.min()) > 1e-9:
-        return LogHolderReport(local, math.nan, False, "no radial limit")
-    inv_p_inf = float(far.mean())
-    radii = np.geomspace(1.0, far_radius, 24)
-    pts = (ray_dirs[:, None, :] * radii[None, :, None]).reshape(-1, 3)
-    with np.errstate(divide="ignore"):
-        inv_p = 1.0 / p(pts)
-    decay = float(
-        np.max(np.abs(inv_p - inv_p_inf) * np.log(math.e + np.linalg.norm(pts, axis=1)))
-    )
-    return LogHolderReport(local, decay, True)

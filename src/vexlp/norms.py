@@ -3,16 +3,15 @@
 The modular of f is the integral of |f(x)|^p(x); the norm is the smallest
 lambda making the modular of f/lambda at most 1, located by bracketing and
 bisection on a map that is monotone in lambda by construction.  The nodes
-are frozen for the whole root search.  When the exponent is piecewise
-constant, with distinct finite values p_j, the modular of f/lambda is
+are frozen for the whole root search.  The exponent is piecewise
+constant, so with distinct finite values p_j the modular of f/lambda is
 sum_j lambda^(-p_j) M_j with M_j = sum of w |f|^p_j over the nodes where
 p = p_j; one pass over the nodes gives every log M_j, and each bisection
-step is then a sum of a few scalar terms.  A callable exponent piece makes
-each step a weighted exp/log pass over every node instead.  Where the
-exponent is +inf the modular contributes nothing if the sampled sup of |f|
-stays at or below the scale and +inf otherwise, so the norm on such a
-piece degenerates to the sup norm, and the overall norm is the larger of
-the bisection root and that sup.
+step is then a sum of a few scalar terms.  Where the exponent is +inf the
+modular contributes nothing if the sampled sup of |f| stays at or below
+the scale and +inf otherwise, so the norm on such a piece degenerates to
+the sup norm, and the overall norm is the larger of the bisection root
+and that sup.
 
 Quadrature is either stratified rejection Monte Carlo over a region
 envelope (works for any samplable region, piecewise integrands included)
@@ -60,6 +59,7 @@ _RADIAL_ORDER = 32
 _THETA_LEVELS = 60
 _THETA_CELLS = 64
 _BISECT_STEPS = 80
+_HOLDER_THRESHOLD = 2.0  # holder_check flags a ratio above this
 
 
 @dataclass(frozen=True)
@@ -328,11 +328,6 @@ def _power_contrib(mag, pv, finite, lam: float) -> np.ndarray:
     return out
 
 
-def _node_modular(nodes: _NodeSet, mag, pv, finite, lam: float) -> float:
-    """Modular of f/lam as a weighted sum over every node: one exp/log pass."""
-    return float(np.sum(nodes.weights * _power_contrib(mag, pv, finite, lam)))
-
-
 def _log_moments(nodes: _NodeSet, mag, pv, finite) -> tuple[np.ndarray, np.ndarray]:
     """Distinct finite exponents p_j and log M_j, M_j = sum of w |f|^p_j.
 
@@ -408,10 +403,8 @@ def luxemburg_norm(
     the sampled ess-sup of |f|.  Escaping the bracket above 1e30 reports
     status "infinite"; a vanishing modular reports status "zero".
 
-    For a piecewise-constant exponent each bisection step evaluates the
-    modular from the per-exponent log-moments taken in one pass over the
-    nodes; a callable piece makes every step a pass over the nodes.  The
-    quadrature part of ``abs_error`` is the gap to the root on the coarse
+    Each bisection step evaluates the modular from the per-exponent
+    log-moments taken in one pass over the nodes.  The quadrature part of ``abs_error`` is the gap to the root on the coarse
     rule for the deterministic radial rules, and the propagated standard
     error for Monte Carlo.
     """
@@ -419,7 +412,7 @@ def luxemburg_norm(
     evaluations = 0
     root, bracket = 0.0, 0.0
     if (finite & (mag > 0.0)).any():
-        modular_at = _modular_at(nodes, mag, pv, finite, p)
+        modular_at = _modular_at(nodes, mag, pv, finite)
 
         def rho(lam: float) -> float:
             nonlocal evaluations
@@ -435,12 +428,10 @@ def luxemburg_norm(
     return _finish(root, bracket, sup_inf_piece, quad_err, evaluations)
 
 
-def _modular_at(nodes: _NodeSet, mag, pv, finite, p: ExponentField):
-    """lam -> modular of f/lam on frozen nodes."""
-    if p.is_piecewise_constant():
-        exps, log_m = _log_moments(nodes, mag, pv, finite)
-        return lambda lam: _moment_modular(exps, log_m, lam)
-    return lambda lam: _node_modular(nodes, mag, pv, finite, lam)
+def _modular_at(nodes: _NodeSet, mag, pv, finite):
+    """lam -> modular of f/lam on frozen nodes, from the log-moments."""
+    exps, log_m = _log_moments(nodes, mag, pv, finite)
+    return lambda lam: _moment_modular(exps, log_m, lam)
 
 
 def _bisect_root(rho, rel_tol: float) -> tuple[float, float]:
@@ -494,7 +485,7 @@ def _root_uncertainty(nodes, f, p, mag, pv, finite, lam: float, rel_tol: float) 
     the root of the coarse rule's modular, found by the same bracketing and
     bisection; on Monte Carlo nodes, se(rho) / |d rho / d lam| at lam."""
     if nodes.coarse is not None:
-        coarse = _modular_at(nodes.coarse, *_node_contrib(nodes.coarse, f, p), p)
+        coarse = _modular_at(nodes.coarse, *_node_contrib(nodes.coarse, f, p))
         return abs(lam - _bisect_root(coarse, rel_tol)[0])
     contrib = _power_contrib(mag, pv, finite, lam)
     se = _stratified_se(nodes, contrib)
@@ -669,7 +660,6 @@ def holder_check(
     r: ExponentField,
     domain: Optional[Region] = None,
     quad: Quadrature = Quadrature(),
-    flag_threshold: float = 2.0,
 ) -> CheckReport:
     """Ratio ||f g||_p / (||f||_q ||g||_r) under 1/p = 1/q + 1/r."""
     dom = _resolve_domain(domain, quad)
@@ -689,6 +679,6 @@ def holder_check(
         return CheckReport(n_fg.value, denom, 0.0, 0.0, True, note="zero")
     ratio = n_fg.value / denom
     return CheckReport(
-        n_fg.value, denom, ratio, flag_threshold, bool(ratio <= flag_threshold),
-        note="" if ratio <= flag_threshold else "ratio above threshold",
+        n_fg.value, denom, ratio, _HOLDER_THRESHOLD, bool(ratio <= _HOLDER_THRESHOLD),
+        note="" if ratio <= _HOLDER_THRESHOLD else "ratio above threshold",
     )

@@ -17,7 +17,6 @@ from vexlp.estimates import (
     fit_decay,
     liouville_pipeline,
     predicted_exponent,
-    round_growth,
 )
 from vexlp.exponents import PresetSpec, constant_field, preset
 from vexlp.fields import (
@@ -138,12 +137,6 @@ def test_fit_decay_drops_zeros():
         fit_decay(radii, [0.0, 0.0, 1e-13, 0.0])
 
 
-def test_round_growth():
-    assert round_growth(1.02) == Fraction(1)
-    assert round_growth(2.49) == Fraction(5, 2)
-    assert round_growth(0.74) == Fraction(3, 4)
-
-
 # ---------------------------------------------------------------------------
 # cutoff norm decay
 
@@ -248,12 +241,6 @@ def test_certificate_shrink_cusp():
     cert_b = predicted_exponent(shrink, "beta")
     inner_b = next(e for e in cert_b.entries if e.piece == "inner")
     assert inner_b.exponent == Fraction(-1, 2)  # -sigma
-
-
-def test_certificate_growth_override():
-    cert = predicted_exponent(CYL, "alpha", growth_override={"inner": Fraction(5, 2)})
-    inner = next(e for e in cert.entries if e.piece == "inner")
-    assert inner.exponent == Fraction(-1, 2)  # -2 + (5/2) * (3/5)
 
 
 def test_admissible_upper_bounds_exact():

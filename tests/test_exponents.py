@@ -4,18 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vexlp.errors import ExponentRangeError, PresetConstraintError
-from vexlp.exponents import (
-    ExponentField,
-    ExponentPiece,
-    PresetSpec,
-    constant_field,
-    log_holder_diagnostic,
-    preset,
-)
+from vexlp.exponents import PresetSpec, constant_field, preset, two_piece_field
 from vexlp.regions import Annulus, Ball, Cylinder, PowerCusp
 
 
@@ -108,19 +99,15 @@ def test_conjugate_pointwise_identities():
     )
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    lo=st.floats(min_value=1.01, max_value=50.0),
-    spread=st.floats(min_value=0.0, max_value=50.0),
-)
-def test_conjugate_bound_ordering(lo, spread):
-    # conjugation reverses declared bounds: q- = conj(p+) <= conj(p-) = q+
-    hi = lo + spread
-    piece = ExponentPiece.from_callable(lambda pts: None, lower=lo, upper=hi)
-    conj = piece.conjugate(1)
-    assert conj.lower == pytest.approx(hi / (hi - 1))
-    assert conj.upper == pytest.approx(lo / (lo - 1))
-    assert conj.lower <= conj.upper + 1e-12
+@pytest.mark.parametrize("build", [
+    lambda: constant_field(math.nan),
+    lambda: two_piece_field(Cylinder(), math.nan, 4),
+    lambda: constant_field(0.5),
+], ids=["constant-nan", "two-piece-nan", "constant-below-1"])
+def test_exponent_outside_1_inf_is_rejected(build):
+    # NaN fails every comparison, so only a check of v >= 1 rejects it
+    with pytest.raises(ExponentRangeError, match="exponent must be >= 1"):
+        build()
 
 
 def test_divided_by():
@@ -173,35 +160,6 @@ def test_preset_validation_off_builds_field():
     bad = PresetSpec.make("power_cusp", outer=4, inner=7, gamma="1/2")
     field = preset(bad, validate=False)
     assert field(pt(1, 0, 0)) == 7.0
-
-
-def test_infinite_only_as_constant():
-    with pytest.raises(ExponentRangeError):
-        ExponentPiece.from_callable(lambda pts: pts[:, 0], lower=2, upper=math.inf)
-
-
-def test_log_holder_constant():
-    rep = log_holder_diagnostic(constant_field(4.0), n_pairs=500, seed=0)
-    assert rep.satisfied
-    assert rep.local_constant == pytest.approx(0.0, abs=1e-12)
-    assert rep.decay_constant == pytest.approx(0.0, abs=1e-12)
-
-
-def test_log_holder_rejects_piecewise_preset():
-    rep = log_holder_diagnostic(preset(CYL), n_pairs=500, seed=0)
-    assert not rep.satisfied
-    assert rep.reason == "no radial limit"
-
-
-def test_log_holder_smooth_radial():
-    def evaluator(pts):
-        return 3.5 + 1.0 / (1.0 + np.einsum("ij,ij->i", pts, pts))
-
-    field = ExponentField((), ExponentPiece.from_callable(evaluator, 3.5, 4.5))
-    rep = log_holder_diagnostic(field, n_pairs=2000, seed=1)
-    assert rep.satisfied
-    assert 0 < rep.local_constant < 10
-    assert 0 < rep.decay_constant < 10
 
 
 @pytest.mark.parametrize("kind, params", [

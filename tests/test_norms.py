@@ -8,14 +8,7 @@ import pytest
 from vexlp import norms
 from vexlp.cutoff import make_cutoff
 from vexlp.errors import ExponentRangeError, ExponentRelationError, QuadratureDomainError
-from vexlp.exponents import (
-    ExponentField,
-    ExponentPiece,
-    PresetSpec,
-    constant_field,
-    preset,
-    two_piece_field,
-)
+from vexlp.exponents import PresetSpec, constant_field, preset, two_piece_field
 from vexlp.fields import gaussian_scalar, zero_scalar
 from vexlp.norms import (
     Quadrature,
@@ -23,7 +16,7 @@ from vexlp.norms import (
     _log_moments,
     _moment_modular,
     _node_contrib,
-    _node_modular,
+    _power_contrib,
     constant_one,
     holder_check,
     integrate,
@@ -168,11 +161,15 @@ def cutoff_term(k: int, radius: float):
     return (lambda pts: np.linalg.norm(cut.grad(pts), axis=1)), cut.support()
 
 
+def node_modular(nodes, mag, pv, finite, lam):
+    """The modular of f/lam as a weighted exp/log pass over every node."""
+    return float(np.sum(nodes.weights * _power_contrib(mag, pv, finite, lam)))
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("kind", sorted(PRESETS))
 def test_moment_modular_matches_node_pass(kind, k):
     p = preset(PRESETS[kind]).conjugate(k)
-    assert p.is_piecewise_constant()
     f, shell = cutoff_term(k, 16.0)
     nodes = _build_nodes(shell, Quadrature(n=50_000, seed=3))
     mag, pv, finite = _node_contrib(nodes, f, p)
@@ -181,7 +178,7 @@ def test_moment_modular_matches_node_pass(kind, k):
     overflowed = 0
     for lam in np.geomspace(1e-300, 1e3, 61):
         with np.errstate(over="ignore"):
-            node = _node_modular(nodes, mag, pv, finite, lam)
+            node = node_modular(nodes, mag, pv, finite, lam)
         moment = _moment_modular(exps, log_m, lam)
         if math.isinf(node):
             overflowed += 1
@@ -193,39 +190,25 @@ def test_moment_modular_matches_node_pass(kind, k):
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("kind", sorted(PRESETS))
-def test_moment_norm_matches_node_pass_norm(kind, k, monkeypatch):
+def test_moment_norm_matches_node_pass_norm(kind, k):
     p = preset(PRESETS[kind]).conjugate(k)
     f, shell = cutoff_term(k, 32.0)
     quad = Quadrature(n=50_000, seed=4)
     moment = luxemburg_norm(f, p, shell, quad)
-    # the node pass, as every step ran before the moment form
-    monkeypatch.setattr(ExponentField, "is_piecewise_constant", lambda self: False)
-    node = luxemburg_norm(f, p, shell, quad)
-    assert moment.evaluations == node.evaluations
-    assert moment.status == node.status == "finite"
-    assert moment.value == pytest.approx(node.value, rel=1e-12)
-    # the bracket width hi - lo is a difference of nearby iterates, so its
-    # ulp-level change is amplified by about hi / (hi - lo) = 4 / rel_tol
-    assert moment.abs_error == pytest.approx(node.abs_error, rel=1e-9)
-
-
-def test_callable_piece_takes_node_pass(monkeypatch):
-    def no_moments(*args):
-        raise AssertionError("a callable exponent piece must not use the moments")
-
-    monkeypatch.setattr(norms, "_log_moments", no_moments)
-    varying = ExponentPiece.from_callable(lambda pts: 2.0 + 0.5 * np.tanh(pts[:, 0]), 1.5, 2.5)
-    p = ExponentField(((Ball(radius=0.5), varying),), ExponentPiece.constant(4.0))
-    assert not p.is_piecewise_constant()
-    f, dom, quad = gaussian_scalar(), Ball(radius=2.0), Quadrature(n=20_000, seed=6)
-    res = luxemburg_norm(f, p, dom, quad)
-    nodes = _build_nodes(dom, quad)
+    # the same bracketing and bisection on the node pass
+    nodes = _build_nodes(shell, quad)
     mag, pv, finite = _node_contrib(nodes, f, p)
-    oracle = bisect_oracle(lambda lam: _node_modular(nodes, mag, pv, finite, lam),
-                           1e-3, 1e3)
-    assert res.status == "finite"
-    assert res.evaluations > 5
-    assert abs(res.value - oracle) <= 0.25 * quad.rel_tol * res.value
+    steps = []
+
+    def rho(lam):
+        steps.append(lam)
+        with np.errstate(over="ignore"):
+            return node_modular(nodes, mag, pv, finite, lam)
+
+    root, _ = norms._bisect_root(rho, quad.rel_tol)
+    assert moment.evaluations == len(steps)
+    assert moment.status == "finite"
+    assert moment.value == pytest.approx(root, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
