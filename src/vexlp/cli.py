@@ -11,8 +11,8 @@ gives each subcommand its help text, CSV columns and runner; a runner
 returns ``(rows, payload, exit_code, verdict_line)`` and ``main`` writes
 both output files.  ``FLAGS`` gives each flag the config key it
 overrides, its value type or choices, and its help; the parser, the
-flag-over-config merge and the type check of config values all read it,
-so every flag is its config key.
+flag-over-config merge and the type and key checks of config values all
+read it, so every flag is its config key.
 
 Floating-point output is printed with 17 significant digits.  Identical
 configurations reproduce byte-identical files on the same machine and
@@ -220,12 +220,11 @@ class RunConfig:
         return cls(**{k: v for k, v in d.items() if v is not None})  # null: the default
 
     def quad(self) -> Quadrature:
-        """The quadrature; without a scheme, the command's default scheme."""
-        q = self.quadrature
+        """The quadrature; an absent or null key takes its default, and
+        without a scheme, the command's default scheme."""
+        q = {k: v for k, v in self.quadrature.items() if v is not None}
         scheme = q.get("scheme") or COMMANDS[self.command].scheme
-        if scheme in ("strat", "stratified_mc"):  # older names for mc
-            scheme = "mc"
-        if scheme == "mc" and q.get("seed") is None:
+        if scheme == "mc" and "seed" not in q:
             raise ConfigError(
                 "Monte Carlo schemes require an explicit 'seed' (config or --seed)"
             )
@@ -233,10 +232,8 @@ class RunConfig:
             return Quadrature(
                 scheme=scheme,
                 n=int(q.get("n", 200000)),
-                seed=int(q.get("seed", 0) or 0),
-                strata=int(q.get("strata", 0)),
+                seed=int(q.get("seed", 0)),
                 rel_tol=float(q.get("rel_tol", 1e-4)),
-                truncation_radius=float(q.get("truncation_radius", 8.0)),
             )
         except ValueError as exc:
             raise ConfigError(f"bad quadrature spec: {exc}") from None
@@ -314,7 +311,7 @@ def run_volume(cfg: RunConfig):
     method = cfg.method or "analytic"
     if method == "monte_carlo":
         q = cfg.quad()
-        est = region.volume(method, n=q.n, seed=q.seed, strata=q.strata)
+        est = region.volume(method, n=q.n, seed=q.seed)
     else:
         est = region.volume(method)
     line = f"volume: {fmt(est.value)} +/- {fmt(est.std_error)} ({method})"
@@ -435,7 +432,7 @@ def run_liouville(cfg: RunConfig):
         spec, u, P, cfg.grid(fit=True), cfg.quad(), validate=cfg.validate,
         slope_margin=margin,
     )
-    rows = [list(r.values()) for r in report.table()]  # keyed by the CSV columns
+    rows = [list(astuple(r)) for r in report.rows]  # a row's fields are the CSV columns
     payload = {
         "conclusion": report.conclusion,
         "note": report.note,
@@ -530,8 +527,7 @@ FLAGS = (
     Flag("--out", "out_dir", TEXT, "output directory"),
     Flag("--seed", "quadrature.seed", INTEGER, "Monte Carlo seed"),
     Flag("--quad", "quadrature.scheme", TEXT,
-         "quadrature rule (default: {scheme}; strat, stratified_mc: mc)",
-         ("radial", "mc", "strat", "stratified_mc")),
+         "quadrature rule (default: {scheme}; mc needs --seed)", ("radial", "mc")),
     Flag("--samples", "quadrature.n", INTEGER, "MC sample budget"),
     Flag("--tol", "quadrature.rel_tol", NUMBER, "norm bisection rel tol"),
     Flag("--region", "region", OBJECT, "region spec as JSON"),
@@ -552,8 +548,6 @@ FLAGS = (
     Flag("--term", "term", TEXT, "certified term", ("alpha", "beta", "both")),
     Flag("--no-validate", "validate", SWITCH, "skip the preset constraint checks"),
     # config keys without a flag
-    Flag(None, "quadrature.strata", INTEGER, "x1 slabs of every Monte Carlo envelope"),
-    Flag(None, "quadrature.truncation_radius", NUMBER, "ball radius standing in for R^3"),
     Flag(None, "tolerances.gap_tol", NUMBER, "energy identity relative gap"),
     Flag(None, "tolerances.slope_margin", NUMBER, "decay slope margin over the certificate"),
 )
@@ -572,6 +566,11 @@ def _holder(d: dict, key: str, create: bool = False) -> Optional[dict]:
     return d
 
 
+# the config objects whose every key is a FLAGS key; region, exponent and
+# field specs follow grammars of their own
+_FLAG_OBJECTS = ("quadrature", "tolerances", "r_grid")
+
+
 def _check_types(d: dict) -> None:
     for flag in filter(lambda f: f.key, FLAGS):
         v = (_holder(d, flag.key) or {}).get(flag.key.rsplit(".", 1)[-1])
@@ -579,6 +578,11 @@ def _check_types(d: dict) -> None:
         if v is not None and not ok:
             what = f"one of {', '.join(flag.choices)}" if flag.choices else flag.value.what
             raise ConfigError(f"config field {flag.key!r} must be {what}, got {v!r}")
+    keys = {flag.key for flag in FLAGS}
+    for top in _FLAG_OBJECTS:  # each is a JSON object or absent by now
+        unknown = sorted({f"{top}.{k}" for k in d.get(top) or {}} - keys)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -31,8 +31,6 @@ def transition_d2(t: np.ndarray) -> np.ndarray:
     return 60.0 * t * (2.0 * t - 1.0) * (t - 1.0)
 
 
-# sup of S' on [0,1], attained at t = 1/2
-_SUP_D1 = 30.0 / 16.0
 # Delta = -(4/R^2) (S''(t)(1+t) + 2S'(t)) / (1+t) with t = 2r/R - 1, and
 # S''(t)(1+t) + 2S'(t) = 60t(t-1)(3t^2-1) changes sign at t = 1/sqrt(3)
 _LAPLACIAN_ZERO_T = 1.0 / math.sqrt(3.0)
@@ -61,23 +59,24 @@ class RadialCutoff:
         val = 1.0 - transition(self._t(rho))
         return float(val[0]) if single else val
 
-    def grad(self, x) -> np.ndarray:
-        pts, rho, single = self._radial(x)
-        inside = (rho > self.radius / 2.0) & (rho < self.radius)
-        dtheta = np.where(
-            inside, -(2.0 / self.radius) * transition_d1(self._t(rho)), 0.0
-        )
-        safe_rho = np.where(rho > 0, rho, 1.0)
-        out = pts * (dtheta / safe_rho)[:, None]
-        return out[0] if single else out
-
-    def laplacian(self, x) -> np.ndarray | float:
+    def _shell(self, x):
+        """Points as (n, 3), whether one point was given, the open shell
+        R/2 < |x| < R as a mask, the first and second radial derivatives
+        of the cutoff, and |x| with 0 replaced by 1."""
         pts, rho, single = self._radial(x)
         inside = (rho > self.radius / 2.0) & (rho < self.radius)
         t = self._t(rho)
         d1 = -(2.0 / self.radius) * transition_d1(t)
         d2 = -(4.0 / self.radius**2) * transition_d2(t)
-        safe_rho = np.where(rho > 0, rho, 1.0)
+        return pts, single, inside, d1, d2, np.where(rho > 0, rho, 1.0)
+
+    def grad(self, x) -> np.ndarray:
+        pts, single, inside, d1, _, safe_rho = self._shell(x)
+        out = pts * (np.where(inside, d1, 0.0) / safe_rho)[:, None]
+        return out[0] if single else out
+
+    def laplacian(self, x) -> np.ndarray | float:
+        _, single, inside, d1, d2, safe_rho = self._shell(x)
         val = np.where(inside, d2 + 2.0 * d1 / safe_rho, 0.0)
         return float(val[0]) if single else val
 
@@ -87,16 +86,9 @@ class RadialCutoff:
         radii where it is not smooth, so a radial rule can split there."""
         return RadialProfile(self, kind)
 
-    def sup_grad(self) -> float:
-        """Exact sup of |grad|, attained mid-shell."""
-        return 2.0 * _SUP_D1 / self.radius
-
     def support(self) -> Region:
         """Shell carrying both derivatives."""
         return Annulus(self.radius / 2.0, self.radius)
-
-    def plateau_volume(self) -> float:
-        return 4.0 / 3.0 * math.pi * (self.radius / 2.0) ** 3
 
 
 @dataclass(frozen=True)

@@ -371,21 +371,6 @@ class PipelineReport:
     conclusion: str  # hypotheses-violated | decay-confirmed | inconclusive
     note: str
 
-    def table(self) -> list[dict[str, float]]:
-        return [
-            {
-                "R": r.radius,
-                "alpha": r.alpha,
-                "beta1": r.beta1,
-                "beta2": r.beta2,
-                "beta": r.beta,
-                "lap_norm": r.lap_norm,
-                "grad_norm": r.grad_norm,
-                "errors": r.error,
-            }
-            for r in self.rows
-        ]
-
 
 def _maybe_fit(radii, values) -> Optional[DecayFit]:
     try:

@@ -64,7 +64,6 @@ def _divided_value(v: float, s: float) -> float:
 class BoundsReport:
     lower: float
     upper: float
-    n_samples: int
     exact: bool
 
 
@@ -117,7 +116,7 @@ class ExponentField:
         """
         for piece_region, v in self.pieces:
             if region == piece_region:
-                return BoundsReport(v, v, 0, True)
+                return BoundsReport(v, v, True)
         try:
             pts = region.sample(n, seed)
             windowed = False
@@ -132,7 +131,7 @@ class ExponentField:
             windowed = True
         vals = self(pts)
         # python floats: lemma1_check raises volumes to these bounds
-        return BoundsReport(float(vals.min()), float(vals.max()), pts.shape[0], not windowed)
+        return BoundsReport(float(vals.min()), float(vals.max()), not windowed)
 
     def conjugate(self, k: int) -> "ExponentField":
         """Pointwise k-conjugate p -> p/(p - k); +inf maps to 1."""

@@ -64,7 +64,6 @@ def _derivative(analytic: Optional[Callable], fd: Callable, fn: Callable, x) -> 
 class ScalarField3:
     fn: Callable[[Array], Array]
     analytic_gradient: Optional[Callable[[Array], Array]] = None
-    name: str = ""
 
     def __call__(self, x):
         pts, single = as_points(x)
@@ -80,9 +79,6 @@ class VectorField3:
     fn: Callable[[Array], Array]
     analytic_jacobian: Optional[Callable[[Array], Array]] = None
     analytic_laplacian: Optional[Callable[[Array], Array]] = None
-    name: str = ""
-    decay_rate: Optional[float] = None
-    divergence_free: bool = False
 
     def __call__(self, x):
         pts, single = as_points(x)
@@ -107,9 +103,6 @@ def zero_vector() -> VectorField3:
         fn=lambda pts: np.zeros_like(pts),
         analytic_jacobian=lambda pts: np.zeros((pts.shape[0], 3, 3)),
         analytic_laplacian=lambda pts: np.zeros_like(pts),
-        name="zero",
-        decay_rate=math.inf,
-        divergence_free=True,
     )
 
 
@@ -117,7 +110,6 @@ def zero_scalar() -> ScalarField3:
     return ScalarField3(
         fn=lambda pts: np.zeros(pts.shape[0]),
         analytic_gradient=lambda pts: np.zeros_like(pts),
-        name="zero",
     )
 
 
@@ -125,7 +117,6 @@ def constant_scalar(c: float) -> ScalarField3:
     return ScalarField3(
         fn=lambda pts: np.full(pts.shape[0], float(c)),
         analytic_gradient=lambda pts: np.zeros_like(pts),
-        name=f"constant({c})",
     )
 
 
@@ -136,7 +127,7 @@ def gaussian_scalar() -> ScalarField3:
     def grad(pts):
         return -2.0 * pts * fn(pts)[:, None]
 
-    return ScalarField3(fn=fn, analytic_gradient=grad, name="gaussian")
+    return ScalarField3(fn=fn, analytic_gradient=grad)
 
 
 def inverse_quadratic_scalar() -> ScalarField3:
@@ -146,7 +137,7 @@ def inverse_quadratic_scalar() -> ScalarField3:
     def grad(pts):
         return -2.0 * pts * (fn(pts) ** 2)[:, None]
 
-    return ScalarField3(fn=fn, analytic_gradient=grad, name="inverse_quadratic")
+    return ScalarField3(fn=fn, analytic_gradient=grad)
 
 
 def gradient_counterexample() -> tuple[VectorField3, ScalarField3]:
@@ -175,15 +166,8 @@ def gradient_counterexample() -> tuple[VectorField3, ScalarField3]:
     def p_grad(pts):
         return -np.stack([pts[:, 0], pts[:, 1], 4.0 * pts[:, 2]], axis=1)
 
-    u = VectorField3(
-        fn=u_fn,
-        analytic_jacobian=u_jac,
-        analytic_laplacian=u_lap,
-        name="gradient_counterexample",
-        divergence_free=True,
-    )
-    p = ScalarField3(fn=p_fn, analytic_gradient=p_grad, name="counterexample_pressure")
-    return u, p
+    u = VectorField3(fn=u_fn, analytic_jacobian=u_jac, analytic_laplacian=u_lap)
+    return u, ScalarField3(fn=p_fn, analytic_gradient=p_grad)
 
 
 def decaying_solenoidal(rate: float) -> VectorField3:
@@ -234,13 +218,7 @@ def decaying_solenoidal(rate: float) -> VectorField3:
         J[:, 2, 2] = 4.0 * x3 * dpsi + 4.0 * x3 * rho2 * d2psi
         return J
 
-    return VectorField3(
-        fn=u_fn,
-        analytic_jacobian=u_jac,
-        name=f"decaying_solenoidal({rate:g})",
-        decay_rate=a,
-        divergence_free=True,
-    )
+    return VectorField3(fn=u_fn, analytic_jacobian=u_jac)
 
 
 def ns_residual(u: VectorField3, p: ScalarField3, x) -> Array:

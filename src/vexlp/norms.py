@@ -15,7 +15,8 @@ and that sup.
 
 Quadrature is either stratified rejection Monte Carlo over a region
 envelope (works for any samplable region, piecewise integrands included)
-or a radial rule over origin-centered balls and shells.  For a radial
+or a radial rule over origin-centered balls and shells; without a domain,
+the ball of radius 8 stands in for R^3.  For a radial
 profile (a cutoff derivative's size, `cutoff.RadialProfile`) against an
 exponent whose pieces are solids of revolution about the x1 axis, the
 radial rule is piece-aware: Gauss-Legendre in r, with cells split at the
@@ -49,6 +50,7 @@ from .regions import Annulus, Ball, Region
 
 _CAP = 1e30
 _ESS_SUP_EXTRA = 10_000
+_WHOLE_SPACE = Ball(radius=8.0)  # stands in for R^3 when no domain is given
 _PRODUCT_RULE = (96, 24, 24)  # radial, polar, azimuthal nodes; the coarse rule halves each
 # The piece-aware radial rule: Gauss-Legendre nodes per radial cell (the
 # coarse rule takes half); the polar grid, refined geometrically toward 0,
@@ -67,36 +69,27 @@ class Quadrature:
     """Integration scheme description; deterministic given its fields.
 
     ``scheme`` is "mc" (stratified rejection Monte Carlo over the region
-    envelope) or "radial" (over an origin-centered ball or shell: the
-    piece-aware radial rule for the norm or modular of a radial profile,
-    the fixed spherical product rule otherwise).  ``n`` is the
-    Monte Carlo sample budget; ``strata`` > 1 sets the number of x1 slabs
-    of the envelope wherever Monte Carlo runs.  ``truncation_radius``
-    stands in for all of R^3 when no domain is given.
+    envelope, whose x1 slabs the region decides) or "radial" (over an
+    origin-centered ball or shell: the piece-aware radial rule for the norm
+    or modular of a radial profile, the fixed spherical product rule
+    otherwise).  ``n`` is the Monte Carlo sample budget, ``seed`` its
+    stream and ``rel_tol`` the relative width of the norm's bisection.
     """
 
     scheme: str = "mc"
     n: int = 200_000
     seed: int = 0
-    strata: int = 0
     rel_tol: float = 1e-4
-    truncation_radius: float = 8.0
 
     def __post_init__(self):
         if self.scheme not in ("mc", "radial"):
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if self.n < 1:
             raise ValueError(f"sample budget n must be at least 1, got {self.n}")
-        if self.seed < 0 or self.strata < 0:
-            raise ValueError(
-                f"seed and strata must be non-negative, got {self.seed}, {self.strata}"
-            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if not self.truncation_radius > 0.0:
-            raise ValueError(
-                f"truncation_radius must be positive, got {self.truncation_radius}"
-            )
 
     def with_seed(self, seed: int) -> "Quadrature":
         return replace(self, seed=seed)
@@ -130,12 +123,12 @@ class _NodeSet:
         return out
 
 
-def _resolve_domain(domain: Optional[Region], quad: Quadrature) -> Region:
-    return domain if domain is not None else Ball(radius=quad.truncation_radius)
+def _resolve_domain(domain: Optional[Region]) -> Region:
+    return domain if domain is not None else _WHOLE_SPACE
 
 
 def _mc_nodes(domain: Region, quad: Quadrature) -> _NodeSet:
-    env = domain.envelope(strata=quad.strata)
+    env = domain.envelope()
     blocks = list(env.strata(quad.n, quad.seed))
     points = np.concatenate([pts for _, pts in blocks])
     weights = np.concatenate([np.full(len(pts), vol / len(pts)) for vol, pts in blocks])
@@ -145,9 +138,7 @@ def _mc_nodes(domain: Region, quad: Quadrature) -> _NodeSet:
 
 
 def _product_nodes(r0: float, r1: float, n_r: int, n_mu: int, n_phi: int) -> _NodeSet:
-    xr, wr = np.polynomial.legendre.leggauss(n_r)
-    r = 0.5 * (r0 + r1) + 0.5 * (r1 - r0) * xr
-    wr = 0.5 * (r1 - r0) * wr
+    r, wr = _gauss_radii(r0, r1, (), n_r)
     xm, wm = np.polynomial.legendre.leggauss(n_mu)
     phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
     wphi = 2.0 * math.pi / n_phi
@@ -263,7 +254,7 @@ def _build_nodes(
     """The frozen nodes of a quadrature over a domain.  Under the radial
     scheme, the norm or modular of a radial profile f against p gets the
     piece-aware rule; every other integrand gets the product rule."""
-    dom = _resolve_domain(domain, quad)
+    dom = _resolve_domain(domain)
     if quad.scheme == "mc":
         return _mc_nodes(dom, quad)
     r0, r1 = _radial_span(dom)
@@ -361,7 +352,7 @@ def _frozen(f, p: ExponentField, domain: Optional[Region], quad: Quadrature):
     sup = 0.0
     if p.has_infinite_piece:  # the nodes first (|f| is 0 off the domain), then extra draws
         sup = float(np.max(mag, where=~finite, initial=0.0))
-        extra = _resolve_domain(domain, quad).sample(_ESS_SUP_EXTRA, quad.seed + 9901)
+        extra = _resolve_domain(domain).sample(_ESS_SUP_EXTRA, quad.seed + 9901)
         mask = ~np.isfinite(p(extra))
         if mask.any():
             sup = max(sup, float(_magnitude(f, extra[mask]).max()))
@@ -662,7 +653,7 @@ def holder_check(
     quad: Quadrature = Quadrature(),
 ) -> CheckReport:
     """Ratio ||f g||_p / (||f||_q ||g||_r) under 1/p = 1/q + 1/r."""
-    dom = _resolve_domain(domain, quad)
+    dom = _resolve_domain(domain)
     probe = dom.sample(4096, quad.seed + 17)
     with np.errstate(divide="ignore"):
         gap = np.abs(1.0 / p(probe) - 1.0 / q(probe) - 1.0 / r(probe))

@@ -125,8 +125,9 @@ class Region(ABC):
             f"{type(self).__name__} has no closed-form volume"
         )
 
-    def envelope(self, strata: int = 0) -> Envelope:
-        """Disjoint boxes covering the region, stratified along x1."""
+    def envelope(self) -> Envelope:
+        """Disjoint boxes covering the region in x1 slabs: geometric toward a
+        flare, 16 uniform where the cross-section radius varies, else one."""
         ext = self._extent()
         lo, hi = ext.x1_lo, ext.x1_hi
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
@@ -138,7 +139,7 @@ class Region(ABC):
             tail_delta = edges[0] - lo
             tail = _tail_bound(ext, tail_delta)
         else:
-            k = strata if strata > 1 else (_UNIFORM_LEVELS if _rho_varies(ext) else 1)
+            k = _UNIFORM_LEVELS if _rho_varies(ext) else 1
             edges = np.linspace(lo, hi, k + 1)
             tail = 0.0
         boxes = []
@@ -184,18 +185,14 @@ class Region(ABC):
         return out[:n]
 
     def volume(
-        self,
-        method: str = "analytic",
-        n: int = 1_000_000,
-        seed: int = 0,
-        strata: int = 0,
+        self, method: str = "analytic", n: int = 1_000_000, seed: int = 0
     ) -> VolumeEstimate:
         """Region volume, exact or by stratified rejection counting."""
         if method == "analytic":
             return VolumeEstimate(self.analytic_volume(), 0.0)
         if method != "monte_carlo":
             raise ValueError(f"unknown volume method {method!r}")
-        env = self.envelope(strata=strata)
+        env = self.envelope()
         total = 0.0
         var = 0.0
         for vol, pts in env.strata(n, seed):  # one box at a time: no budget-sized array

@@ -399,6 +399,49 @@ def test_wrongly_typed_config_is_usage_error(name, tmp_path, capsys):
     assert "usage error: " in capsys.readouterr().err
 
 
+MC_VOLUME = {"region": {"type": "ball"}, "method": "monte_carlo"}
+# a key the flag table does not list, inside an object whose keys it all lists
+UNKNOWN_KEYS = {
+    "samples": (["volume"], {**MC_VOLUME, "quadrature": {"samples": 10, "seed": 1}}),
+    "strata": (["volume"], {**MC_VOLUME, "quadrature": {"strata": 8, "seed": 1}}),
+    "truncation_radius": (["norm"], {"fieldspec": {"name": "gaussian"},
+                                     "exponent": {"constant": 2},
+                                     "quadrature": {"truncation_radius": 16, "seed": 1}}),
+    "cont": (["decay"], {"exponent": CYLINDER, "r_grid": {**GRID, "cont": 9}}),
+    "gap": (["energy"], {**COUNTEREXAMPLE, "radii": [4], "tolerances": {"gap": 0.1}}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(UNKNOWN_KEYS))
+def test_unknown_nested_config_key_is_usage_error(key, tmp_path, capsys):
+    argv, config = UNKNOWN_KEYS[key]
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert main(argv + ["--config", str(tmp_path / "run.json"),
+                        "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: unknown config keys" in err and f".{key}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scheme", ["strat", "stratified_mc"])
+def test_old_scheme_names_are_usage_errors(scheme, tmp_path, capsys):
+    assert main(["volume", "--quad", scheme, "--out", str(tmp_path / "out")]) == 1
+    assert f"usage error: argument --quad: invalid choice: '{scheme}'" in \
+        capsys.readouterr().err
+    (tmp_path / "run.json").write_text(json.dumps(
+        {**MC_VOLUME, "quadrature": {"scheme": scheme, "seed": 1}}))
+    assert main(["volume", "--config", str(tmp_path / "run.json"),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert f"must be one of radial, mc, got '{scheme}'" in capsys.readouterr().err
+
+
+def test_null_quadrature_keys_mean_the_default(tmp_path):
+    (tmp_path / "run.json").write_text(json.dumps(
+        {**MC_VOLUME, "quadrature": {"seed": 1, "n": None, "rel_tol": None}}))
+    assert main(["volume", "--config", str(tmp_path / "run.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.fixture
 def ten_second_alarm():
     def timed_out(signum, frame):
@@ -466,12 +509,17 @@ def test_preset_parameter_flags_override_config_preset(tmp_path):
 
 def test_flag_table_keeps_every_flag_and_config_field(capsys):
     from vexlp.cli import FLAGS
+    from vexlp.norms import Quadrature
 
     flags = [f.name for f in FLAGS if f.name]
     assert len(flags) == len(set(flags)) == 23
     assert len(RunConfig.__dataclass_fields__) == 14
     top = {f.key.split(".")[0] for f in FLAGS if f.key}
     assert top == set(RunConfig.__dataclass_fields__) - {"command"}
+    quad_keys = {f.key.split(".")[1] for f in FLAGS if (f.key or "").startswith("quadrature.")}
+    assert quad_keys == set(Quadrature.__dataclass_fields__)
+    assert [f.key for f in FLAGS if not f.name] == ["tolerances.gap_tol",
+                                                    "tolerances.slope_margin"]
     with pytest.raises(SystemExit):
         main(["decay", "--help"])
     help_text = capsys.readouterr().out
@@ -532,10 +580,10 @@ _CONFIG_VALUES = {
     "fieldspec": _FIELD,
     "pressure": _FIELD,
     "quadrature": st.one_of(_SCALAR, st.fixed_dictionaries({}, optional={
-        "scheme": st.sampled_from(["mc", "radial", "strat", "stratified_mc", "foo", 3]),
-        "seed": _SCALAR, "strata": st.integers(-1, 4),
-        "rel_tol": st.sampled_from([1e-4, 1e-3, 0, -1, 2, "x"]),
-        "truncation_radius": st.sampled_from([4, 8.0, 0, -1, "x"])})),
+        "scheme": st.sampled_from(["mc", "radial", "strat", "foo", 3]),
+        "seed": _SCALAR, "rel_tol": st.sampled_from([1e-4, 1e-3, 0, -1, 2, "x", None]),
+        # misspelled or removed keys
+        "sede": _SCALAR, "strata": st.integers(-1, 4)})),
     "r_grid": st.one_of(_SCALAR, st.fixed_dictionaries({}, optional={
         "start": st.one_of(st.floats(-2.0, 16.0), _SCALAR),
         "factor": st.one_of(st.floats(0.5, 3.0), _SCALAR),

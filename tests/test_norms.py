@@ -413,13 +413,6 @@ def test_dilation_invariance_constant_exponent():
     assert dil.value == pytest.approx(s ** (3.0 / p0) * base.value, rel=1e-3)
 
 
-def test_stratified_scheme():
-    quad = Quadrature(scheme="mc", n=50_000, seed=1, strata=8)
-    val, err = modular(constant_one, constant_field(2.0), Ball(radius=1), quad)
-    assert val == pytest.approx(4 * math.pi / 3, rel=0.02)
-    assert err > 0
-
-
 def test_constant_exponent_reduction_randomized():
     # for constant p the Luxemburg norm is the classical one: modular^(1/p)
     rng = np.random.default_rng(12)
@@ -437,9 +430,8 @@ def test_constant_exponent_reduction_randomized():
 
 
 @pytest.mark.parametrize("bad", [
-    {"n": 0}, {"n": -5}, {"seed": -1}, {"strata": -1}, {"rel_tol": 0.0}, {"rel_tol": -1.0},
+    {"n": 0}, {"n": -5}, {"seed": -1}, {"rel_tol": 0.0}, {"rel_tol": -1.0},
     {"rel_tol": 1.0}, {"rel_tol": math.nan}, {"rel_tol": math.inf},
-    {"truncation_radius": 0.0}, {"truncation_radius": -2.0},
 ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
 def test_quadrature_rejects_unusable_budgets(bad):
     with pytest.raises(ValueError):
@@ -450,16 +442,15 @@ def test_quadrature_rejects_unusable_budgets(bad):
 # the node set
 
 
-@pytest.mark.parametrize("strata", [0, 8])
 @pytest.mark.parametrize("region", [
     Intersect(Annulus(8, 16), Cylinder()), TruncatedShrinkCusp(0.5, 16.0),
 ], ids=["shell-tube", "shrink-cusp"])
-def test_mc_volume_counts_the_norm_nodes(region, strata):
+def test_mc_volume_counts_the_norm_nodes(region):
     # one stratified draw: the volume's hit count is the in-domain weight
-    # of the node set built from the same budget, seed and strata
+    # of the node set built from the same budget and seed
     n, seed = 30_000, 4
-    est = region.volume("monte_carlo", n=n, seed=seed, strata=strata)
-    nodes = _build_nodes(region, Quadrature(n=n, seed=seed, strata=strata))
+    est = region.volume("monte_carlo", n=n, seed=seed)
+    nodes = _build_nodes(region, Quadrature(n=n, seed=seed))
     weight = float(np.sum(nodes.weights[nodes.inside]))
     assert est.value == pytest.approx(weight, rel=1e-12, abs=0.0)
 
