@@ -76,22 +76,35 @@ def _spec(d, what: str) -> dict:
     return d
 
 
-def _number(d: dict, key: str, default: Optional[float] = None) -> float:
-    value = d.get(key, default)
+def _finite(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"{key!r} must be a finite number, got {value!r}")
     return value
 
 
+def _number(d: dict, key: str, default: Optional[float] = None) -> float:
+    """``d[key]`` as a finite number; without a default the key is required."""
+    return _finite(key, d[key] if default is None else d.get(key, default))
+
+
+def _point(d: dict, key: str, default: tuple) -> tuple:
+    values = d.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{key!r} must be a list of finite numbers, got {values!r}")
+    return tuple(_finite(key, v) for v in values)
+
+
 REGION_TYPES = {
-    "ball": lambda d: Ball(tuple(d.get("center", (0.0, 0.0, 0.0))), d.get("radius", 1.0)),
-    "annulus": lambda d: Annulus(d["inner"], d["outer"]),
+    "ball": lambda d: Ball(_point(d, "center", (0.0, 0.0, 0.0)), _number(d, "radius", 1.0)),
+    "annulus": lambda d: Annulus(_number(d, "inner"), _number(d, "outer")),
     "cylinder": lambda d: Cylinder(),
-    "cylinder_segment": lambda d: CylinderSegment(d["half_length"]),
-    "power_cusp": lambda d: PowerCusp(d["gamma"]),
-    "shrink_cusp": lambda d: ShrinkCusp(d["sigma"]),
-    "truncated_power_cusp": lambda d: TruncatedPowerCusp(d["gamma"], d["length"]),
-    "truncated_shrink_cusp": lambda d: TruncatedShrinkCusp(d["sigma"], d["length"]),
+    "cylinder_segment": lambda d: CylinderSegment(_number(d, "half_length")),
+    "power_cusp": lambda d: PowerCusp(_number(d, "gamma")),
+    "shrink_cusp": lambda d: ShrinkCusp(_number(d, "sigma")),
+    "truncated_power_cusp": lambda d: TruncatedPowerCusp(_number(d, "gamma"),
+                                                         _number(d, "length")),
+    "truncated_shrink_cusp": lambda d: TruncatedShrinkCusp(_number(d, "sigma"),
+                                                           _number(d, "length")),
     "complement": lambda d: Complement(region_from_dict(d["of"])),
     "intersect": lambda d: Intersect(region_from_dict(d["first"]), region_from_dict(d["second"])),
     "diff": lambda d: Diff(region_from_dict(d["keep"]), region_from_dict(d["remove"])),
@@ -574,7 +587,9 @@ _FLAG_OBJECTS = ("quadrature", "tolerances", "r_grid")
 def _check_types(d: dict) -> None:
     for flag in filter(lambda f: f.key, FLAGS):
         v = (_holder(d, flag.key) or {}).get(flag.key.rsplit(".", 1)[-1])
-        ok = isinstance(v, flag.value.types) and (not flag.choices or v in flag.choices)
+        # JSON true/false are Python ints, so only a switch takes them
+        ok = (isinstance(v, flag.value.types) and (not isinstance(v, bool) or flag.value is SWITCH)
+              and (not flag.choices or v in flag.choices))
         if v is not None and not ok:
             what = f"one of {', '.join(flag.choices)}" if flag.choices else flag.value.what
             raise ConfigError(f"config field {flag.key!r} must be {what}, got {v!r}")

@@ -25,7 +25,10 @@ meridian on which the exponent is constant, so every piece is integrated
 exactly whatever its share of the shell.  Any other integrand gets a fixed
 spherical product rule, which is accurate only for smooth integrands.
 Both radial rules are deterministic; their error is the gap to the same
-rule at half the order (for a norm, between the two roots).
+rule at half the order (for a norm, between the two roots).  The last
+Monte Carlo node set is kept in a one-slot memo keyed by (domain, quad),
+so the integrals and norms asked of one shell in a row draw it once; its
+arrays are read-only because every caller then holds the same set.
 
 Fields enter as plain callables mapping (n, 3) point arrays to scalars or
 vectors; vector values are reduced by the Euclidean magnitude.
@@ -127,14 +130,29 @@ def _resolve_domain(domain: Optional[Region]) -> Region:
     return domain if domain is not None else _WHOLE_SPACE
 
 
+# The last Monte Carlo node set, as ((domain, quad), node set), or None.
+_mc_memo: Optional[tuple[tuple[Region, Quadrature], _NodeSet]] = None
+
+
 def _mc_nodes(domain: Region, quad: Quadrature) -> _NodeSet:
+    """The Monte Carlo nodes of (domain, quad), a function of the two alone;
+    a request for the same pair as the last one returns the same set."""
+    global _mc_memo
+    key, memo = (domain, quad), _mc_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    _mc_memo = memo = None  # free the old set before the new one is drawn
     env = domain.envelope()
     blocks = list(env.strata(quad.n, quad.seed))
     points = np.concatenate([pts for _, pts in blocks])
     weights = np.concatenate([np.full(len(pts), vol / len(pts)) for vol, pts in blocks])
     ends = np.cumsum([len(pts) for _, pts in blocks]).tolist()
     slices = tuple(zip([0] + ends[:-1], ends))
-    return _NodeSet(points, weights, domain.contains(points), slices, tail_bound=env.tail_bound)
+    nodes = _NodeSet(points, weights, domain.contains(points), slices, tail_bound=env.tail_bound)
+    for array in (nodes.points, nodes.weights, nodes.inside):
+        array.setflags(write=False)
+    _mc_memo = (key, nodes)
+    return nodes
 
 
 def _product_nodes(r0: float, r1: float, n_r: int, n_mu: int, n_phi: int) -> _NodeSet:

@@ -442,6 +442,88 @@ def test_null_quadrature_keys_mean_the_default(tmp_path):
                  "--out", str(tmp_path / "out")]) == 0
 
 
+# JSON true where a number belongs: (command, config, the key the error names)
+BOOLEANS = {
+    "quadrature.n": (["volume"], {**MC_VOLUME, "quadrature": {"seed": 1, "n": True}},
+                     "config field 'quadrature.n'"),
+    "quadrature.seed": (["volume"], {**MC_VOLUME, "quadrature": {"seed": True}},
+                        "config field 'quadrature.seed'"),
+    "quadrature.rel_tol": (["volume"], {**MC_VOLUME, "quadrature": {"seed": 1, "rel_tol": True}},
+                           "config field 'quadrature.rel_tol'"),
+    "r_grid.count": (["decay"], {"exponent": CYLINDER, "r_grid": {**GRID, "count": True}},
+                     "config field 'r_grid.count'"),
+    "exponent.inner": (["certify"], {"exponent": {**CYLINDER, "inner": True}},
+                       "config field 'exponent.inner'"),
+    "region.radius": (["volume"], {"region": {"type": "ball", "radius": True},
+                                   "method": "analytic"},
+                      "'radius' must be a finite number, got True"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BOOLEANS))
+def test_json_boolean_for_a_number_is_usage_error(key, tmp_path, capsys):
+    argv, config, message = BOOLEANS[key]
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert main(argv + ["--config", str(tmp_path / "run.json"),
+                        "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: " in err and message in err
+
+
+def test_validate_still_takes_a_json_boolean(tmp_path):
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"region": {"type": "ball"}, "method": "analytic", "validate": True}))
+    assert main(["volume", "--config", str(tmp_path / "run.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+def test_region_numbers_keep_the_missing_field_message():
+    with pytest.raises(ConfigError, match="missing field 'outer'"):
+        region_from_dict({"type": "annulus", "inner": 1})
+
+
+README_LIOUVILLE = ["liouville", "--preset", "cylinder", "--inner", "5", "--outer", "4",
+                    "--field", '{"name":"decaying_solenoidal","rate":2}',
+                    "--grid-start", "8", "--grid-factor", "2", "--grid-count", "6",
+                    "--samples", "20000"]
+NORM_ON_A_BALL = ["norm", "--field", '{"name":"gaussian"}', "--exponent", '{"constant":3}',
+                  "--region", '{"type":"ball","radius":2}', "--samples", "20000", "--seed", "1"]
+
+
+def _outputs(argv, out: Path) -> list:
+    """Run argv into out; the bytes of its CSV and JSON."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", str(out)]) == 0
+    return [(out / f"{argv[0]}.{ext}").read_bytes() for ext in ("csv", "json")]
+
+
+def test_back_to_back_jobs_write_the_same_bytes(tmp_path, monkeypatch):
+    # node sets are kept between jobs in one process: a cold run, a warm
+    # one, and one after a run with another seed must agree to the byte
+    from vexlp import norms
+
+    monkeypatch.setattr(norms, "_mc_memo", None)
+    cold = _outputs(README_LIOUVILLE + ["--seed", "7"], tmp_path / "cold")
+    assert _outputs(README_LIOUVILLE + ["--seed", "7"], tmp_path / "warm") == cold
+    _outputs(README_LIOUVILLE + ["--seed", "8"], tmp_path / "other")
+    assert _outputs(README_LIOUVILLE + ["--seed", "7"], tmp_path / "after-other") == cold
+
+
+@pytest.mark.parametrize("change", [["--seed", "2"], ["--samples", "30000"],
+                                    ["--region", '{"type":"ball","radius":3}']],
+                         ids=["seed", "samples", "region"])
+def test_a_job_after_a_near_twin_writes_its_cold_bytes(change, tmp_path, monkeypatch):
+    # the twin's last node set differs from this job's first in one part of
+    # the key only, so a key that dropped that part would reuse it
+    from vexlp import norms
+
+    monkeypatch.setattr(norms, "_mc_memo", None)
+    _outputs(NORM_ON_A_BALL, tmp_path / "twin")
+    warm = _outputs(NORM_ON_A_BALL + change, tmp_path / "after-twin")
+    monkeypatch.setattr(norms, "_mc_memo", None)
+    assert _outputs(NORM_ON_A_BALL + change, tmp_path / "cold") == warm
+
+
 @pytest.fixture
 def ten_second_alarm():
     def timed_out(signum, frame):

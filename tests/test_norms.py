@@ -1,6 +1,8 @@
 """Modular and Luxemburg norm tests against closed forms and root oracles."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -462,6 +464,64 @@ def test_domain_without_nodes_integrates_to_zero():
     assert integrate(constant_one, empty, quad) == (0.0, 0.0)
     res = luxemburg_norm(constant_one, constant_field(3.0), empty, quad)
     assert res.status == "zero" and res.value == 0.0
+
+
+def test_same_request_returns_the_same_read_only_nodes():
+    shell, quad = Annulus(8, 16), Quadrature(n=20_000, seed=2)
+    nodes = _build_nodes(shell, quad)
+    # equal keys built separately hit the slot too: they compare by value
+    assert _build_nodes(Annulus(8.0, 16.0), Quadrature(n=20_000, seed=2)) is nodes
+    for array in (nodes.points, nodes.weights, nodes.inside):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("domain, quad", [
+    (Annulus(8, 16), Quadrature(n=20_000, seed=3)),
+    (Annulus(8, 16), Quadrature(n=30_000, seed=2)),
+    (Annulus(16, 32), Quadrature(n=20_000, seed=2)),
+], ids=["seed", "n", "domain"])
+def test_another_request_gets_a_fresh_set_equal_to_a_cold_build(domain, quad, monkeypatch):
+    first = _build_nodes(Annulus(8, 16), Quadrature(n=20_000, seed=2))
+    warm = _build_nodes(domain, quad)
+    assert warm is not first
+    monkeypatch.setattr(norms, "_mc_memo", None)
+    cold = _build_nodes(domain, quad)
+    assert cold is not warm
+    for name in ("points", "weights", "inside", "slices", "tail_bound"):
+        assert np.array_equal(getattr(warm, name), getattr(cold, name)), name
+
+
+def test_a_miss_releases_the_previous_set_before_drawing():
+    alive_during_build = []
+
+    class Probe(Annulus):  # an annulus that looks back while its nodes are tested
+        def _contains_batch(self, pts):
+            gc.collect()
+            alive_during_build.append(old() is not None)
+            return super()._contains_batch(pts)
+
+    old = weakref.ref(_build_nodes(Annulus(8, 16), Quadrature(n=20_000, seed=2)))
+    _build_nodes(Probe(8, 16), Quadrature(n=20_000, seed=2))
+    gc.collect()
+    assert alive_during_build == [False] and old() is None
+
+
+def test_results_do_not_depend_on_the_slot(monkeypatch):
+    p = preset(PRESETS["cylinder"]).conjugate(2)
+    cut = make_cutoff(16.0)
+    f, shell, quad = cut.size("laplacian"), cut.support(), Quadrature(n=20_000, seed=7)
+
+    def both():
+        (value,), (error,) = norms.integrate_many(lambda pts: [f(pts)], shell, quad)
+        return luxemburg_norm(f, p, shell, quad), value, error
+
+    monkeypatch.setattr(norms, "_mc_memo", None)
+    cold = both()
+    assert norms._mc_memo is not None
+    assert both() == cold
+    monkeypatch.setattr(norms, "_mc_memo", None)
+    assert both() == cold
 
 
 # ---------------------------------------------------------------------------
