@@ -163,7 +163,7 @@ def _exponent_value(v) -> float:
     return math.inf if v in ("inf", "+inf") else float(Fraction(str(v)))
 
 
-def exponent_from_dict(d: dict) -> ExponentField:
+def exponent_from_dict(d: dict, validate: bool) -> ExponentField:
     try:
         if "constant" in _spec(d, "exponent"):
             return constant_field(_exponent_value(d["constant"]))
@@ -176,14 +176,16 @@ def exponent_from_dict(d: dict) -> ExponentField:
         raise ConfigError(f"exponent spec {d!r} is missing field {exc}") from None
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad exponent spec {d!r}: {exc}") from None
-    spec = preset_spec_from_dict(d)
-    return preset(spec, validate=d.get("validate", True))
+    return preset(preset_spec_from_dict(d), validate=validate)
 
 
 def preset_spec_from_dict(d: dict) -> PresetSpec:
+    unknown = sorted(set(_spec(d, "preset")) - {"kind", "inner", "outer", "gamma", "sigma"})
+    if unknown:
+        raise ConfigError(f"unknown preset spec keys: {', '.join(unknown)}")
     try:
         return PresetSpec.make(
-            kind=_spec(d, "preset")["kind"],
+            kind=d["kind"],
             outer=str(d["outer"]),
             **{k: str(d[k]) for k in ("inner", "gamma", "sigma") if d.get(k) is not None},
         )
@@ -312,7 +314,7 @@ def _jsonify(obj):
 
 def run_norm(cfg: RunConfig):
     f = field_from_dict(cfg.fieldspec)
-    p = exponent_from_dict(cfg.exponent)
+    p = exponent_from_dict(cfg.exponent, cfg.validate)
     region = region_from_dict(cfg.region) if cfg.region else None
     res = norms.luxemburg_norm(f, p, region, cfg.quad())
     line = f"norm: value={fmt(res.value)} status={res.status}"
@@ -412,7 +414,7 @@ def run_certify(cfg: RunConfig):
 
 
 def run_lemmas(cfg: RunConfig):
-    p = exponent_from_dict(cfg.exponent)
+    p = exponent_from_dict(cfg.exponent, cfg.validate)
     region = region_from_dict(cfg.region)
     f = field_from_dict(cfg.fieldspec or {"name": "inverse_quadratic"})
     quad = cfg.quad()
@@ -661,9 +663,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         missing = [k for k in command.needs if not getattr(cfg, k)]
         if missing:
             raise ConfigError(f"'{cfg.command}' needs {' and '.join(map(repr, missing))}")
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         rows, payload, code, line = command.run(cfg)
+        out = Path(cfg.out_dir)  # made only once the run got past its specs
+        out.mkdir(parents=True, exist_ok=True)
         write_csv(out / f"{cfg.command}.csv", command.columns.split(","), rows)
         write_json(out / f"{cfg.command}.json", {"config": cfg.public_dict(), **payload})
         print(line)

@@ -274,7 +274,9 @@ def admissible_upper_bound(
     the negativity of -1 + d (p-3)/p caps p at 3d/(d-1) when d > 1.  The
     unit tube has d = 1 (no cap); the widening cusp has d = 2 gamma + 1,
     giving (6 gamma + 3) / (2 gamma); the shrinking cusp has d < 1 so even
-    an infinite inner exponent is admissible.
+    an infinite inner exponent is admissible.  The Laplacian term's cap
+    2d/(d-2), for d > 2, never binds: 3d/(d-1) < 2d/(d-2) for every d < 4,
+    and gamma <= 1 keeps d <= 3.
     """
     p_out = Fraction(p_out) if not isinstance(p_out, Fraction) else p_out
     if not Fraction(3) < p_out < Fraction(9, 2):
@@ -291,10 +293,7 @@ def admissible_upper_bound(
     if not 0 < g <= 1:
         raise PresetConstraintError(f"cusp exponent must lie in (0, 1]; got {g}")
     d = 2 * g + 1
-    caps = [Fraction(3) * d / (d - 1)]          # flux term
-    if d > 2:                                    # Laplacian term
-        caps.append(Fraction(2) * d / (d - 2))
-    return min(caps)
+    return Fraction(3) * d / (d - 1)
 
 
 # ---------------------------------------------------------------------------

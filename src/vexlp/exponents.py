@@ -35,12 +35,6 @@ RationalLike = Union[int, float, str, Fraction]
 _PROBE_RADIUS = 64.0  # bounded window used to sample unbounded regions
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
-
-
 def _conjugate_value(v: float, k: int) -> float:
     if math.isinf(v):
         return 1.0
@@ -92,9 +86,6 @@ class ExponentField:
 
     def _values(self) -> tuple[float, ...]:
         return (*(v for _, v in self.pieces), self.default)
-
-    def piece_regions(self) -> tuple[Region, ...]:
-        return tuple(region for region, _ in self.pieces)
 
     @property
     def declared_lower(self) -> float:
@@ -198,10 +189,10 @@ class PresetSpec:
             )
         return cls(
             kind=kind,
-            outer=_as_fraction(outer),
-            inner=None if inner is None else _as_fraction(inner),
-            gamma=None if gamma is None else _as_fraction(gamma),
-            sigma=None if sigma is None else _as_fraction(sigma),
+            outer=Fraction(outer),
+            inner=None if inner is None else Fraction(inner),
+            gamma=None if gamma is None else Fraction(gamma),
+            sigma=None if sigma is None else Fraction(sigma),
         )
 
     def inner_region(self) -> Region:

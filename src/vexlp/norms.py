@@ -16,19 +16,20 @@ and that sup.
 Quadrature is either stratified rejection Monte Carlo over a region
 envelope (works for any samplable region, piecewise integrands included)
 or a radial rule over origin-centered balls and shells; without a domain,
-the ball of radius 8 stands in for R^3.  For a radial
-profile (a cutoff derivative's size, `cutoff.RadialProfile`) against an
-exponent whose pieces are solids of revolution about the x1 axis, the
-radial rule is piece-aware: Gauss-Legendre in r, with cells split at the
-profile's kinks, times the exact spherical measure of each arc of the
-meridian on which the exponent is constant, so every piece is integrated
-exactly whatever its share of the shell.  Any other integrand gets a fixed
-spherical product rule, which is accurate only for smooth integrands.
-Both radial rules are deterministic; their error is the gap to the same
-rule at half the order (for a norm, between the two roots).  The last
-Monte Carlo node set is kept in a one-slot memo keyed by (domain, quad),
-so the integrals and norms asked of one shell in a row draw it once; its
-arrays are read-only because every caller then holds the same set.
+the ball of radius 8 stands in for R^3.  The radial rule is a product of
+three rules: Gauss-Legendre radii per cell, with cells split at the
+integrand's ``kinks`` (the radii where it is not smooth), Gauss-Legendre
+cosines on each arc of the meridian on which the exponent is constant,
+and uniform azimuths.  Every exponent piece must then be a solid of
+revolution about the x1 axis, and is integrated as exactly as the bulk
+whatever its share of the shell.  A radial profile (a cutoff derivative's
+size, `cutoff.RadialProfile`) needs one cosine and one azimuth per arc;
+any other integrand gets 24 of each.  The rule is deterministic; its
+error is the gap to the same rule at half the order (for a norm, between
+the two roots).  The last Monte Carlo node set is kept in a one-slot memo
+keyed by (domain, quad), so the integrals and norms asked of one shell in
+a row draw it once; its arrays are read-only because every caller then
+holds the same set.
 
 Fields enter as plain callables mapping (n, 3) point arrays to scalars or
 vectors; vector values are reduced by the Euclidean magnitude.
@@ -36,6 +37,7 @@ vectors; vector values are reduced by the Euclidean magnitude.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -44,9 +46,11 @@ import numpy as np
 
 from .cutoff import RadialProfile
 from .errors import (
+    AnalyticUnavailableError,
     ExponentRangeError,
     ExponentRelationError,
     QuadratureDomainError,
+    UnboundedRegionError,
 )
 from .exponents import ExponentField
 from .regions import Annulus, Ball, Region
@@ -54,12 +58,14 @@ from .regions import Annulus, Ball, Region
 _CAP = 1e30
 _ESS_SUP_EXTRA = 10_000
 _WHOLE_SPACE = Ball(radius=8.0)  # stands in for R^3 when no domain is given
-_PRODUCT_RULE = (96, 24, 24)  # radial, polar, azimuthal nodes; the coarse rule halves each
-# The piece-aware radial rule: Gauss-Legendre nodes per radial cell (the
-# coarse rule takes half); the polar grid, refined geometrically toward 0,
-# pi/2 and pi, where cusp tips and the shrinking cusp's flare sit, plus
-# uniform cells; and the cap on the bisection steps that locate a change
-# of exponent along a meridian (adjacent floats are reached well before).
+# The radial rule's orders: radial nodes per cell, polar nodes per arc and
+# azimuths; the coarse rule halves each.  A radial profile takes
+# (_RADIAL_ORDER, 1, 1), any other integrand _FIELD_ORDERS.  The polar
+# grid that finds the arcs is refined geometrically toward 0, pi/2 and pi,
+# where cusp tips and the shrinking cusp's flare sit, plus uniform cells;
+# the bisection steps that locate a change of exponent along a meridian
+# are capped (adjacent floats are reached well before).
+_FIELD_ORDERS = (96, 24, 24)
 _RADIAL_ORDER = 32
 _THETA_LEVELS = 60
 _THETA_CELLS = 64
@@ -73,10 +79,9 @@ class Quadrature:
 
     ``scheme`` is "mc" (stratified rejection Monte Carlo over the region
     envelope, whose x1 slabs the region decides) or "radial" (over an
-    origin-centered ball or shell: the piece-aware radial rule for the norm
-    or modular of a radial profile, the fixed spherical product rule
-    otherwise).  ``n`` is the Monte Carlo sample budget, ``seed`` its
-    stream and ``rel_tol`` the relative width of the norm's bisection.
+    origin-centered ball or shell: the radial rule of the module notes).
+    ``n`` is the Monte Carlo sample budget, ``seed`` its stream and
+    ``rel_tol`` the relative width of the norm's bisection.
     """
 
     scheme: str = "mc"
@@ -155,38 +160,30 @@ def _mc_nodes(domain: Region, quad: Quadrature) -> _NodeSet:
     return nodes
 
 
-def _product_nodes(r0: float, r1: float, n_r: int, n_mu: int, n_phi: int) -> _NodeSet:
-    r, wr = _gauss_radii(r0, r1, (), n_r)
-    xm, wm = np.polynomial.legendre.leggauss(n_mu)
-    phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
-    wphi = 2.0 * math.pi / n_phi
-    R, MU, PHI = np.meshgrid(r, xm, phi, indexing="ij")
-    WR, WM, _ = np.meshgrid(wr, wm, phi, indexing="ij")
-    s = np.sqrt(1.0 - MU**2)
-    pts = np.stack(
-        [(R * MU).ravel(), (R * s * np.cos(PHI)).ravel(), (R * s * np.sin(PHI)).ravel()],
-        axis=1,
-    )
-    weights = (WR * WM * wphi * R**2).ravel()
-    return _NodeSet(pts, weights, np.ones(len(pts), dtype=bool))
-
-
-def _radial_span(domain: Region) -> tuple[float, float]:
+def _radial_span(domain: Region) -> Optional[tuple[float, float]]:
+    """The radii bounding an origin-centered ball or shell, else None."""
     if isinstance(domain, Ball) and domain.center == (0.0, 0.0, 0.0):
         return 0.0, domain.radius
     if isinstance(domain, Annulus):
         return domain.r_inner, domain.r_outer
-    raise QuadratureDomainError(
-        "the radial rule needs an origin-centered ball or shell; "
-        f"got {type(domain).__name__}"
-    )
+    return None
+
+
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order;
+    read-only, since every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _gauss_radii(r0: float, r1: float, kinks, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre radii and weights on [r0, r1], ``order`` per cell
     between the kinks that lie inside."""
     edges = np.array([r0, *sorted(k for k in kinks if r0 < k < r1), r1])
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_legendre(order)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
@@ -221,7 +218,7 @@ def _polar_arcs(r: np.ndarray, p: ExponentField) -> tuple[np.ndarray, np.ndarray
     vals = p(_meridian(rr, tt))
     if not np.array_equal(vals, p(_meridian(rr, tt, axis=2))):
         raise QuadratureDomainError(
-            "the piece-aware radial rule needs exponent pieces that are solids "
+            "the radial rule needs exponent pieces that are solids "
             "of revolution about the x1 axis"
         )
     vals = vals.reshape(r.size, grid.size)
@@ -243,44 +240,50 @@ def _polar_arcs(r: np.ndarray, p: ExponentField) -> tuple[np.ndarray, np.ndarray
     return np.repeat(np.arange(r.size), counts + 1), start, end
 
 
-def _piece_nodes(r0: float, r1: float, kinks, p: ExponentField) -> _NodeSet:
-    """The piece-aware radial rule and, as its ``coarse`` set, the same rule
-    at half the order; one node per (radius, arc) at the arc's mid-angle,
-    weighted by w_r 2 pi r^2 (cos a - cos b), the arc's spherical measure."""
-    rules = [_gauss_radii(r0, r1, kinks, k) for k in (_RADIAL_ORDER, _RADIAL_ORDER // 2)]
-    r = np.concatenate([radii for radii, _ in rules])
-    wr = np.concatenate([w for _, w in rules])
-    row, a, b = _polar_arcs(r, p)
-    # cos a - cos b, without the cancellation of tiny arcs
-    measure = 2.0 * np.sin(0.5 * (a + b)) * np.sin(0.5 * (b - a))
-    weights = wr[row] * 2.0 * math.pi * r[row] ** 2 * measure
-    points = _meridian(r[row], 0.5 * (a + b))
-    keep = weights > 0.0
-    is_fine = row < rules[0][0].size
-
-    def node_set(mask):
-        return _NodeSet(points[mask], weights[mask], np.ones(int(mask.sum()), dtype=bool))
-
-    fine = node_set(keep & is_fine)
-    fine.coarse = node_set(keep & ~is_fine)
-    return fine
+def _arc_nodes(r, wr, row, a, b, n_mu: int, n_phi: int) -> _NodeSet:
+    """n_mu Gauss-Legendre cosines on each arc [a, b] of the meridian of
+    radius r[row], times n_phi uniform azimuths, nested in that order;
+    weights w_r w_mu (2 pi / n_phi) r^2."""
+    # the arc's mid-cosine and half-width in cosine, the latter as a
+    # product of sines, without the cancellation of tiny arcs
+    mid = 0.5 * (np.cos(a) + np.cos(b))
+    half = np.sin(0.5 * (a + b)) * np.sin(0.5 * (b - a))
+    keep = half > 0.0
+    row, mid, half = row[keep], mid[keep, None, None], half[keep, None, None]
+    x, wx = _gauss_legendre(n_mu)
+    mu, w_mu = mid + half * x[:, None], half * wx[:, None]
+    w_phi = 2.0 * math.pi / n_phi
+    phi = (np.arange(n_phi) + 0.5) * w_phi
+    rr, s = r[row][:, None, None], np.sqrt(np.maximum(1.0 - mu**2, 0.0))
+    xyz = np.broadcast_arrays(rr * mu, rr * s * np.cos(phi), rr * s * np.sin(phi))
+    weights = np.broadcast_to(wr[row][:, None, None] * w_mu * w_phi * rr**2, xyz[0].shape)
+    return _NodeSet(np.stack(xyz, axis=-1).reshape(-1, 3), weights.ravel(),
+                    np.ones(weights.size, dtype=bool))
 
 
 def _build_nodes(
     domain: Optional[Region], quad: Quadrature, f=None, p: Optional[ExponentField] = None
 ) -> _NodeSet:
-    """The frozen nodes of a quadrature over a domain.  Under the radial
-    scheme, the norm or modular of a radial profile f against p gets the
-    piece-aware rule; every other integrand gets the product rule."""
+    """The frozen nodes of a quadrature over a domain; under the radial
+    scheme, the radial rule for f against p with its half-order rule as
+    ``coarse``, the arcs found once for the radii of both."""
     dom = _resolve_domain(domain)
     if quad.scheme == "mc":
         return _mc_nodes(dom, quad)
-    r0, r1 = _radial_span(dom)
-    if isinstance(f, RadialProfile) and p is not None:
-        return _piece_nodes(r0, r1, f.kinks, p)
-    fine = _product_nodes(r0, r1, *_PRODUCT_RULE)
-    fine.coarse = _product_nodes(r0, r1, *(k // 2 for k in _PRODUCT_RULE))
-    return fine
+    if (span := _radial_span(dom)) is None:
+        raise QuadratureDomainError(
+            f"the radial rule needs an origin-centered ball or shell; got {type(dom).__name__}")
+    fine = (_RADIAL_ORDER, 1, 1) if isinstance(f, RadialProfile) else _FIELD_ORDERS
+    rules = [fine, tuple(max(k // 2, 1) for k in fine)]
+    radii = [_gauss_radii(*span, getattr(f, "kinks", ()), n_r) for n_r, _, _ in rules]
+    r, wr = (np.concatenate(parts) for parts in zip(*radii))
+    row, a, b = (_polar_arcs(r, p) if p is not None  # else one arc: the whole meridian
+                 else (np.arange(r.size), np.zeros(r.size), np.full(r.size, math.pi)))
+    is_fine = row < radii[0][0].size
+    nodes, coarse = (_arc_nodes(r, wr, row[m], a[m], b[m], *orders[1:])
+                     for m, orders in zip((is_fine, ~is_fine), rules))
+    nodes.coarse = coarse
+    return nodes
 
 
 def _magnitude(f, pts: np.ndarray) -> np.ndarray:
@@ -307,7 +310,7 @@ def _estimate(
     nodes: _NodeSet, contrib: np.ndarray, coarse: Optional[np.ndarray]
 ) -> tuple[float, float]:
     """Weighted sum of contrib and its error: the fine-minus-coarse gap of
-    the product rule (coarse: contrib on ``nodes.coarse``) or the stratified
+    the radial rule (coarse: contrib on ``nodes.coarse``) or the stratified
     standard error, plus the tail bound times the largest |contrib|."""
     value = float(np.sum(nodes.weights * contrib))
     if coarse is None:
@@ -414,7 +417,7 @@ def luxemburg_norm(
 
     Each bisection step evaluates the modular from the per-exponent
     log-moments taken in one pass over the nodes.  The quadrature part of ``abs_error`` is the gap to the root on the coarse
-    rule for the deterministic radial rules, and the propagated standard
+    rule for the deterministic radial rule, and the propagated standard
     error for Monte Carlo.
     """
     nodes, mag, pv, finite, sup_inf_piece = _frozen(f, p, domain, quad)
@@ -540,13 +543,15 @@ def constant_one(pts: np.ndarray) -> np.ndarray:
 
 
 def masked(f, region: Region):
-    """f * indicator(region)."""
+    """f * indicator(region); over an origin-centered ball or shell its
+    ``kinks`` are the region's radii, where the mask jumps."""
 
     def wrapped(pts):
         vals = np.asarray(f(pts), dtype=float)
         keep = region.contains(pts)
         return vals * (keep[:, None] if vals.ndim == 2 else keep)
 
+    wrapped.kinks = _radial_span(region) or ()
     return wrapped
 
 
@@ -614,7 +619,7 @@ def lemma1_check(
     bounds = p.essential_bounds(region, seed=quad.seed)
     try:
         vol = region.analytic_volume()
-    except Exception:
+    except (AnalyticUnavailableError, UnboundedRegionError):
         vol = region.volume("monte_carlo", n=quad.n, seed=quad.seed + 7).value
     inv_lo = 1.0 / bounds.lower
     inv_hi = 0.0 if math.isinf(bounds.upper) else 1.0 / bounds.upper

@@ -477,6 +477,40 @@ def test_validate_still_takes_a_json_boolean(tmp_path):
                  "--out", str(tmp_path / "out")]) == 0
 
 
+# a cylinder preset below its admissible band (inner must exceed 9/2)
+LOW_INNER = ["--preset", "cylinder", "--inner", "4", "--outer", "4"]
+VALIDATE_RUNS = {
+    "norm": ["norm", *LOW_INNER, "--field", '{"name":"gaussian"}', "--quad", "radial"],
+    "lemmas": ["lemmas", *LOW_INNER, "--region", '{"type":"annulus","inner":2,"outer":4}',
+               "--samples", "2000", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(VALIDATE_RUNS))
+def test_no_validate_reaches_the_exponent(command, tmp_path, capsys):
+    argv = VALIDATE_RUNS[command]
+    assert main(argv + ["--out", str(tmp_path / "checked")]) == 1
+    assert "cylinder preset needs inner exponent > 9/2" in capsys.readouterr().err
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--no-validate", "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize("command", sorted(VALIDATE_RUNS))
+def test_preset_spec_rejects_a_stray_key(command, tmp_path, capsys):
+    argv = VALIDATE_RUNS[command] + [
+        "--exponent", '{"kind":"cylinder","inner":4,"outer":4,"validate":false}']
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "usage error: unknown preset spec keys: validate" in capsys.readouterr().err
+
+
+def test_a_bad_spec_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["volume", "--region", '{"type":"nope"}', "--out", str(out)]) == 1
+    assert "usage error: unknown region type 'nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_region_numbers_keep_the_missing_field_message():
     with pytest.raises(ConfigError, match="missing field 'outer'"):
         region_from_dict({"type": "annulus", "inner": 1})

@@ -125,7 +125,7 @@ def test_piece_disjointness_and_bands():
     # cap where one applies, pinned at +inf for the shrinking cusp)
     for spec in (CYL, CUSP, SHRINK):
         field = preset(spec)
-        regions = field.piece_regions()
+        regions = [region for region, _ in field.pieces]
         pts = Ball(radius=32).sample(20_000, seed=2)
         claimed = np.zeros(pts.shape[0], dtype=int)
         for region in regions:

@@ -11,7 +11,7 @@ from vexlp import norms
 from vexlp.cutoff import make_cutoff
 from vexlp.errors import ExponentRangeError, ExponentRelationError, QuadratureDomainError
 from vexlp.exponents import PresetSpec, constant_field, preset, two_piece_field
-from vexlp.fields import gaussian_scalar, zero_scalar
+from vexlp.fields import gaussian_scalar, inverse_quadratic_scalar, zero_scalar
 from vexlp.norms import (
     Quadrature,
     _build_nodes,
@@ -586,5 +586,24 @@ def test_radial_rule_error_covers_the_doubled_order(name, kind, R, monkeypatch):
 def test_radial_rule_refuses_a_piece_off_the_axis():
     p = two_piece_field(Ball(center=(0.0, 6.0, 0.0), radius=1.0), 5.0, 4.0).conjugate(2)
     cut = make_cutoff(8.0)
-    with pytest.raises(QuadratureDomainError, match="solids of revolution"):
-        luxemburg_norm(cut.size("laplacian"), p, cut.support(), RADIAL)
+    for f in (cut.size("laplacian"), gaussian_scalar()):
+        with pytest.raises(QuadratureDomainError, match="solids of revolution"):
+            luxemburg_norm(f, p, cut.support(), RADIAL)
+
+
+@pytest.mark.parametrize("R, reference", [
+    (8, 6.562844890051), (64, 31.306689534286), (256, 88.552889228912)])
+def test_radial_norm_of_one_against_the_cylinder_closed_form(R, reference):
+    # the root of V_tube lam^-5 + V_out lam^-4 = 1 on R/2 <= |x| <= R, with
+    # V_tube = 2 (2 pi / 3) [(R^3 - (R^2 - 1)^(3/2)) - (R^3/8 - (R^2/4 - 1)^(3/2))]
+    res = luxemburg_norm(constant_one, preset(PRESETS["cylinder"]), Annulus(R / 2, R),
+                         Quadrature(scheme="radial", rel_tol=1e-10))
+    assert abs(res.value - reference) <= res.abs_error
+
+
+def test_radial_restriction_identity_on_the_readme_region():
+    # the masked integrand jumps at r = 2 and r = 4, its kinks
+    f, region = inverse_quadratic_scalar(), Annulus(2.0, 4.0)
+    assert masked(f, region).kinks == (2.0, 4.0)
+    rep = restriction_identity_check(f, preset(PRESETS["cylinder"]), region, RADIAL)
+    assert rep.deviation <= rep.tolerance and rep.deviation < 3.3e-3
