@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -607,6 +608,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # built once per process; parsing leaves no state on it
 def build_parser() -> _Parser:
     parser = _Parser(prog="vexlp", description=__doc__)
     sub = parser.add_subparsers(dest="command")

@@ -148,11 +148,13 @@ def _mc_nodes(domain: Region, quad: Quadrature) -> _NodeSet:
         return memo[1]
     _mc_memo = memo = None  # free the old set before the new one is drawn
     env = domain.envelope()
-    blocks = list(env.strata(quad.n, quad.seed))
-    points = np.concatenate([pts for _, pts in blocks])
-    weights = np.concatenate([np.full(len(pts), vol / len(pts)) for vol, pts in blocks])
-    ends = np.cumsum([len(pts) for _, pts in blocks]).tolist()
+    boxes, vols, counts, rngs = zip(*env.strata(quad.n, quad.seed))
+    ends = np.cumsum(counts).tolist()
     slices = tuple(zip([0] + ends[:-1], ends))
+    points = np.empty((ends[-1], 3))
+    for box, rng, (a, b) in zip(boxes, rngs, slices):
+        box.sample(rng, b - a, out=points[a:b])
+    weights = np.repeat(np.array(vols) / counts, counts)
     nodes = _NodeSet(points, weights, domain.contains(points), slices, tail_bound=env.tail_bound)
     for array in (nodes.points, nodes.weights, nodes.inside):
         array.setflags(write=False)

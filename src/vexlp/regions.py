@@ -13,6 +13,9 @@ stratified along x1 wherever the cross-section radius varies.  The
 shrinking-cusp family flares near x1 = 0 (the cross-section radius
 diverges), so its envelope uses geometrically refined strata toward 0 and
 reports the volume of the omitted sliver as part of the error estimate.
+A Monte Carlo volume counts each stratum chunk by chunk in one buffer, so
+its memory does not grow with the sample count; the chunks continue the
+stratum's stream, so its draws are those of one whole-stratum draw.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ _UNIFORM_LEVELS = 16
 # draws: an empty region would otherwise loop forever
 _DRAW_BUDGET = 1 << 22
 _DRAWS_PER_POINT = 1024
+_CHUNK = 1 << 16  # rows a Monte Carlo volume draws and tests at a time
 
 
 def as_points(x) -> tuple[np.ndarray, bool]:
@@ -54,10 +58,13 @@ class Box:
     def volume(self) -> float:
         return math.prod(h - l for l, h in zip(self.lo, self.hi))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return lo + rng.random((n, 3)) * (hi - lo)
+    def sample(self, rng: np.random.Generator, n: int, out=None) -> np.ndarray:
+        """n uniform points, in ``out`` if given: lo + rng.random((n, 3)) * (hi - lo)."""
+        out = rng.random((n, 3), out=out)
+        for col, l, h in zip(out.T, self.lo, self.hi):  # in place, column by column
+            col *= h - l
+            col += l
+        return out
 
 
 @dataclass(frozen=True)
@@ -88,13 +95,13 @@ class Envelope:
         return np.array([b.volume() for b in self.boxes])
 
     def strata(self, n: int, seed: int):
-        """(box volume, points) for each box: n points split by volume, at
-        least one per box, each box drawn from its own spawned stream."""
+        """(box, volume, count, generator) per box: n points split by volume,
+        at least one per box, for the caller to draw from the box's own stream."""
         vols = self.volumes()
         alloc = np.maximum(1, np.round(n * vols / vols.sum()).astype(int))
         streams = np.random.SeedSequence(seed).spawn(len(self.boxes))
         for box, vol, n_i, ss in zip(self.boxes, vols, alloc, streams):
-            yield vol, box.sample(np.random.default_rng(ss), int(n_i))
+            yield box, vol, int(n_i), np.random.default_rng(ss)
 
 
 @dataclass(frozen=True)
@@ -193,12 +200,16 @@ class Region(ABC):
         if method != "monte_carlo":
             raise ValueError(f"unknown volume method {method!r}")
         env = self.envelope()
-        total = 0.0
-        var = 0.0
-        for vol, pts in env.strata(n, seed):  # one box at a time: no budget-sized array
-            p = float(np.mean(self._contains_batch(pts)))
+        total = var = 0.0
+        buf = np.empty((min(_CHUNK, max(n, 1)), 3))  # every count is at most max(n, 1)
+        for box, vol, n_i, rng in env.strata(n, seed):
+            hits = 0
+            for start in range(0, n_i, _CHUNK):
+                pts = box.sample(rng, m := min(_CHUNK, n_i - start), out=buf[:m])
+                hits += int(np.count_nonzero(self._contains_batch(pts)))
+            p = hits / n_i
             total += vol * p
-            var += vol**2 * p * (1.0 - p) / len(pts)
+            var += vol**2 * p * (1.0 - p) / n_i
         return VolumeEstimate(total, math.sqrt(var) + env.tail_bound)
 
 

@@ -543,6 +543,15 @@ def test_back_to_back_jobs_write_the_same_bytes(tmp_path, monkeypatch):
     assert _outputs(README_LIOUVILLE + ["--seed", "7"], tmp_path / "after-other") == cold
 
 
+def test_the_shared_parser_keeps_no_state_between_runs(tmp_path, capsys):
+    # main reuses one parser per process: a usage error between two equal
+    # runs must change neither their bytes nor its own exit status
+    first = _outputs(CASES["volume"], tmp_path / "first")
+    assert main(["volume", "--quad", "nope", "--out", str(tmp_path / "bad")]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert _outputs(CASES["volume"], tmp_path / "second") == first
+
+
 @pytest.mark.parametrize("change", [["--seed", "2"], ["--samples", "30000"],
                                     ["--region", '{"type":"ball","radius":3}']],
                          ids=["seed", "samples", "region"])

@@ -8,14 +8,17 @@ not.
 
 import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vexlp.errors import AnalyticUnavailableError, SamplingBudgetError, UnboundedRegionError
 from vexlp.regions import (
+    _CHUNK,
     Annulus,
     Ball,
+    Box,
     Complement,
     Cylinder,
     CylinderSegment,
@@ -144,6 +147,53 @@ def test_monte_carlo_agrees_with_analytic(region):
     exact = region.volume().value
     est = region.volume("monte_carlo", n=200_000, seed=20)
     assert abs(est.value - exact) <= 3.0 * est.std_error + 1e-12 * exact
+
+
+# ---------------------------------------------------------------------------
+# chunked Monte Carlo volume: the draws and the counts of one whole draw
+
+
+def _one_shot_volume(region, n, seed):
+    """The stratified estimate with each stratum drawn and tested at once."""
+    env = region.envelope()
+    total = var = 0.0
+    for box, vol, n_i, rng in env.strata(n, seed):
+        lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+        p = float(np.mean(region.contains(lo + rng.random((n_i, 3)) * (hi - lo))))
+        total += vol * p
+        var += vol**2 * p * (1.0 - p) / n_i
+    return total, math.sqrt(var) + env.tail_bound
+
+
+@pytest.mark.parametrize("region, n, boxes", [
+    (Ball(radius=1), 2 * _CHUNK + 7, 1),
+    (Intersect(Annulus(128, 256), ShrinkCusp(0.5)), 3 * _CHUNK, 120),
+], ids=["one-box", "shell-cusp"])
+def test_chunked_volume_equals_one_shot_draw(region, n, boxes):
+    assert len(region.envelope().boxes) == boxes
+    est = region.volume("monte_carlo", n=n, seed=4)
+    assert (est.value, est.std_error) == _one_shot_volume(region, n, 4)
+
+
+def test_box_sample_equals_broadcast_affine_step():
+    box = Box((-1.0, 2.0, -3.5), (0.5, 7.0, 1e-3))
+    n = _CHUNK + 3
+    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+    expected = lo + np.random.default_rng(9).random((n, 3)) * (hi - lo)
+    assert (box.sample(np.random.default_rng(9), n) == expected).all()
+    out = np.empty((n, 3))
+    assert box.sample(np.random.default_rng(9), n, out=out) is out
+    assert (out == expected).all()
+
+
+def test_monte_carlo_volume_memory_does_not_grow_with_samples():
+    tracemalloc.start()
+    try:
+        Annulus(1, 2).volume("monte_carlo", n=4_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
