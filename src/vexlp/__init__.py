@@ -61,14 +61,11 @@ from .regions import (
     Ball,
     Complement,
     Cylinder,
-    CylinderSegment,
     Diff,
     Intersect,
     PowerCusp,
     Region,
     ShrinkCusp,
-    TruncatedPowerCusp,
-    TruncatedShrinkCusp,
 )
 
 __version__ = "0.1.0"

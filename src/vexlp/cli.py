@@ -50,14 +50,11 @@ from .regions import (
     Ball,
     Complement,
     Cylinder,
-    CylinderSegment,
     Diff,
     Intersect,
     PowerCusp,
     Region,
     ShrinkCusp,
-    TruncatedPowerCusp,
-    TruncatedShrinkCusp,
 )
 
 
@@ -71,9 +68,13 @@ def fmt(x: Any) -> str:
 # configuration grammar
 
 
-def _spec(d, what: str) -> dict:
+def _spec(d, what: str, keys=None) -> dict:
+    """``d`` as a JSON object; given ``keys``, one holding no other key."""
     if not isinstance(d, dict):
         raise ConfigError(f"{what} spec must be a JSON object, got {d!r}")
+    unknown = sorted(set(d) - set(keys)) if keys is not None else ()
+    if unknown:
+        raise ConfigError(f"unknown {what} spec keys: {', '.join(unknown)}")
     return d
 
 
@@ -95,46 +96,53 @@ def _point(d: dict, key: str, default: tuple) -> tuple:
     return tuple(_finite(key, v) for v in values)
 
 
+# a grammar entry: the keys its spec may hold besides its type or name, and
+# its builder; a truncated family is the family class with an axial bound
 REGION_TYPES = {
-    "ball": lambda d: Ball(_point(d, "center", (0.0, 0.0, 0.0)), _number(d, "radius", 1.0)),
-    "annulus": lambda d: Annulus(_number(d, "inner"), _number(d, "outer")),
-    "cylinder": lambda d: Cylinder(),
-    "cylinder_segment": lambda d: CylinderSegment(_number(d, "half_length")),
-    "power_cusp": lambda d: PowerCusp(_number(d, "gamma")),
-    "shrink_cusp": lambda d: ShrinkCusp(_number(d, "sigma")),
-    "truncated_power_cusp": lambda d: TruncatedPowerCusp(_number(d, "gamma"),
-                                                         _number(d, "length")),
-    "truncated_shrink_cusp": lambda d: TruncatedShrinkCusp(_number(d, "sigma"),
-                                                           _number(d, "length")),
-    "complement": lambda d: Complement(region_from_dict(d["of"])),
-    "intersect": lambda d: Intersect(region_from_dict(d["first"]), region_from_dict(d["second"])),
-    "diff": lambda d: Diff(region_from_dict(d["keep"]), region_from_dict(d["remove"])),
+    "ball": ("center radius", lambda d: Ball(_point(d, "center", (0.0, 0.0, 0.0)),
+                                             _number(d, "radius", 1.0))),
+    "annulus": ("inner outer", lambda d: Annulus(_number(d, "inner"), _number(d, "outer"))),
+    "cylinder": ("", lambda d: Cylinder()),
+    "cylinder_segment": ("half_length", lambda d: Cylinder(_number(d, "half_length"))),
+    "power_cusp": ("gamma", lambda d: PowerCusp(_number(d, "gamma"))),
+    "shrink_cusp": ("sigma", lambda d: ShrinkCusp(_number(d, "sigma"))),
+    "truncated_power_cusp": ("gamma length", lambda d: PowerCusp(_number(d, "gamma"),
+                                                                 _number(d, "length"))),
+    "truncated_shrink_cusp": ("sigma length", lambda d: ShrinkCusp(_number(d, "sigma"),
+                                                                   _number(d, "length"))),
+    "complement": ("of", lambda d: Complement(region_from_dict(d["of"]))),
+    "intersect": ("first second", lambda d: Intersect(region_from_dict(d["first"]),
+                                                      region_from_dict(d["second"]))),
+    "diff": ("keep remove", lambda d: Diff(region_from_dict(d["keep"]),
+                                           region_from_dict(d["remove"]))),
 }
 
 FIELD_TYPES = {
-    "zero": lambda d: fields.zero_vector(),
-    "gradient_counterexample": lambda d: fields.gradient_counterexample()[0],
-    "decaying_solenoidal": lambda d: fields.decaying_solenoidal(_number(d, "rate")),
-    "gaussian": lambda d: fields.gaussian_scalar(),
-    "inverse_quadratic": lambda d: fields.inverse_quadratic_scalar(),
-    "constant": lambda d: fields.constant_scalar(_number(d, "value", 1.0)),
+    "zero": ("", lambda d: fields.zero_vector()),
+    "gradient_counterexample": ("", lambda d: fields.gradient_counterexample()[0]),
+    "decaying_solenoidal": ("rate", lambda d: fields.decaying_solenoidal(_number(d, "rate"))),
+    "gaussian": ("", lambda d: fields.gaussian_scalar()),
+    "inverse_quadratic": ("", lambda d: fields.inverse_quadratic_scalar()),
+    "constant": ("value", lambda d: fields.constant_scalar(_number(d, "value", 1.0))),
 }
 
 PRESSURE_TYPES = {
-    "zero": lambda d: fields.zero_scalar(),
-    "counterexample": lambda d: fields.gradient_counterexample()[1],
-    "gradient_counterexample": lambda d: fields.gradient_counterexample()[1],
-    "constant": lambda d: fields.constant_scalar(_number(d, "value", 0.0)),
+    "zero": ("", lambda d: fields.zero_scalar()),
+    "counterexample": ("", lambda d: fields.gradient_counterexample()[1]),
+    "gradient_counterexample": ("", lambda d: fields.gradient_counterexample()[1]),
+    "constant": ("value", lambda d: fields.constant_scalar(_number(d, "value", 0.0))),
 }
 
 
 def _build(types: dict, d, key: str, what: str):
-    """Look up ``d[key]`` in a grammar table and build it from ``d``."""
+    """Look up ``d[key]`` in a grammar table and build it from ``d``, which
+    may hold only the keys the entry declares."""
     name = _spec(d, what).get(key)
     if not isinstance(name, str) or name not in types:
         raise ConfigError(f"unknown {what} {key} {name!r}")
+    keys, builder = types[name]
     try:
-        return types[name](d)
+        return builder(_spec(d, what, {key, *keys.split()}))
     except KeyError as exc:
         raise ConfigError(f"{what} spec {d!r} is missing field {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -167,10 +175,12 @@ def _exponent_value(v) -> float:
 def exponent_from_dict(d: dict, validate: bool) -> ExponentField:
     try:
         if "constant" in _spec(d, "exponent"):
-            return constant_field(_exponent_value(d["constant"]))
+            return constant_field(_exponent_value(_spec(d, "exponent", {"constant"})["constant"]))
         if "pieces" in d:
+            _spec(d, "exponent", {"pieces", "default"})
             pieces = tuple(
-                (region_from_dict(p["region"]), _exponent_value(p["value"])) for p in d["pieces"]
+                (region_from_dict(p["region"]), _exponent_value(p["value"]))
+                for p in (_spec(e, "exponent piece", {"region", "value"}) for e in d["pieces"])
             )
             return ExponentField(pieces, _exponent_value(d["default"]))
     except KeyError as exc:
@@ -181,9 +191,7 @@ def exponent_from_dict(d: dict, validate: bool) -> ExponentField:
 
 
 def preset_spec_from_dict(d: dict) -> PresetSpec:
-    unknown = sorted(set(_spec(d, "preset")) - {"kind", "inner", "outer", "gamma", "sigma"})
-    if unknown:
-        raise ConfigError(f"unknown preset spec keys: {', '.join(unknown)}")
+    _spec(d, "preset", {"kind", "inner", "outer", "gamma", "sigma"})
     try:
         return PresetSpec.make(
             kind=d["kind"],

@@ -39,7 +39,7 @@ from .norms import (
     integrate_many,
     luxemburg_norm,
 )
-from .regions import Ball, Complement, Diff, Intersect, Region
+from .regions import Ball
 
 SLOPE_MARGIN = 0.15
 _ZERO_FLOOR = 1e-12
@@ -148,7 +148,6 @@ def beta_terms(
 class NormDecayReport:
     kind: str
     total: DecayFit
-    per_piece: dict[str, DecayFit]
     norm_errors: tuple[float, ...]
 
 
@@ -157,14 +156,11 @@ def cutoff_norm_decay(
     conjugate_field: ExponentField,
     r_grid: Sequence[float],
     quad: Quadrature = Quadrature(),
-    piece_regions: Optional[dict[str, Region]] = None,
 ) -> NormDecayReport:
     """Luxemburg norms of a cutoff derivative over a geometric radius grid.
 
     ``kind`` selects the Laplacian (pairs with the 2-conjugate) or the
-    gradient magnitude (pairs with the 3-conjugate).  Optionally also fits
-    each named sub-region separately, e.g. the shell inside and outside a
-    preset's inner region.
+    gradient magnitude (pairs with the 3-conjugate).
     """
     if kind not in ("laplacian", "gradient"):
         raise ValueError(f"kind must be 'laplacian' or 'gradient', got {kind!r}")
@@ -172,28 +168,13 @@ def cutoff_norm_decay(
         raise ValueError("decay grids need at least four radii")
     radii = [float(r) for r in r_grid]
     totals, errors = [], []
-    partials: dict[str, list[float]] = {name: [] for name in (piece_regions or {})}
     for i, R in enumerate(radii):
         cut = make_cutoff(R)
-        shell = cut.support()
-        f = cut.size(kind)
-        q_i = quad.with_seed(quad.seed + 101 * i)
-        res = luxemburg_norm(f, conjugate_field, shell, q_i)
+        res = luxemburg_norm(cut.size(kind), conjugate_field, cut.support(),
+                             quad.with_seed(quad.seed + 101 * i))
         totals.append(res.value)
         errors.append(res.abs_error)
-        for name, region in (piece_regions or {}).items():
-            sub = (
-                Intersect(shell, region)
-                if not isinstance(region, Complement)
-                else Diff(shell, region.inner)
-            )
-            partials[name].append(luxemburg_norm(f, conjugate_field, sub, q_i).value)
-    return NormDecayReport(
-        kind,
-        fit_decay(radii, totals),
-        {name: fit_decay(radii, vals) for name, vals in partials.items()},
-        tuple(errors),
-    )
+    return NormDecayReport(kind, fit_decay(radii, totals), tuple(errors))
 
 
 # ---------------------------------------------------------------------------

@@ -677,15 +677,21 @@ def holder_check(
     domain: Optional[Region] = None,
     quad: Quadrature = Quadrature(),
 ) -> CheckReport:
-    """Ratio ||f g||_p / (||f||_q ||g||_r) under 1/p = 1/q + 1/r."""
-    dom = _resolve_domain(domain)
-    probe = dom.sample(4096, quad.seed + 17)
-    with np.errstate(divide="ignore"):
-        gap = np.abs(1.0 / p(probe) - 1.0 / q(probe) - 1.0 / r(probe))
-    if float(gap.max()) > 1e-9:
+    """Ratio ||f g||_p / (||f||_q ||g||_r) under 1/p = 1/q + 1/r.
+
+    The relation is checked on the exponent tables, with 1/inf = 0: q and r
+    must list p's piece regions in p's order (a q or r defined on other
+    regions is refused), and the values of each piece, and the defaults,
+    must satisfy it to 1e-9.  Either failure raises ExponentRelationError.
+    """
+    regions = [region for region, _ in p.pieces]
+    if any([region for region, _ in e.pieces] != regions for e in (q, r)):
+        raise ExponentRelationError("q and r must list the piece regions of p, in its order")
+    inv = 1.0 / np.array([[*(v for _, v in e.pieces), e.default] for e in (p, q, r)])
+    gap = float(np.abs(inv[0] - inv[1] - inv[2]).max())
+    if gap > 1e-9:
         raise ExponentRelationError(
-            "pointwise relation 1/p = 1/q + 1/r fails; "
-            f"largest sampled gap {float(gap.max()):.3e}"
+            f"relation 1/p = 1/q + 1/r fails on the exponent tables; largest gap {gap:.3e}"
         )
     n_fg = luxemburg_norm(pointwise_product(f, g), p, domain, quad)
     n_f = luxemburg_norm(f, q, domain, quad)

@@ -1,10 +1,12 @@
 """Semi-algebraic subsets of R^3: membership, uniform sampling, volume.
 
 Concrete descriptors cover the sets the decay estimates integrate over:
-balls and annular shells around the origin, the infinite unit tube about
-the x1 axis, solids of revolution whose cross-section radius follows a
-power law in x1 (widening as x1^gamma or shrinking as x1^(-sigma/2)),
-their finite truncations, and boolean combinations.
+balls and annular shells around the origin, the unit tube about the x1
+axis, solids of revolution whose cross-section radius follows a power law
+in x1 (widening as x1^gamma or shrinking as x1^(-sigma/2)), and boolean
+combinations.  Each of the three axial families is one class whose axial
+bound (``half_length`` or ``length``) defaults to inf, the unbounded set;
+a finite bound clips it to a finite volume.
 
 Membership treats boundary points as members (closed sets) so repeated
 evaluation is deterministic.  Sampling and Monte Carlo volume run over an
@@ -293,32 +295,22 @@ class Annulus(Region):
 
 @dataclass(frozen=True)
 class Cylinder(Region):
-    """Infinite tube of radius 1 about the x1 axis."""
+    """Tube of radius 1 about the x1 axis, clipped to |x1| <= half_length;
+    volume 2*pi*half_length, and the default inf is the infinite tube."""
 
-    def _contains_batch(self, pts):
-        return _axis_dist_sq(pts) <= 1.0
-
-    def analytic_volume(self):
-        raise UnboundedRegionError("the infinite tube has infinite volume")
-
-    def _extent(self):
-        return Extent(-math.inf, math.inf, lambda a, b: 1.0)
-
-
-@dataclass(frozen=True)
-class CylinderSegment(Region):
-    """Unit tube clipped to |x1| <= half_length; volume 2*pi*half_length."""
-
-    half_length: float
+    half_length: float = math.inf
 
     def __post_init__(self):
         if not self.half_length > 0:
             raise ValueError("half_length must be positive")
 
     def _contains_batch(self, pts):
-        return (_axis_dist_sq(pts) <= 1.0) & (np.abs(pts[:, 0]) <= self.half_length)
+        tube = _axis_dist_sq(pts) <= 1.0
+        return tube if math.isinf(self.half_length) else tube & (np.abs(pts[:, 0]) <= self.half_length)
 
     def analytic_volume(self):
+        if math.isinf(self.half_length):
+            raise UnboundedRegionError("the infinite tube has infinite volume")
         return 2.0 * math.pi * self.half_length
 
     def _extent(self):
@@ -405,18 +397,6 @@ def _cusp_contains(pts: np.ndarray, power: float, length: float) -> np.ndarray:
         bound = np.where(x1 > 0, np.abs(x1) ** power, -1.0)
     mask = (x1 > 0) & (_axis_dist_sq(pts) <= bound)
     return mask & (x1 <= length) if math.isfinite(length) else mask
-
-
-# A truncated family is its parent with a required length; the subclass
-# only gives it its own constructor name and repr.
-@dataclass(frozen=True)
-class TruncatedPowerCusp(PowerCusp):
-    length: float
-
-
-@dataclass(frozen=True)
-class TruncatedShrinkCusp(ShrinkCusp):
-    length: float
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,9 @@ from test_cli import CASES, GOLDEN, fingerprint  # noqa: E402
 from vexlp.cli import main  # noqa: E402
 
 # runs outside CASES and the README that reach the Monte Carlo norm, an
-# infinite exponent piece, the radial shell terms, Monte Carlo cutoff norms
-# and the piece-aware radial rule on the shrinking cusp
+# infinite exponent piece, the radial shell terms, Monte Carlo cutoff norms,
+# the piece-aware radial rule on the shrinking cusp, and the bounded tube
+# and widening cusp of the region grammar
 EXTRA = {
     "norm-mc-cylinder": [
         "norm", "--field", '{"name":"inverse_quadratic"}', "--preset", "cylinder",
@@ -65,6 +66,17 @@ EXTRA = {
     "decay-shrink-cusp": [
         "decay", "--preset", "shrink_cusp", "--sigma", "1/2", "--outer", "4",
         "--grid-start", "8", "--grid-factor", "2", "--grid-count", "6"],
+    "volume-mc-cylinder-segment": [
+        "volume", "--region", '{"type":"cylinder_segment","half_length":10}',
+        "--method", "monte_carlo", "--samples", "100000", "--seed", "3"],
+    "volume-mc-truncated-power-cusp": [
+        "volume", "--region", '{"type":"truncated_power_cusp","gamma":0.5,"length":4}',
+        "--method", "monte_carlo", "--samples", "100000", "--seed", "3"],
+    "lemmas-shell-cylinder-segment": [
+        "lemmas", "--preset", "cylinder", "--inner", "5", "--outer", "4", "--region",
+        '{"type":"intersect","first":{"type":"annulus","inner":2,"outer":4},'
+        '"second":{"type":"cylinder_segment","half_length":3}}',
+        "--samples", "50000", "--seed", "3"],
 }
 
 

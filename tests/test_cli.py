@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from vexlp import __version__
 from vexlp.cli import COMMANDS, RunConfig, main, region_from_dict
 from vexlp.errors import ConfigError
+from vexlp.regions import Cylinder, PowerCusp, ShrinkCusp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -502,6 +503,46 @@ def test_preset_spec_rejects_a_stray_key(command, tmp_path, capsys):
         "--exponent", '{"kind":"cylinder","inner":4,"outer":4,"validate":false}']
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert "usage error: unknown preset spec keys: validate" in capsys.readouterr().err
+
+
+NORM_ARGS = ["--field", '{"name":"gaussian"}', "--quad", "radial"]
+# one run per grammar whose spec holds a key no entry of it declares; each
+# used to exit 0 with the key ignored, or fail with a misleading message
+STRAY_KEYS = {
+    "region": (["volume", "--region", '{"type":"ball","centre":[5,0,0],"radius":1}'],
+               "unknown region spec keys: centre"),
+    "field": (["norm", "--exponent", '{"constant":3}', "--region", '{"type":"ball"}',
+               "--field", '{"name":"constant","valeu":3}', "--quad", "radial"],
+              "unknown field spec keys: valeu"),
+    "cusp-length": (["volume", "--region", '{"type":"power_cusp","gamma":0.5,"length":4}'],
+                    "unknown region spec keys: length"),
+    "pressure": (["alpha-beta", "--field", '{"name":"zero"}', "--radii", "4,8",
+                  "--pressure", '{"name":"constant","value":1,"rate":2}', "--quad", "radial"],
+                 "unknown pressure spec keys: rate"),
+    "constant-exponent": (["norm", "--exponent", '{"constant":3,"default":4}', *NORM_ARGS],
+                          "unknown exponent spec keys: default"),
+    "pieces-exponent": (["norm", "--exponent", '{"pieces":[],"default":3,"kind":"cylinder"}',
+                         *NORM_ARGS], "unknown exponent spec keys: kind"),
+    "piece-entry": (["norm", "--exponent", '{"pieces":[{"region":{"type":"ball"},"value":3,'
+                     '"valeu":4}],"default":3}', *NORM_ARGS],
+                    "unknown exponent piece spec keys: valeu"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_KEYS))
+def test_a_stray_spec_key_is_a_usage_error(case, tmp_path, capsys):
+    argv, message = STRAY_KEYS[case]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_segment_and_truncated_names_build_the_family_class():
+    assert region_from_dict({"type": "cylinder_segment", "half_length": 10}) == Cylinder(10.0)
+    assert region_from_dict({"type": "truncated_power_cusp", "gamma": 0.5,
+                             "length": 4}) == PowerCusp(0.5, 4.0)
+    assert region_from_dict({"type": "truncated_shrink_cusp", "sigma": 0.5,
+                             "length": 4}) == ShrinkCusp(0.5, 4.0)
 
 
 def test_a_bad_spec_leaves_no_output_directory(tmp_path, capsys):

@@ -26,7 +26,6 @@ from vexlp.fields import (
     zero_vector,
 )
 from vexlp.norms import Quadrature
-from vexlp.regions import ShrinkCusp
 
 RADIAL = Quadrature(scheme="radial")
 CYL = PresetSpec.make("cylinder", outer=4, inner=5)
@@ -159,17 +158,6 @@ def test_cutoff_norm_decay_constant_exponent():
     rep = cutoff_norm_decay("laplacian", constant_field(2.0), GRID,
                             Quadrature(n=100_000, seed=8))
     assert rep.total.slope == pytest.approx(-0.5, abs=0.1)
-
-
-def test_cutoff_norm_decay_shrink_cusp_piece():
-    sigma = 0.25
-    shrink = PresetSpec.make("shrink_cusp", outer=4, sigma=Fraction(1, 4))
-    conj = preset(shrink).conjugate(2)
-    rep = cutoff_norm_decay(
-        "laplacian", conj, GRID, Quadrature(n=150_000, seed=9),
-        piece_regions={"inner": ShrinkCusp(sigma)},
-    )
-    assert rep.per_piece["inner"].slope == pytest.approx(-1.0 - sigma, abs=0.15)
 
 
 PRESET_MATRIX = [

@@ -36,10 +36,10 @@ from vexlp.regions import (
     Annulus,
     Ball,
     Cylinder,
-    CylinderSegment,
     Intersect,
+    PowerCusp,
+    Region,
     ShrinkCusp,
-    TruncatedShrinkCusp,
 )
 
 MC = Quadrature(n=100_000, seed=0)
@@ -345,6 +345,29 @@ def test_holder_relation_violation():
                      constant_field(3.0), constant_field(4.0), Ball(radius=1), MC)
 
 
+def test_holder_relation_is_read_off_the_tables(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the relation check draws no points")
+
+    monkeypatch.setattr(Region, "sample", no_sampling)
+    rep = holder_check(constant_one, constant_one, constant_field(2.0),
+                       constant_field(4.0), constant_field(4.0), Ball(radius=1), MC)
+    assert rep.passed
+    # a two-piece preset against its doubled exponent: 1/p = 1/(2p) + 1/(2p)
+    p = preset(PresetSpec.make("cylinder", outer=4, inner=5))
+    rep = holder_check(constant_one, constant_one, p, p.divided_by(0.5), p.divided_by(0.5),
+                       Ball(radius=2), RADIAL)
+    assert rep.passed
+
+
+def test_holder_refuses_exponents_on_other_regions():
+    # q equals 4 everywhere, but its table lists a piece p does not have
+    q = two_piece_field(PowerCusp(0.5), 4.0, 4.0)
+    with pytest.raises(ExponentRelationError, match="piece regions"):
+        holder_check(constant_one, constant_one, constant_field(2.0), q,
+                     constant_field(4.0), Ball(radius=1), MC)
+
+
 def test_pointwise_product_vector_dot():
     f = lambda pts: np.stack([pts[:, 0], pts[:, 1], pts[:, 2]], axis=1)
     prod = pointwise_product(f, f)
@@ -445,7 +468,7 @@ def test_quadrature_rejects_unusable_budgets(bad):
 
 
 @pytest.mark.parametrize("region", [
-    Intersect(Annulus(8, 16), Cylinder()), TruncatedShrinkCusp(0.5, 16.0),
+    Intersect(Annulus(8, 16), Cylinder()), ShrinkCusp(0.5, 16.0),
 ], ids=["shell-tube", "shrink-cusp"])
 def test_mc_volume_counts_the_norm_nodes(region):
     # one stratified draw: the volume's hit count is the in-domain weight
@@ -458,7 +481,7 @@ def test_mc_volume_counts_the_norm_nodes(region):
 
 
 def test_domain_without_nodes_integrates_to_zero():
-    empty = Intersect(Annulus(8, 16), CylinderSegment(0.001))
+    empty = Intersect(Annulus(8, 16), Cylinder(0.001))
     quad = Quadrature(n=20_000, seed=1)
     assert not _build_nodes(empty, quad).inside.any()
     assert integrate(constant_one, empty, quad) == (0.0, 0.0)

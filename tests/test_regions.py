@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vexlp.cli import region_from_dict
 from vexlp.errors import AnalyticUnavailableError, SamplingBudgetError, UnboundedRegionError
 from vexlp.regions import (
     _CHUNK,
@@ -21,13 +22,10 @@ from vexlp.regions import (
     Box,
     Complement,
     Cylinder,
-    CylinderSegment,
     Diff,
     Intersect,
     PowerCusp,
     ShrinkCusp,
-    TruncatedPowerCusp,
-    TruncatedShrinkCusp,
 )
 
 
@@ -109,9 +107,9 @@ def test_constructor_validation():
 
 
 def test_analytic_volumes():
-    assert CylinderSegment(10).volume().value == pytest.approx(20 * math.pi)
-    assert TruncatedPowerCusp(0.5, 4).volume().value == pytest.approx(8 * math.pi)
-    assert TruncatedShrinkCusp(0.5, 16).volume().value == pytest.approx(8 * math.pi)
+    assert Cylinder(10).volume().value == pytest.approx(20 * math.pi)
+    assert PowerCusp(0.5, 4).volume().value == pytest.approx(8 * math.pi)
+    assert ShrinkCusp(0.5, 16).volume().value == pytest.approx(8 * math.pi)
     assert Ball(radius=2).volume().value == pytest.approx(32 * math.pi / 3)
     assert Annulus(1, 2).volume().value == pytest.approx(4 * math.pi / 3 * 7)
 
@@ -131,15 +129,24 @@ def test_volume_errors():
 # Monte Carlo vs analytic: 3 reported standard errors
 
 
+def _bounded_family(kind: str, **params):
+    """A bounded axial family built from its config grammar entry; its id is
+    the entry's name in CamelCase with the parameters, the name the case
+    has always had in this suite."""
+    name = kind.title().replace("_", "")
+    args = ", ".join(f"{k}={v!r}" for k, v in params.items())
+    return pytest.param(region_from_dict({"type": kind, **params}), id=f"{name}({args})")
+
+
 MC_CASES = []
 for R in (2.0, 8.0, 32.0):
     MC_CASES.append(Ball(radius=R))
     MC_CASES.append(Annulus(R / 2, R))
-    MC_CASES.append(CylinderSegment(R))
+    MC_CASES.append(_bounded_family("cylinder_segment", half_length=R))
 for e in (0.25, 0.5, 0.75):
     for R in (2.0, 8.0, 32.0):
-        MC_CASES.append(TruncatedPowerCusp(e, R))
-        MC_CASES.append(TruncatedShrinkCusp(e, R))
+        MC_CASES.append(_bounded_family("truncated_power_cusp", gamma=e, length=R))
+        MC_CASES.append(_bounded_family("truncated_shrink_cusp", sigma=e, length=R))
 
 
 @pytest.mark.parametrize("region", MC_CASES, ids=lambda r: repr(r))
@@ -201,7 +208,7 @@ def test_monte_carlo_volume_memory_does_not_grow_with_samples():
 
 
 def test_sampler_points_are_members():
-    for region in (Ball(radius=1), Annulus(1, 2), TruncatedShrinkCusp(0.5, 16)):
+    for region in (Ball(radius=1), Annulus(1, 2), ShrinkCusp(0.5, 16)):
         pts = region.sample(1000, seed=7)
         assert pts.shape == (1000, 3)
         assert bool(region.contains(pts).all())
@@ -346,14 +353,14 @@ def test_shell_minus_cylinder_volume():
 
 
 def test_one_class_per_cusp_family():
-    assert isinstance(TruncatedPowerCusp(0.5, 4), PowerCusp)
-    assert isinstance(TruncatedShrinkCusp(0.5, 16), ShrinkCusp)
-    assert repr(TruncatedShrinkCusp(0.5, 16)) == "TruncatedShrinkCusp(sigma=0.5, length=16)"
-    for unbounded in (PowerCusp(0.5), ShrinkCusp(0.5)):
-        assert unbounded.length == math.inf
+    assert Cylinder().half_length == math.inf
+    for unbounded in (Cylinder(), PowerCusp(0.5), ShrinkCusp(0.5)):
         with pytest.raises(UnboundedRegionError):
             unbounded.analytic_volume()
     pts = np.random.default_rng(0).uniform(-1.0, 20.0, (20_000, 3))
+    clipped = Cylinder(10).contains(pts)
+    assert (clipped == (Cylinder().contains(pts) & (np.abs(pts[:, 0]) <= 10))).all()
+    assert clipped.any() and (Cylinder().contains(pts) & ~clipped).any()
     for cusp in (PowerCusp, ShrinkCusp):
         clipped = cusp(0.5, 4).contains(pts)
         assert (clipped == (cusp(0.5).contains(pts) & (pts[:, 0] <= 4))).all()
@@ -369,4 +376,4 @@ def test_ball_center_needs_three_finite_coordinates():
     with pytest.raises(ValueError, match="radius must be positive"):
         Ball(radius=math.nan)
     with pytest.raises(ValueError, match="half_length must be positive"):
-        CylinderSegment(math.nan)
+        Cylinder(math.nan)
