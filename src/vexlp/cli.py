@@ -33,8 +33,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
-import numpy as np
-
 from . import estimates, fields, norms
 from .errors import ConfigError, PresetConstraintError, ToolkitError
 from .exponents import (
@@ -247,18 +245,13 @@ class RunConfig:
         """The quadrature; an absent or null key takes its default, and
         without a scheme, the command's default scheme."""
         q = {k: v for k, v in self.quadrature.items() if v is not None}
-        scheme = q.get("scheme") or COMMANDS[self.command].scheme
-        if scheme == "mc" and "seed" not in q:
+        q["scheme"] = q.get("scheme") or COMMANDS[self.command].scheme
+        if q["scheme"] == "mc" and "seed" not in q:
             raise ConfigError(
                 "Monte Carlo schemes require an explicit 'seed' (config or --seed)"
             )
         try:
-            return Quadrature(
-                scheme=scheme,
-                n=int(q.get("n", 200000)),
-                seed=int(q.get("seed", 0)),
-                rel_tol=float(q.get("rel_tol", 1e-4)),
-            )
+            return Quadrature(**q)  # _check_types has checked each value's type
         except ValueError as exc:
             raise ConfigError(f"bad quadrature spec: {exc}") from None
 
@@ -303,16 +296,24 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_jsonify) + "\n")
+    """Strict JSON: a non-finite float is written as "inf", "-inf" or "nan"."""
+    path.write_text(json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False,
+                               default=_jsonify) + "\n")
 
 
-def _jsonify(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
+def _strict(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
+def _jsonify(obj):  # json.dumps writes floats itself and asks only for the rest
+    if isinstance(obj, Fraction):
+        return str(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 

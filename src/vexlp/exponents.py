@@ -4,14 +4,14 @@ An `ExponentField` is an ordered table of (region, value) pairs plus a
 default value for points covered by no listed region; every value is a
 constant in [1, +inf].  Essential bounds over a listed piece region are
 read off the table, and over any other region they are the extremes of
-the values found on sampled points.
+the values found on points sampled in it, so that region must be bounded.
 
 Three ready-made two-piece layouts mirror the hypotheses the decay
 estimates need: a high exponent inside the infinite unit tube, a high
 exponent inside a widening power cusp, and an infinite exponent inside a
-shrinking cusp.  Each layout validates the admissible band of its
-parameters; validation can be switched off to build deliberately failing
-configurations for negative tests.
+shrinking cusp.  Each layout checks its geometry, then the admissible
+band of its parameters; the band check can be switched off to build
+deliberately failing configurations for negative tests.
 """
 
 from __future__ import annotations
@@ -23,16 +23,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import (
-    ExponentRangeError,
-    PresetConstraintError,
-    UnboundedRegionError,
-)
-from .regions import Ball, Cylinder, Intersect, PowerCusp, Region, ShrinkCusp, as_points
+from .errors import ExponentRangeError, PresetConstraintError
+from .regions import Cylinder, PowerCusp, Region, ShrinkCusp, as_points
 
 RationalLike = Union[int, float, str, Fraction]
-
-_PROBE_RADIUS = 64.0  # bounded window used to sample unbounded regions
 
 
 def _conjugate_value(v: float, k: int) -> float:
@@ -58,7 +52,6 @@ def _divided_value(v: float, s: float) -> float:
 class BoundsReport:
     lower: float
     upper: float
-    exact: bool
 
 
 @dataclass(frozen=True)
@@ -101,28 +94,16 @@ class ExponentField:
         """Essential inf/sup of the exponent over a region.
 
         Read off the table when the region is a listed piece region, else
-        the extremes over points sampled in the region, which identify the
-        pieces it meets; an unbounded region is sampled in a bounded window,
-        which is not exact.
+        the extremes over n points sampled in the region, which identify
+        the pieces it meets; ``region.sample`` raises UnboundedRegionError
+        for a region it cannot sample.
         """
         for piece_region, v in self.pieces:
             if region == piece_region:
-                return BoundsReport(v, v, True)
-        try:
-            pts = region.sample(n, seed)
-            windowed = False
-        except UnboundedRegionError:
-            probe = Intersect(region, Ball(radius=_PROBE_RADIUS))
-            try:
-                pts = probe.sample(n, seed)
-            except UnboundedRegionError as exc:
-                raise UnboundedRegionError(
-                    "essential bounds need a samplable region or a declared piece"
-                ) from exc
-            windowed = True
-        vals = self(pts)
+                return BoundsReport(v, v)
+        vals = self(region.sample(n, seed))
         # python floats: lemma1_check raises volumes to these bounds
-        return BoundsReport(float(vals.min()), float(vals.max()), not windowed)
+        return BoundsReport(float(vals.min()), float(vals.max()))
 
     def conjugate(self, k: int) -> "ExponentField":
         """Pointwise k-conjugate p -> p/(p - k); +inf maps to 1."""
@@ -149,6 +130,7 @@ def two_piece_field(region: Region, inner: float, outer: float) -> ExponentField
 
 
 PRESET_KINDS = ("cylinder", "power_cusp", "shrink_cusp")
+_SHAPES = {"power_cusp": "gamma", "shrink_cusp": "sigma"}  # a cusp's power
 
 
 @dataclass(frozen=True)
@@ -168,7 +150,7 @@ class PresetSpec:
     sigma: Optional[Fraction] = None
 
     def __post_init__(self):
-        shape = {"power_cusp": "gamma", "shrink_cusp": "sigma"}.get(self.kind)
+        shape = _SHAPES.get(self.kind)
         if shape and getattr(self, shape) is None:
             raise PresetConstraintError(f"{self.kind} preset needs {shape}")
         if self.inner is not None and self.inner < 1:
@@ -205,46 +187,39 @@ class PresetSpec:
     def inner_exponent(self) -> float:
         return math.inf if self.kind == "shrink_cusp" else float(self.inner)
 
+    def check_geometry(self) -> None:
+        """What the layout needs to exist: an inner exponent unless the kind
+        pins it, and a cusp power in (0, 1)."""
+        if self.kind != "shrink_cusp" and self.inner is None:
+            raise PresetConstraintError(f"{self.kind} preset needs an inner exponent")
+        shape = _SHAPES.get(self.kind)
+        if shape and not 0 < getattr(self, shape) < 1:
+            raise PresetConstraintError(
+                f"{self.kind} preset needs 0 < {shape} < 1; got {getattr(self, shape)}"
+            )
+
     def validate(self) -> None:
+        self.check_geometry()
         if not Fraction(3) < self.outer < Fraction(9, 2):
             raise PresetConstraintError(
                 f"outer exponent must satisfy 3 < outer < 9/2; got {self.outer}"
             )
-        if self.kind == "cylinder":
-            if self.inner is None or not self.inner > Fraction(9, 2):
-                raise PresetConstraintError(
-                    f"cylinder preset needs inner exponent > 9/2; got {self.inner}"
-                )
-        elif self.kind == "power_cusp":
-            if self.gamma is None or not 0 < self.gamma < 1:
-                raise PresetConstraintError(
-                    f"power_cusp preset needs 0 < gamma < 1; got {self.gamma}"
-                )
+        if self.kind == "cylinder" and not self.inner > Fraction(9, 2):
+            raise PresetConstraintError(
+                f"cylinder preset needs inner exponent > 9/2; got {self.inner}"
+            )
+        if self.kind == "power_cusp":
             cap = (6 * self.gamma + 3) / (2 * self.gamma)
-            if self.inner is None or not Fraction(9, 2) < self.inner < cap:
+            if not Fraction(9, 2) < self.inner < cap:
                 raise PresetConstraintError(
                     "power_cusp preset needs 9/2 < inner < (6*gamma+3)/(2*gamma) "
                     f"= {cap}; got {self.inner}"
                 )
-        else:
-            if self.sigma is None or not 0 < self.sigma < 1:
-                raise PresetConstraintError(
-                    f"shrink_cusp preset needs 0 < sigma < 1; got {self.sigma}"
-                )
 
 
 def preset(spec: PresetSpec, validate: bool = True) -> ExponentField:
-    """Two-piece exponent field for a preset layout."""
-    if validate:
-        spec.validate()
-    else:
-        # geometry still needs usable shape parameters and an inner exponent
-        if spec.kind != "shrink_cusp" and spec.inner is None:
-            raise PresetConstraintError(f"{spec.kind} preset needs an inner exponent")
-        if spec.kind == "power_cusp" and not 0 < spec.gamma < 1:
-            raise PresetConstraintError(f"gamma must lie in (0,1); got {spec.gamma}")
-        if spec.kind == "shrink_cusp" and not 0 < spec.sigma < 1:
-            raise PresetConstraintError(f"sigma must lie in (0,1); got {spec.sigma}")
+    """Two-piece exponent field for a preset layout; unvalidated, only its geometry."""
+    (spec.validate if validate else spec.check_geometry)()
     return two_piece_field(
         spec.inner_region(), spec.inner_exponent(), float(spec.outer)
     )

@@ -107,10 +107,7 @@ def zero_vector() -> VectorField3:
 
 
 def zero_scalar() -> ScalarField3:
-    return ScalarField3(
-        fn=lambda pts: np.zeros(pts.shape[0]),
-        analytic_gradient=lambda pts: np.zeros_like(pts),
-    )
+    return constant_scalar(0.0)
 
 
 def constant_scalar(c: float) -> ScalarField3:

@@ -440,13 +440,6 @@ class Intersect(Region):
         return Extent(lo, hi, rho, diverging_lo=diverging, tail_volume=tail)
 
 
-@dataclass(frozen=True)
-class Diff(Region):
-    keep: Region
-    remove: Region
-
-    def _contains_batch(self, pts):
-        return self.keep._contains_batch(pts) & ~self.remove._contains_batch(pts)
-
-    def _extent(self):
-        return self.keep._extent()
+def Diff(keep: Region, remove: Region) -> Intersect:
+    """keep minus remove; the infinite complement leaves keep's extent."""
+    return Intersect(keep, Complement(remove))

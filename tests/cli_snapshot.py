@@ -38,8 +38,9 @@ from vexlp.cli import main  # noqa: E402
 
 # runs outside CASES and the README that reach the Monte Carlo norm, an
 # infinite exponent piece, the radial shell terms, Monte Carlo cutoff norms,
-# the piece-aware radial rule on the shrinking cusp, and the bounded tube
-# and widening cusp of the region grammar
+# the piece-aware radial rule on the shrinking cusp, the bounded tube and
+# widening cusp of the region grammar, a shell or ball minus the tube, and
+# the `pieces` exponent form
 EXTRA = {
     "norm-mc-cylinder": [
         "norm", "--field", '{"name":"inverse_quadratic"}', "--preset", "cylinder",
@@ -77,6 +78,17 @@ EXTRA = {
         '{"type":"intersect","first":{"type":"annulus","inner":2,"outer":4},'
         '"second":{"type":"cylinder_segment","half_length":3}}',
         "--samples", "50000", "--seed", "3"],
+    "volume-mc-diff": [
+        "volume", "--region", '{"type":"diff","keep":{"type":"annulus","inner":32,"outer":64},'
+        '"remove":{"type":"cylinder"}}',
+        "--method", "monte_carlo", "--samples", "100000", "--seed", "3"],
+    "lemmas-diff": [
+        "lemmas", "--preset", "cylinder", "--inner", "5", "--outer", "4", "--region",
+        '{"type":"diff","keep":{"type":"ball","radius":4},"remove":{"type":"cylinder"}}',
+        "--samples", "50000", "--seed", "3"],
+    "norm-pieces": [
+        "norm", "--exponent", '{"pieces":[{"region":{"type":"cylinder"},"value":5}],"default":4}',
+        "--field", '{"name":"inverse_quadratic"}', "--quad", "radial"],
 }
 
 

@@ -673,6 +673,64 @@ def test_preset_parameter_flags_override_config_preset(tmp_path):
     assert payload["certified"] is True
 
 
+def test_an_infinite_norm_writes_strict_json(tmp_path):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    assert main(["norm", "--field", '{"name":"constant","value":1e40}',
+                 "--exponent", '{"constant":2}', "--quad", "radial", "--out", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "norm.json").read_text(), parse_constant=refuse)["result"]
+    assert (result["value"], result["abs_error"], result["status"]) == ("inf", "inf", "infinite")
+
+
+def test_the_pieces_form_matches_its_preset(tmp_path):
+    field = ["--field", '{"name":"inverse_quadratic"}', "--quad", "radial"]
+    pieces = '{"pieces":[{"region":{"type":"cylinder"},"value":5}],"default":4}'
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["norm", "--exponent", pieces, *field, "--out", str(tmp_path / "a")]) == 0
+        assert main(["norm", "--preset", "cylinder", "--inner", "5", "--outer", "4", *field,
+                     "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "norm.csv").read_text() == (tmp_path / "b" / "norm.csv").read_text()
+
+
+GAUSSIAN_RADIAL = ["--field", '{"name":"gaussian"}', "--quad", "radial"]
+# runs that end in an error no other test or snapshot reaches: argv, stderr text
+ERROR_PATHS = {
+    "radial-off-a-shell": (["norm", *GAUSSIAN_RADIAL, "--exponent", '{"constant":2}', "--region",
+                            '{"type":"cylinder_segment","half_length":3}'],
+                           "error: the radial rule needs an origin-centered ball or shell"),
+    "scalar-velocity": (["energy", "--field", '{"name":"gaussian"}', "--radii", "4"],
+                        "is scalar; this command needs a velocity"),
+    "gamma-validated": (["liouville", "--preset", "power_cusp", "--gamma", "3/2", "--inner", "5",
+                         "--outer", "4", "--field", '{"name":"zero"}', "--grid-start", "8",
+                         "--grid-factor", "2", "--grid-count", "4", "--seed", "1"],
+                        "power_cusp preset needs 0 < gamma < 1; got 3/2"),
+    "no-inner-unvalidated": (["norm", "--preset", "cylinder", "--outer", "4", "--no-validate",
+                              *GAUSSIAN_RADIAL], "cylinder preset needs an inner exponent"),
+    "gamma-unvalidated": (["norm", "--preset", "power_cusp", "--gamma", "3/2", "--inner", "5",
+                           "--outer", "4", "--no-validate", *GAUSSIAN_RADIAL],
+                          "power_cusp preset needs 0 < gamma < 1; got 3/2"),
+    "sigma-unvalidated": (["norm", "--preset", "shrink_cusp", "--sigma", "3/2", "--outer", "4",
+                           "--no-validate", *GAUSSIAN_RADIAL],
+                          "shrink_cusp preset needs 0 < sigma < 1; got 3/2"),
+    "certify-gamma": (["certify", "--preset", "power_cusp", "--gamma", "3/2", "--outer", "4"],
+                      "cusp exponent must lie in (0, 1]"),
+    "config-not-object": (["volume", "--config", "{list}"], "must hold a JSON object"),
+    "no-subcommand": ([], "choose a subcommand"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+def test_error_paths_exit_1_with_their_message(case, tmp_path, capsys):
+    argv, message = ERROR_PATHS[case]
+    (tmp_path / "list.json").write_text("[1]")
+    argv = [str(tmp_path / "list.json") if a == "{list}" else a for a in argv]
+    out = ["--out", str(tmp_path / "out")] if argv else []  # flags need a subcommand
+    assert main(argv + out) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_flag_table_keeps_every_flag_and_config_field(capsys):
     from vexlp.cli import FLAGS
     from vexlp.norms import Quadrature

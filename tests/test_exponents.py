@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from vexlp.errors import ExponentRangeError, PresetConstraintError
+from vexlp.errors import ExponentRangeError, PresetConstraintError, UnboundedRegionError
 from vexlp.exponents import PresetSpec, constant_field, preset, two_piece_field
-from vexlp.regions import Annulus, Ball, Cylinder, PowerCusp
+from vexlp.regions import Annulus, Ball, Complement, Cylinder, PowerCusp
 
 
 def pt(*coords):
@@ -36,7 +36,6 @@ def test_essential_bounds_exact_cases():
     p = preset(CYL)
     rep = p.essential_bounds(Annulus(4, 8))
     assert (rep.lower, rep.upper) == (4.0, 5.0)
-    assert rep.exact
 
     rep = constant_field(3.0).essential_bounds(Ball(radius=5))
     assert (rep.lower, rep.upper) == (3.0, 3.0)
@@ -44,22 +43,17 @@ def test_essential_bounds_exact_cases():
     # the inner region of the preset is recognized structurally
     rep = preset(CUSP).essential_bounds(PowerCusp(0.5))
     assert (rep.lower, rep.upper) == (5.0, 5.0)
-    assert rep.exact
 
 
 def test_essential_bounds_piece_equality_fast_path():
     # a region structurally equal to a listed piece reports that piece's bounds
     rep = preset(CYL).essential_bounds(Cylinder())
     assert (rep.lower, rep.upper) == (5.0, 5.0)
-    assert rep.exact
 
 
-def test_essential_bounds_windowed_fallback():
-    from vexlp.regions import Complement
-
-    rep = preset(CYL).essential_bounds(Complement(Ball(radius=1)))
-    assert (rep.lower, rep.upper) == (4.0, 5.0)
-    assert not rep.exact
+def test_essential_bounds_need_a_samplable_region():
+    with pytest.raises(UnboundedRegionError, match="no finite sampling envelope"):
+        preset(CYL).essential_bounds(Complement(Ball(radius=1)))
 
 
 def test_conjugate_values():
@@ -154,6 +148,20 @@ def test_preset_validation_messages():
         preset(PresetSpec.make("cylinder", outer=5, inner=6))
     with pytest.raises(PresetConstraintError, match="sigma"):
         preset(PresetSpec.make("shrink_cusp", outer=4, sigma=2))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("power_cusp", {"inner": 5, "gamma": "3/2"}),
+    ("shrink_cusp", {"sigma": "3/2"}),
+    ("cylinder", {}),
+], ids=["gamma-3/2", "sigma-3/2", "cylinder-without-inner"])
+def test_the_geometry_check_is_one_with_and_without_validation(kind, params):
+    spec = PresetSpec.make(kind, outer=4, **params)
+    with pytest.raises(PresetConstraintError) as validated:
+        spec.validate()
+    with pytest.raises(PresetConstraintError) as unvalidated:
+        preset(spec, validate=False)
+    assert str(validated.value) == str(unvalidated.value)
 
 
 def test_preset_validation_off_builds_field():

@@ -89,6 +89,17 @@ def test_boolean_membership_matches_pointwise_logic():
     np.testing.assert_array_equal(Complement(b).contains(pts), ~b.contains(pts))
 
 
+@pytest.mark.parametrize("keep", [Annulus(32, 64), ShrinkCusp(0.5, 16),
+                                  Intersect(Annulus(8, 16), PowerCusp(0.5))],
+                         ids=["shell", "shrink-cusp", "shell-and-cusp"])
+def test_diff_is_an_intersection_with_a_complement(keep):
+    # the complement's extent is infinite, so keep's boxes and tail bound stand
+    diff = Diff(keep, Cylinder())
+    assert diff.envelope() == keep.envelope()
+    assert diff.volume("monte_carlo", n=20_000, seed=5) == \
+        Intersect(keep, Complement(Cylinder())).volume("monte_carlo", n=20_000, seed=5)
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         Annulus(2, 1)
