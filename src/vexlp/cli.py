@@ -348,13 +348,12 @@ def run_decay(cfg: RunConfig):
     p = preset(spec, validate=cfg.validate)
     kinds = [cfg.kind] if cfg.kind else ["laplacian", "gradient"]
     grid = cfg.grid(fit=True)
+    pairs = [(kind, p.conjugate(2 if kind == "laplacian" else 3)) for kind in kinds]
     rows, summary = [], {}
-    for kind in kinds:
-        conj = p.conjugate(2 if kind == "laplacian" else 3)
-        rep = estimates.cutoff_norm_decay(kind, conj, grid, cfg.quad())
+    for rep in estimates.cutoff_norm_decays(pairs, grid, cfg.quad()):
         for R, v, e in zip(rep.total.radii, rep.total.values, rep.norm_errors):
-            rows.append([kind, R, v, e])
-        summary[kind] = {
+            rows.append([rep.kind, R, v, e])
+        summary[rep.kind] = {
             "slope": rep.total.slope,
             "intercept": rep.total.intercept,
             "max_residual": rep.total.max_residual,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRadiusError
-from .regions import Annulus, Region, as_points
+from .regions import Annulus, Region, as_points, row_norm
 
 
 def transition(t: np.ndarray) -> np.ndarray:
@@ -52,7 +52,7 @@ class RadialCutoff:
     def _radial(self, x) -> tuple[np.ndarray, np.ndarray, bool]:
         """Points as (n, 3), their norms, and whether one point (3,) was given."""
         pts, single = as_points(x)
-        return pts, np.linalg.norm(pts, axis=1), single
+        return pts, row_norm(pts), single
 
     def __call__(self, x) -> np.ndarray | float:
         _, rho, single = self._radial(x)
@@ -107,7 +107,7 @@ class RadialProfile:
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         if self.kind == "laplacian":
             return np.abs(self.cutoff.laplacian(pts))
-        return np.linalg.norm(self.cutoff.grad(pts), axis=1)
+        return row_norm(self.cutoff.grad(pts))
 
     @property
     def kinks(self) -> tuple[float, ...]:

@@ -39,7 +39,7 @@ from .norms import (
     integrate_many,
     luxemburg_norm,
 )
-from .regions import Ball
+from .regions import Ball, row_norm
 
 SLOPE_MARGIN = 0.15
 _ZERO_FLOOR = 1e-12
@@ -125,8 +125,8 @@ def beta_terms(
 
     def integrands(pts):
         vel, pressure, grad = u(pts), P(pts), cut.grad(pts)
-        speed = np.linalg.norm(vel, axis=1)
-        grad_size = np.linalg.norm(grad, axis=1)
+        speed = row_norm(vel)
+        grad_size = row_norm(grad)
         head = 0.5 * speed**2 + pressure
         return [  # beta1, beta2, beta
             grad_size * speed**3,
@@ -162,19 +162,35 @@ def cutoff_norm_decay(
     ``kind`` selects the Laplacian (pairs with the 2-conjugate) or the
     gradient magnitude (pairs with the 3-conjugate).
     """
-    if kind not in ("laplacian", "gradient"):
-        raise ValueError(f"kind must be 'laplacian' or 'gradient', got {kind!r}")
+    (report,) = cutoff_norm_decays([(kind, conjugate_field)], r_grid, quad)
+    return report
+
+
+def cutoff_norm_decays(
+    pairs: Sequence[tuple[str, ExponentField]],
+    r_grid: Sequence[float],
+    quad: Quadrature = Quadrature(),
+) -> list[NormDecayReport]:
+    """`cutoff_norm_decay` for each (kind, conjugate field) pair, one report
+    per pair.  The norms run a radius at a time, every pair at the seed of
+    that radius, so Monte Carlo norms of one shell share its node set."""
+    for kind, _ in pairs:
+        if kind not in ("laplacian", "gradient"):
+            raise ValueError(f"kind must be 'laplacian' or 'gradient', got {kind!r}")
     if len(r_grid) < 4:
         raise ValueError("decay grids need at least four radii")
     radii = [float(r) for r in r_grid]
-    totals, errors = [], []
+    results = []  # per radius, one NormResult per pair
     for i, R in enumerate(radii):
         cut = make_cutoff(R)
-        res = luxemburg_norm(cut.size(kind), conjugate_field, cut.support(),
-                             quad.with_seed(quad.seed + 101 * i))
-        totals.append(res.value)
-        errors.append(res.abs_error)
-    return NormDecayReport(kind, fit_decay(radii, totals), tuple(errors))
+        q_i = quad.with_seed(quad.seed + 101 * i)
+        results.append([luxemburg_norm(cut.size(kind), field, cut.support(), q_i)
+                        for kind, field in pairs])
+    return [
+        NormDecayReport(kind, fit_decay(radii, [row[j].value for row in results]),
+                        tuple(row[j].abs_error for row in results))
+        for j, (kind, _) in enumerate(pairs)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,15 @@ are frozen for the whole root search.  The exponent is piecewise
 constant, so with distinct finite values p_j the modular of f/lambda is
 sum_j lambda^(-p_j) M_j with M_j = sum of w |f|^p_j over the nodes where
 p = p_j; one pass over the nodes gives every log M_j, and each bisection
-step is then a sum of a few scalar terms.  Where the exponent is +inf the
-modular contributes nothing if the sampled sup of |f| stays at or below
-the scale and +inf otherwise, so the norm on such a piece degenerates to
-the sup norm, and the overall norm is the larger of the bisection root
-and that sup.
+step is then a sum of a few scalar terms.  That pass is compact: f and p
+are evaluated once on the in-domain nodes, and only the nodes with finite
+p and |f| > 0 are kept, as their indices, p, log|f| and log w (a
+`_Compact`).  The log-moments, the modular and the Monte Carlo error of
+the root are all derived from these arrays, which belong to the one call
+and die with it.  Where the exponent is +inf the modular contributes
+nothing if the sampled sup of |f| stays at or below the scale and +inf
+otherwise, so the norm on such a piece degenerates to the sup norm, and
+the overall norm is the larger of the bisection root and that sup.
 
 Quadrature is either stratified rejection Monte Carlo over a region
 envelope (works for any samplable region, piecewise integrands included)
@@ -29,7 +33,9 @@ error is the gap to the same rule at half the order (for a norm, between
 the two roots).  The last Monte Carlo node set is kept in a one-slot memo
 keyed by (domain, quad), so the integrals and norms asked of one shell in
 a row draw it once; its arrays are read-only because every caller then
-holds the same set.
+holds the same set.  A set gathers the indices and points of its
+in-domain nodes on first use and keeps them, read-only, for as long as it
+lives; a radial set, whose nodes all lie in the domain, gathers no copy.
 
 Fields enter as plain callables mapping (n, 3) point arrays to scalars or
 vectors; vector values are reduced by the Euclidean magnitude.
@@ -40,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +59,7 @@ from .errors import (
     UnboundedRegionError,
 )
 from .exponents import ExponentField
-from .regions import Annulus, Ball, Region
+from .regions import Annulus, Ball, Region, row_norm
 
 _CAP = 1e30
 _ESS_SUP_EXTRA = 10_000
@@ -120,14 +126,33 @@ class _NodeSet:
     coarse: Optional["_NodeSet"] = None       # the same radial rule at half the order
     tail_bound: float = 0.0
 
-    def on_domain(self, fn, fill=0.0) -> np.ndarray:
-        """fn's values on the in-domain nodes, ``fill`` on the rest; fn maps
-        (m, 3) points to (m,) values or a (k, m) stack of rows, and a column
-        ``fill`` gives each row its own value."""
-        idx = np.flatnonzero(self.inside)
-        vals = np.asarray(fn(self.points[idx]), dtype=float)
-        out = np.full(vals.shape[:-1] + self.inside.shape, fill)
-        out[..., idx] = vals
+    @functools.cached_property
+    def in_domain(self) -> tuple[Optional[np.ndarray], np.ndarray]:
+        """The indices of the in-domain nodes (None when every node is
+        inside) and their points, gathered on first use and kept, read-only,
+        as long as the set; when every node is inside, the points are a view
+        of ``points``."""
+        if self.inside.all():
+            idx, pts = None, self.points.view()
+        else:
+            idx = np.flatnonzero(self.inside)
+            pts = self.points[idx]
+            idx.setflags(write=False)
+        pts.setflags(write=False)
+        return idx, pts
+
+    def on_domain(self, fn) -> list[np.ndarray]:
+        """fn's values on the in-domain nodes, zero on the rest; fn maps
+        (m, 3) points to a (k, m) stack of rows (a list of k arrays will do),
+        and each row is written straight into its own length-n array.  (One
+        (k, n) block instead fragments the heap: a README-size `liouville`
+        cycle then peaked 4 MB higher in RSS with no more bytes live.)"""
+        idx, pts = self.in_domain
+        out = []
+        for values in fn(pts):
+            row = np.zeros(self.inside.size)
+            row[slice(None) if idx is None else idx] = values
+            out.append(row)
         return out
 
 
@@ -291,7 +316,7 @@ def _build_nodes(
 def _magnitude(f, pts: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(pts), dtype=float)
     if vals.ndim == 2:
-        return np.linalg.norm(vals, axis=1)
+        return row_norm(vals)
     return np.abs(vals)
 
 
@@ -322,38 +347,49 @@ def _estimate(
     return value, se + nodes.tail_bound * float(np.max(np.abs(contrib), initial=0.0))
 
 
-def _node_contrib(
-    nodes: _NodeSet, f, p: ExponentField
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node |f|, p and the finite-exponent mask (zero off-domain)."""
-    both = lambda pts: [_magnitude(f, pts), p(pts)]
-    mag, pv = nodes.on_domain(both, fill=[[0.0], [math.inf]])
-    return mag, pv, nodes.inside & np.isfinite(pv)
+class _Compact(NamedTuple):
+    """The nodes of a set where p is finite and |f| > 0: their indices into
+    the set, and p, log|f| and log w there.  Every pass of the modular and
+    the norm over the nodes starts from these arrays; they belong to one
+    call and die with it."""
+
+    at: np.ndarray
+    p: np.ndarray
+    log_f: np.ndarray
+    log_w: np.ndarray
 
 
-def _power_contrib(mag, pv, finite, lam: float) -> np.ndarray:
-    """(|f|/lam)^p on the finite-exponent nodes, zero elsewhere."""
-    out = np.zeros_like(mag)
-    m = finite & (mag > 0.0)
-    if m.any():
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            expo = pv[m] * (np.log(mag[m]) - math.log(lam))
-            out[m] = np.exp(np.minimum(expo, 745.0))
+def _compact(nodes: _NodeSet, f, p: ExponentField) -> tuple[_Compact, float]:
+    """f and p on the in-domain nodes as a `_Compact`, and the largest |f|
+    on the nodes where p = +inf (0 if none)."""
+    idx, pts = nodes.in_domain
+    mag, pv = _magnitude(f, pts), np.asarray(p(pts), dtype=float)
+    finite = np.isfinite(pv)
+    keep = finite & (mag > 0.0)
+    at = np.flatnonzero(keep) if idx is None else idx[keep]
+    sup = float(np.max(mag, where=~finite, initial=0.0))
+    return _Compact(at, pv[keep], np.log(mag[keep]), np.log(nodes.weights[at])), sup
+
+
+def _power_contrib(nodes: _NodeSet, c: _Compact, lam: float) -> np.ndarray:
+    """(|f|/lam)^p on the compact nodes, zero on every other node."""
+    out = np.zeros(nodes.weights.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[c.at] = np.exp(np.minimum(c.p * (c.log_f - math.log(lam)), 745.0))
     return out
 
 
-def _log_moments(nodes: _NodeSet, mag, pv, finite) -> tuple[np.ndarray, np.ndarray]:
+def _log_moments(c: _Compact) -> tuple[np.ndarray, np.ndarray]:
     """Distinct finite exponents p_j and log M_j, M_j = sum of w |f|^p_j.
 
-    Each sum runs over the nodes where p = p_j and |f| > 0, in log-sum-exp
-    form so that no M_j overflows.
+    Each sum runs over the compact nodes where p = p_j, in log-sum-exp form
+    so that no M_j overflows.
     """
-    m = finite & (mag > 0.0)
-    exps = np.unique(pv[m])
+    exps = np.unique(c.p)
     log_m = np.empty(exps.size)
     for j, p_j in enumerate(exps):
-        sel = m & (pv == p_j)
-        t = p_j * np.log(mag[sel]) + np.log(nodes.weights[sel])
+        sel = c.p == p_j
+        t = p_j * c.log_f[sel] + c.log_w[sel]
         top = float(t.max())
         if math.isfinite(top):
             top += math.log(float(np.sum(np.exp(t - top))))
@@ -368,18 +404,19 @@ def _moment_modular(exps: np.ndarray, log_m: np.ndarray, lam: float) -> float:
 
 
 def _frozen(f, p: ExponentField, domain: Optional[Region], quad: Quadrature):
-    """The frozen data of the modular and the norm: nodes, per-node |f|, p and
-    finite mask, and the sampled ess-sup of |f| where p = +inf (else 0)."""
+    """The frozen data of the modular and the norm: nodes, their compact
+    arrays (see `_compact`), and the sampled ess-sup of |f| where p = +inf
+    (else 0)."""
     nodes = _build_nodes(domain, quad, f, p)
-    mag, pv, finite = _node_contrib(nodes, f, p)
-    sup = 0.0
-    if p.has_infinite_piece:  # the nodes first (|f| is 0 off the domain), then extra draws
-        sup = float(np.max(mag, where=~finite, initial=0.0))
-        extra = _resolve_domain(domain).sample(_ESS_SUP_EXTRA, quad.seed + 9901)
-        mask = ~np.isfinite(p(extra))
-        if mask.any():
-            sup = max(sup, float(_magnitude(f, extra[mask]).max()))
-    return nodes, mag, pv, finite, sup
+    compact, sup = _compact(nodes, f, p)
+    if not p.has_infinite_piece:
+        return nodes, compact, 0.0
+    # the nodes first, then extra draws
+    extra = _resolve_domain(domain).sample(_ESS_SUP_EXTRA, quad.seed + 9901)
+    mask = ~np.isfinite(p(extra))
+    if mask.any():
+        sup = max(sup, float(_magnitude(f, extra[mask]).max()))
+    return nodes, compact, sup
 
 
 def modular(
@@ -394,11 +431,11 @@ def modular(
     the contribution is 0 if the sampled sup of |f| there is at most 1 and
     +inf otherwise.  An overflowing power at any node reports +inf.
     """
-    nodes, mag, pv, finite, sup = _frozen(f, p, domain, quad)
+    nodes, compact, sup = _frozen(f, p, domain, quad)
     coarse = None
     if nodes.coarse is not None:
-        coarse = _power_contrib(*_node_contrib(nodes.coarse, f, p), 1.0)
-    value, se = _estimate(nodes, _power_contrib(mag, pv, finite, 1.0), coarse)
+        coarse = _power_contrib(nodes.coarse, _compact(nodes.coarse, f, p)[0], 1.0)
+    value, se = _estimate(nodes, _power_contrib(nodes, compact, 1.0), coarse)
     if sup > 1.0 or math.isinf(value):
         return math.inf, se
     return value, se
@@ -418,15 +455,16 @@ def luxemburg_norm(
     status "infinite"; a vanishing modular reports status "zero".
 
     Each bisection step evaluates the modular from the per-exponent
-    log-moments taken in one pass over the nodes.  The quadrature part of ``abs_error`` is the gap to the root on the coarse
-    rule for the deterministic radial rule, and the propagated standard
-    error for Monte Carlo.
+    log-moments taken in one pass over the nodes.  The quadrature part of
+    ``abs_error`` is the gap to the root on the coarse rule for the
+    deterministic radial rule, and the propagated standard error for Monte
+    Carlo.
     """
-    nodes, mag, pv, finite, sup_inf_piece = _frozen(f, p, domain, quad)
+    nodes, compact, sup_inf_piece = _frozen(f, p, domain, quad)
     evaluations = 0
     root, bracket = 0.0, 0.0
-    if (finite & (mag > 0.0)).any():
-        modular_at = _modular_at(nodes, mag, pv, finite)
+    if compact.at.size:
+        modular_at = _modular_at(compact)
 
         def rho(lam: float) -> float:
             nonlocal evaluations
@@ -438,13 +476,13 @@ def luxemburg_norm(
             return NormResult(math.inf, math.inf, "infinite", evaluations)
     quad_err = 0.0
     if root > 0:
-        quad_err = _root_uncertainty(nodes, f, p, mag, pv, finite, root, quad.rel_tol)
+        quad_err = _root_uncertainty(nodes, f, p, compact, root, quad.rel_tol)
     return _finish(root, bracket, sup_inf_piece, quad_err, evaluations)
 
 
-def _modular_at(nodes: _NodeSet, mag, pv, finite):
+def _modular_at(compact: _Compact):
     """lam -> modular of f/lam on frozen nodes, from the log-moments."""
-    exps, log_m = _log_moments(nodes, mag, pv, finite)
+    exps, log_m = _log_moments(compact)
     return lambda lam: _moment_modular(exps, log_m, lam)
 
 
@@ -494,16 +532,21 @@ def _finish(root, bracket, sup, quad_err, evaluations) -> NormResult:
     return NormResult(value, err, "finite", evaluations)
 
 
-def _root_uncertainty(nodes, f, p, mag, pv, finite, lam: float, rel_tol: float) -> float:
+def _root_uncertainty(nodes, f, p, compact: _Compact, lam: float, rel_tol: float) -> float:
     """Quadrature error of the root lam.  On deterministic nodes, the gap to
     the root of the coarse rule's modular, found by the same bracketing and
     bisection; on Monte Carlo nodes, se(rho) / |d rho / d lam| at lam."""
     if nodes.coarse is not None:
-        coarse = _modular_at(nodes.coarse, *_node_contrib(nodes.coarse, f, p))
+        coarse = _modular_at(_compact(nodes.coarse, f, p)[0])
         return abs(lam - _bisect_root(coarse, rel_tol)[0])
-    contrib = _power_contrib(mag, pv, finite, lam)
+    contrib = _power_contrib(nodes, compact, lam)
     se = _stratified_se(nodes, contrib)
-    deriv = float(np.sum(nodes.weights * np.where(finite, pv, 0.0) * contrib)) / lam
+    # w p contrib vanishes off the compact nodes but is summed over the
+    # whole set: a pairwise sum rounds by its length
+    at = compact.at
+    slope = np.zeros(contrib.size)
+    slope[at] = nodes.weights[at] * compact.p * contrib[at]
+    deriv = float(np.sum(slope)) / lam
     return se / deriv if deriv > 0 else 0.0
 
 

@@ -50,6 +50,18 @@ def as_points(x) -> tuple[np.ndarray, bool]:
     return pts, False
 
 
+def row_norm(v) -> np.ndarray:
+    """Euclidean norm of each row of an (n, k) array, k >= 1: the squares
+    summed left to right, then the square root, so every bit equals
+    ``np.linalg.norm(v, axis=1)`` without its temporaries."""
+    v = np.asarray(v, dtype=float)
+    out = np.square(v[:, 0])
+    col = np.empty_like(out)
+    for j in range(1, v.shape[1]):
+        out += np.square(v[:, j], out=col)
+    return np.sqrt(out, out=out)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box used as a sampling stratum."""

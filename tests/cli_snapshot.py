@@ -40,7 +40,9 @@ from vexlp.cli import main  # noqa: E402
 # infinite exponent piece, the radial shell terms, Monte Carlo cutoff norms,
 # the piece-aware radial rule on the shrinking cusp, the bounded tube and
 # widening cusp of the region grammar, a shell or ball minus the tube, and
-# the `pieces` exponent form
+# the `pieces` exponent form; with the README `liouville` run, the two
+# `liouville-*-200k` runs cover every job kind of the `liouville` benchmark
+# workload at its size
 EXTRA = {
     "norm-mc-cylinder": [
         "norm", "--field", '{"name":"inverse_quadratic"}', "--preset", "cylinder",
@@ -60,6 +62,16 @@ EXTRA = {
         "--outer", "4", "--field", '{"name":"gradient_counterexample"}',
         "--pressure", '{"name":"counterexample"}', "--grid-start", "8",
         "--grid-factor", "2", "--grid-count", "4", "--samples", "20000", "--seed", "3"],
+    "liouville-power-cusp-200k": [
+        "liouville", "--preset", "power_cusp", "--gamma", "1/2", "--inner", "5",
+        "--outer", "4", "--field", '{"name":"decaying_solenoidal","rate":2}',
+        "--grid-start", "8", "--grid-factor", "2", "--grid-count", "6",
+        "--samples", "200000", "--seed", "7"],
+    "liouville-counterexample-200k": [
+        "liouville", "--preset", "cylinder", "--inner", "5", "--outer", "4",
+        "--field", '{"name":"gradient_counterexample"}', "--pressure", '{"name":"counterexample"}',
+        "--grid-start", "8", "--grid-factor", "2", "--grid-count", "6",
+        "--samples", "200000", "--seed", "7"],
     "decay-mc": [
         "decay", "--preset", "cylinder", "--inner", "5", "--outer", "4", "--grid-start", "8",
         "--grid-factor", "2", "--grid-count", "6", "--quad", "mc", "--samples", "1000000",

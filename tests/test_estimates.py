@@ -13,6 +13,7 @@ from vexlp.estimates import (
     alpha_term,
     beta_terms,
     cutoff_norm_decay,
+    cutoff_norm_decays,
     energy_identity_check,
     fit_decay,
     liouville_pipeline,
@@ -182,6 +183,26 @@ def test_fitted_norm_slope_below_certificate(spec):
                                 Quadrature(n=60_000, seed=13))
         bound = float(predicted_exponent(spec, term).max_exponent())
         assert rep.total.slope <= bound + 0.15, (spec, kind)
+
+
+def test_decay_kinds_share_each_radius_node_set(monkeypatch):
+    from vexlp import norms
+
+    builds, draw = [], norms._mc_nodes
+
+    def counted(domain, quad):
+        if norms._mc_memo is None or norms._mc_memo[0] != (domain, quad):
+            builds.append(domain)
+        return draw(domain, quad)
+
+    monkeypatch.setattr(norms, "_mc_memo", None)
+    monkeypatch.setattr(norms, "_mc_nodes", counted)
+    p = preset(CYL)
+    pairs = [("laplacian", p.conjugate(2)), ("gradient", p.conjugate(3))]
+    grid, quad = GRID[:4], Quadrature(n=20_000, seed=3)
+    both = cutoff_norm_decays(pairs, grid, quad)
+    assert len(builds) == len(grid)  # one set per radius, not one per radius and kind
+    assert both == [cutoff_norm_decay(kind, field, grid, quad) for kind, field in pairs]
 
 
 def test_cutoff_norm_decay_validation():

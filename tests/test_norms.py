@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,13 +16,13 @@ from vexlp.fields import gaussian_scalar, inverse_quadratic_scalar, zero_scalar
 from vexlp.norms import (
     Quadrature,
     _build_nodes,
+    _compact,
     _log_moments,
     _moment_modular,
-    _node_contrib,
-    _power_contrib,
     constant_one,
     holder_check,
     integrate,
+    integrate_many,
     lemma1_check,
     lemma2_check,
     luxemburg_norm,
@@ -163,9 +164,13 @@ def cutoff_term(k: int, radius: float):
     return (lambda pts: np.linalg.norm(cut.grad(pts), axis=1)), cut.support()
 
 
-def node_modular(nodes, mag, pv, finite, lam):
-    """The modular of f/lam as a weighted exp/log pass over every node."""
-    return float(np.sum(nodes.weights * _power_contrib(mag, pv, finite, lam)))
+def node_modular(nodes, f, p, lam):
+    """The modular of f/lam as a weighted exp/log pass over every in-domain
+    node, evaluating f and p afresh."""
+    pts, w = nodes.points[nodes.inside], nodes.weights[nodes.inside]
+    mag, pv = np.abs(f(pts)), p(pts)
+    m = np.isfinite(pv) & (mag > 0.0)
+    return float(np.sum(w[m] * np.exp(pv[m] * (np.log(mag[m]) - math.log(lam)))))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -174,13 +179,13 @@ def test_moment_modular_matches_node_pass(kind, k):
     p = preset(PRESETS[kind]).conjugate(k)
     f, shell = cutoff_term(k, 16.0)
     nodes = _build_nodes(shell, Quadrature(n=50_000, seed=3))
-    mag, pv, finite = _node_contrib(nodes, f, p)
-    exps, log_m = _log_moments(nodes, mag, pv, finite)
+    compact, _ = _compact(nodes, f, p)
+    exps, log_m = _log_moments(compact)
     assert exps.size == 2  # one moment per preset piece
     overflowed = 0
     for lam in np.geomspace(1e-300, 1e3, 61):
         with np.errstate(over="ignore"):
-            node = node_modular(nodes, mag, pv, finite, lam)
+            node = node_modular(nodes, f, p, lam)
         moment = _moment_modular(exps, log_m, lam)
         if math.isinf(node):
             overflowed += 1
@@ -199,13 +204,12 @@ def test_moment_norm_matches_node_pass_norm(kind, k):
     moment = luxemburg_norm(f, p, shell, quad)
     # the same bracketing and bisection on the node pass
     nodes = _build_nodes(shell, quad)
-    mag, pv, finite = _node_contrib(nodes, f, p)
     steps = []
 
     def rho(lam):
         steps.append(lam)
         with np.errstate(over="ignore"):
-            return node_modular(nodes, mag, pv, finite, lam)
+            return node_modular(nodes, f, p, lam)
 
     root, _ = norms._bisect_root(rho, quad.rel_tol)
     assert moment.evaluations == len(steps)
@@ -524,7 +528,11 @@ def test_a_miss_releases_the_previous_set_before_drawing():
             alive_during_build.append(old() is not None)
             return super()._contains_batch(pts)
 
-    old = weakref.ref(_build_nodes(Annulus(8, 16), Quadrature(n=20_000, seed=2)))
+    first = _build_nodes(Annulus(8, 16), Quadrature(n=20_000, seed=2))
+    first.on_domain(lambda pts: [pts[:, 0]])  # fills its in-domain gather
+    watched = [weakref.ref(first), *(weakref.ref(array) for array in first.in_domain)]
+    old = lambda: next((ref() for ref in watched if ref() is not None), None)  # noqa: E731
+    del first
     _build_nodes(Probe(8, 16), Quadrature(n=20_000, seed=2))
     gc.collect()
     assert alive_during_build == [False] and old() is None
@@ -545,6 +553,57 @@ def test_results_do_not_depend_on_the_slot(monkeypatch):
     assert both() == cold
     monkeypatch.setattr(norms, "_mc_memo", None)
     assert both() == cold
+
+
+def test_the_in_domain_gather_is_kept_read_only_and_equals_a_cold_gather():
+    nodes = _build_nodes(Annulus(8, 16), Quadrature(n=20_000, seed=2))
+    idx, pts = nodes.in_domain
+    assert nodes.in_domain[1] is pts  # gathered once per set
+    assert np.array_equal(idx, np.flatnonzero(nodes.inside))
+    assert np.array_equal(pts, nodes.points[nodes.inside])
+    for array in (idx, pts):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_a_radial_set_gathers_its_points_without_a_copy():
+    nodes = _build_nodes(Annulus(8, 16), RADIAL)
+    idx, pts = nodes.in_domain
+    assert idx is None and np.shares_memory(pts, nodes.points)
+    assert np.array_equal(pts, nodes.points) and not pts.flags.writeable
+
+
+def test_on_domain_writes_each_row_and_zero_off_the_domain():
+    nodes = _build_nodes(Annulus(8, 16), Quadrature(n=20_000, seed=2))
+    out = nodes.on_domain(lambda pts: [pts[:, 0], np.ones(len(pts), dtype=bool)])
+    assert [(row.shape, row.dtype) for row in out] == [(nodes.inside.shape, float)] * 2
+    assert np.array_equal(out[0], np.where(nodes.inside, nodes.points[:, 0], 0.0))
+    assert np.array_equal(out[1], nodes.inside.astype(float))
+
+
+@pytest.mark.parametrize("quad", [Quadrature(n=100_000, seed=5), RADIAL], ids=["mc", "radial"])
+def test_norm_and_integral_passes_keep_no_per_node_array(quad):
+    # once a call returns, per-node memory is held by the memo'd Monte
+    # Carlo set and its in-domain gather alone; each call below leaves at
+    # least 40k per-node values behind if it keeps any per-node array
+    p = preset(PRESETS["cylinder"]).conjugate(2)
+    cut = make_cutoff(16.0)
+    f, shell = (lambda pts: np.abs(cut.laplacian(pts))), cut.support()
+    calls = (lambda: luxemburg_norm(f, p, shell, quad),
+             lambda: modular(f, p, shell, quad),
+             lambda: integrate_many(lambda pts: [f(pts), f(pts) ** 2], shell, quad))
+    for call in calls:  # the memo, its gather and first-use caches
+        call()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for call in calls:
+            call()
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert left < 64 * 2**10
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,38 @@ from vexlp.regions import (
     Intersect,
     PowerCusp,
     ShrinkCusp,
+    row_norm,
 )
 
 
 def pt(*coords):
     return np.array(coords, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# row norms
+
+
+@pytest.mark.parametrize("width", [3, 2])
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-310, 1e154, 1e200],
+                         ids=["unit", "squares-subnormal", "subnormal", "near-overflow", "overflow"])
+def test_row_norm_equals_linalg_norm_bit_for_bit(width, scale):
+    rng = np.random.default_rng(width)
+    v = rng.standard_normal((5_000, width)) * scale
+    v[::7] = 0.0
+    v[::11, 0] = np.nan
+    v[::13, -1] = -np.inf
+    v[::17, 1] = 5e-324  # the smallest subnormal
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linalg.norm(v, axis=1)
+        got = row_norm(v)
+    assert got.tobytes() == want.tobytes()
+    if scale == 1e200:
+        assert np.isinf(got[1:7]).all()  # squares overflow to inf, as in linalg.norm
+
+
+def test_row_norm_reads_integer_rows_as_floats():
+    assert row_norm([[3, 4], [0, 0]]).tolist() == [5.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
