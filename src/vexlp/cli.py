@@ -505,7 +505,7 @@ COMMANDS = {
         "radial"),
     "alpha-beta": Command(
         "shell energy terms over a radius grid",
-        "R,alpha,beta1,beta2,beta,errors", ("fieldspec",), run_alpha_beta),
+        "R,alpha,beta1,beta2,beta,errors", ("fieldspec",), run_alpha_beta, "radial"),
     "certify": Command(
         "exact decay-exponent certificate and inner-exponent threshold",
         "term,piece,growth,inv_conjugate,exponent,negative", ("exponent",), run_certify),
@@ -515,7 +515,7 @@ COMMANDS = {
     "liouville": Command(
         "full decay verification pipeline",
         "R,alpha,beta1,beta2,beta,lap_norm,grad_norm,errors", ("exponent", "fieldspec"),
-        run_liouville),
+        run_liouville, "radial"),
 }
 
 

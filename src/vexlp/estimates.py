@@ -390,7 +390,9 @@ def liouville_pipeline(
     against the half exponent), measures the shell terms and cutoff norms
     over the radius grid, fits slopes, and compares them against the exact
     certificates.  The conclusion reports one of three tiers; it never
-    claims more than hypothesis arithmetic plus observed decay.
+    claims more than hypothesis arithmetic plus observed decay.  The two
+    scans run on Monte Carlo whatever the scheme of ``quad``, at a quarter
+    of its budget (at least 20,000) and the seeds ``quad.seed`` + 5 and + 6.
     """
     if len(r_grid) < 4:
         raise ValueError("the pipeline needs at least four radii")

@@ -248,9 +248,13 @@ def membership_scan(
     f lies in the space iff the modular of f / lambda is finite for some
     lambda > 0.  lambda is 1 unless p has an infinite piece, where the
     modular is +inf wherever sup |f / lambda| > 1; lambda is then the
-    larger of 1 and the (finite) norm of f over the innermost ball, which
-    keeps that ball finite, and a field that grows past lambda on a later
-    shell still gives +inf there.
+    larger of 1 and the upper end (value plus error) of the finite norm of
+    f over the innermost ball, which keeps that ball finite, and a field
+    that grows past lambda on a later shell still gives +inf there.  That
+    norm runs on the radial rule whatever the scheme of ``quad``, since
+    Monte Carlo nodes miss the peak of |f| that sets it; a p whose pieces
+    are not solids of revolution about the x1 axis raises
+    QuadratureDomainError.
 
     The verdict is "convergent" when the shell-by-shell increments decay
     under a fixed geometric envelope (ratio <= 0.9 over the last shells)
@@ -266,10 +270,11 @@ def membership_scan(
     shells += [Annulus(a, b) for a, b in zip(radii, radii[1:])]
     scale, g = 1.0, f
     if p.has_infinite_piece:
-        norm = luxemburg_norm(f, p, shells[0], quad).value
+        res = luxemburg_norm(f, p, shells[0], Quadrature("radial", rel_tol=quad.rel_tol))
+        norm = res.value + res.abs_error
         if 1.0 < norm < math.inf:
             size = magnitude_power(f, 1.0)
-            scale, g = norm, lambda pts: size(pts) / norm  # |f| / norm keeps sup <= 1 exact
+            scale, g = norm, lambda pts: size(pts) / norm
     increments = []
     errors = []
     for shell in shells:

@@ -13,9 +13,11 @@ p and |f| > 0 are kept, as their indices, p, log|f| and log w (a
 `_Compact`).  The log-moments, the modular and the Monte Carlo error of
 the root are all derived from these arrays, which belong to the one call
 and die with it.  Where the exponent is +inf the modular contributes
-nothing if the sampled sup of |f| stays at or below the scale and +inf
-otherwise, so the norm on such a piece degenerates to the sup norm, and
-the overall norm is the larger of the bisection root and that sup.
+nothing if the sup of |f| over the nodes there stays at or below the
+scale and +inf otherwise, so the norm on such a piece degenerates to the
+sup norm, and the overall norm is the larger of the bisection root and
+that sup.  Monte Carlo adds extra draws to the sup; the radial rule
+draws nothing and takes it from its own nodes.
 
 Quadrature is either stratified rejection Monte Carlo over a region
 envelope (works for any samplable region, piecewise integrands included)
@@ -405,18 +407,20 @@ def _moment_modular(exps: np.ndarray, log_m: np.ndarray, lam: float) -> float:
 
 def _frozen(f, p: ExponentField, domain: Optional[Region], quad: Quadrature):
     """The frozen data of the modular and the norm: nodes, their compact
-    arrays (see `_compact`), and the sampled ess-sup of |f| where p = +inf
-    (else 0)."""
+    arrays and the ess-sup of |f| where p = +inf (else 0), both from
+    `_compact`, and for the radial rule `_compact` on its coarse rule (else
+    None).  The radial rule takes the sup from its own nodes; Monte Carlo
+    adds extra draws to its nodes where p has an infinite piece."""
     nodes = _build_nodes(domain, quad, f, p)
     compact, sup = _compact(nodes, f, p)
-    if not p.has_infinite_piece:
-        return nodes, compact, 0.0
-    # the nodes first, then extra draws
-    extra = _resolve_domain(domain).sample(_ESS_SUP_EXTRA, quad.seed + 9901)
-    mask = ~np.isfinite(p(extra))
-    if mask.any():
-        sup = max(sup, float(_magnitude(f, extra[mask]).max()))
-    return nodes, compact, sup
+    if nodes.coarse is not None:
+        return nodes, compact, sup, _compact(nodes.coarse, f, p)
+    if p.has_infinite_piece:
+        extra = _resolve_domain(domain).sample(_ESS_SUP_EXTRA, quad.seed + 9901)
+        mask = ~np.isfinite(p(extra))
+        if mask.any():
+            sup = max(sup, float(_magnitude(f, extra[mask]).max()))
+    return nodes, compact, sup, None
 
 
 def modular(
@@ -428,14 +432,12 @@ def modular(
     """Integral of |f(x)|^p(x) over the domain, with standard error.
 
     Where p = +inf the integrand is replaced by the indicator convention:
-    the contribution is 0 if the sampled sup of |f| there is at most 1 and
-    +inf otherwise.  An overflowing power at any node reports +inf.
+    the contribution is 0 if the sup of |f| there (see `_frozen`) is at
+    most 1 and +inf otherwise.  An overflowing power at any node reports +inf.
     """
-    nodes, compact, sup = _frozen(f, p, domain, quad)
-    coarse = None
-    if nodes.coarse is not None:
-        coarse = _power_contrib(nodes.coarse, _compact(nodes.coarse, f, p)[0], 1.0)
-    value, se = _estimate(nodes, _power_contrib(nodes, compact, 1.0), coarse)
+    nodes, compact, sup, coarse = _frozen(f, p, domain, quad)
+    coarse_contrib = None if coarse is None else _power_contrib(nodes.coarse, coarse[0], 1.0)
+    value, se = _estimate(nodes, _power_contrib(nodes, compact, 1.0), coarse_contrib)
     if sup > 1.0 or math.isinf(value):
         return math.inf, se
     return value, se
@@ -451,16 +453,17 @@ def luxemburg_norm(
 
     Brackets by doubling/halving and bisects the monotone map on frozen
     quadrature nodes; on infinite-exponent pieces the norm contribution is
-    the sampled ess-sup of |f|.  Escaping the bracket above 1e30 reports
-    status "infinite"; a vanishing modular reports status "zero".
+    the ess-sup of |f| over the nodes (see `_frozen`).  Escaping the
+    bracket above 1e30 reports status "infinite"; a vanishing modular
+    reports status "zero".
 
     Each bisection step evaluates the modular from the per-exponent
     log-moments taken in one pass over the nodes.  The quadrature part of
     ``abs_error`` is the gap to the root on the coarse rule for the
     deterministic radial rule, and the propagated standard error for Monte
-    Carlo.
+    Carlo; `_finish` gives the error where the sup sets the norm.
     """
-    nodes, compact, sup_inf_piece = _frozen(f, p, domain, quad)
+    nodes, compact, sup_inf_piece, coarse = _frozen(f, p, domain, quad)
     evaluations = 0
     root, bracket = 0.0, 0.0
     if compact.at.size:
@@ -476,8 +479,9 @@ def luxemburg_norm(
             return NormResult(math.inf, math.inf, "infinite", evaluations)
     quad_err = 0.0
     if root > 0:
-        quad_err = _root_uncertainty(nodes, f, p, compact, root, quad.rel_tol)
-    return _finish(root, bracket, sup_inf_piece, quad_err, evaluations)
+        quad_err = _root_uncertainty(nodes, compact, coarse, root, quad.rel_tol)
+    sup_err = None if coarse is None else abs(sup_inf_piece - coarse[1])
+    return _finish(root, bracket, quad_err, sup_inf_piece, sup_err, evaluations)
 
 
 def _modular_at(compact: _Compact):
@@ -524,21 +528,31 @@ def _bisect_root(rho, rel_tol: float) -> tuple[float, float]:
     return hi, hi - lo
 
 
-def _finish(root, bracket, sup, quad_err, evaluations) -> NormResult:
+def _finish(root, bracket, quad_err, sup, sup_err, evaluations) -> NormResult:
+    """The norm max(root, sup) and its error.  Where the root sets it, the
+    bracket plus the root's quadrature error.  Where the sup does, the
+    radial rule's fine-minus-coarse gap of the sup (sup_err), widened to
+    reach the root's upper end if that lies above; Monte Carlo (sup_err
+    None) reports the bracket there."""
     value = max(root, sup)
     if value == 0.0:
         return NormResult(0.0, 0.0, "zero", evaluations)
-    err = bracket + quad_err if value == root else bracket
+    if value == root:
+        err = bracket + quad_err
+    elif sup_err is None:
+        err = bracket
+    else:
+        err = max(sup_err, root + bracket + quad_err - sup)
     return NormResult(value, err, "finite", evaluations)
 
 
-def _root_uncertainty(nodes, f, p, compact: _Compact, lam: float, rel_tol: float) -> float:
+def _root_uncertainty(nodes, compact: _Compact, coarse, lam: float, rel_tol: float) -> float:
     """Quadrature error of the root lam.  On deterministic nodes, the gap to
-    the root of the coarse rule's modular, found by the same bracketing and
-    bisection; on Monte Carlo nodes, se(rho) / |d rho / d lam| at lam."""
-    if nodes.coarse is not None:
-        coarse = _modular_at(_compact(nodes.coarse, f, p)[0])
-        return abs(lam - _bisect_root(coarse, rel_tol)[0])
+    the root of the modular on the coarse rule's compact arrays, found by
+    the same bracketing and bisection; on Monte Carlo nodes (coarse None),
+    se(rho) / |d rho / d lam| at lam."""
+    if coarse is not None:
+        return abs(lam - _bisect_root(_modular_at(coarse[0]), rel_tol)[0])
     contrib = _power_contrib(nodes, compact, lam)
     se = _stratified_se(nodes, contrib)
     # w p contrib vanishes off the compact nodes but is summed over the

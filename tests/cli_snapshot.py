@@ -37,13 +37,23 @@ from test_cli import CASES, GOLDEN, fingerprint  # noqa: E402
 from vexlp.cli import main  # noqa: E402
 
 # runs outside CASES and the README that reach the Monte Carlo norm, an
-# infinite exponent piece, the radial shell terms, Monte Carlo cutoff norms,
-# the piece-aware radial rule on the shrinking cusp, the bounded tube and
-# widening cusp of the region grammar, a shell or ball minus the tube, and
-# the `pieces` exponent form; with the README `liouville` run, the two
-# `liouville-*-200k` runs cover every job kind of the `liouville` benchmark
-# workload at its size
+# infinite exponent piece, the radial shell terms, the piece-aware radial
+# rule on the shrinking cusp, the bounded tube and widening cusp of the
+# region grammar, a shell or ball minus the tube, and the `pieces` exponent
+# form; with the README `liouville` run, the two `liouville-*-200k` runs
+# cover every job kind of the `liouville` benchmark workload at its size.
+# `liouville-mc` and `alpha-beta-mc` are the README runs on Monte Carlo, at
+# 200k samples and seed 7, and `decay-mc` reaches the Monte Carlo cutoff norms.
 EXTRA = {
+    "liouville-mc": [
+        "liouville", "--preset", "cylinder", "--inner", "5", "--outer", "4",
+        "--field", '{"name":"decaying_solenoidal","rate":2}', "--grid-start", "8",
+        "--grid-factor", "2", "--grid-count", "6", "--quad", "mc", "--samples", "200000",
+        "--seed", "7"],
+    "alpha-beta-mc": [
+        "alpha-beta", "--field", '{"name":"decaying_solenoidal","rate":2}',
+        "--grid-start", "8", "--grid-factor", "2", "--grid-count", "6",
+        "--quad", "mc", "--samples", "200000", "--seed", "7"],
     "norm-mc-cylinder": [
         "norm", "--field", '{"name":"inverse_quadratic"}', "--preset", "cylinder",
         "--inner", "5", "--outer", "4", "--samples", "50000", "--seed", "2"],

@@ -325,6 +325,23 @@ def test_decay_defaults_to_the_radial_rule(tmp_path, capsys):
     assert "require an explicit 'seed'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["liouville", "--preset", "cylinder", "--inner", "5", "--outer", "4",
+     "--field", '{"name":"decaying_solenoidal","rate":2}',
+     "--grid-start", "8", "--grid-factor", "2", "--grid-count", "4"],
+    ["alpha-beta", "--field", '{"name":"decaying_solenoidal","rate":2}',
+     "--grid-start", "8", "--grid-factor", "2", "--grid-count", "4"],
+], ids=["liouville", "alpha-beta"])
+def test_liouville_and_alpha_beta_default_to_the_radial_rule(argv, tmp_path, capsys):
+    # the shell terms and cutoff norms are deterministic by default and the
+    # scans' seed defaults to 0, so two seedless runs write the same bytes;
+    # Monte Carlo still needs a seed
+    first = _outputs(argv, tmp_path / "first")
+    assert _outputs(argv, tmp_path / "second") == first
+    assert main(argv + ["--quad", "mc", "--out", str(tmp_path / "mc")]) == 1
+    assert "require an explicit 'seed'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, key", [
     (CASES["energy"], "gap_tol"),
     (CASES["liouville"] + ["--field", '{"name":"decaying_solenoidal","rate":2}'], "slope_margin"),
@@ -560,7 +577,7 @@ def test_region_numbers_keep_the_missing_field_message():
 README_LIOUVILLE = ["liouville", "--preset", "cylinder", "--inner", "5", "--outer", "4",
                     "--field", '{"name":"decaying_solenoidal","rate":2}',
                     "--grid-start", "8", "--grid-factor", "2", "--grid-count", "6",
-                    "--samples", "20000"]
+                    "--quad", "mc", "--samples", "20000"]
 NORM_ON_A_BALL = ["norm", "--field", '{"name":"gaussian"}', "--exponent", '{"constant":3}',
                   "--region", '{"type":"ball","radius":2}', "--samples", "20000", "--seed", "1"]
 
@@ -749,6 +766,9 @@ def test_flag_table_keeps_every_flag_and_config_field(capsys):
     help_text = capsys.readouterr().out
     assert "{laplacian,gradient}" in help_text and "kind,R,norm,abs_error" in help_text
     assert "(default: radial;" in help_text
+    with pytest.raises(SystemExit):
+        main(["liouville", "--help"])
+    assert "(default: radial;" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

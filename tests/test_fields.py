@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from vexlp.exponents import PresetSpec, constant_field, preset
+from vexlp.errors import QuadratureDomainError
+from vexlp.exponents import ExponentField, PresetSpec, constant_field, preset
 from vexlp.fields import (
     ScalarField3,
     VectorField3,
@@ -191,7 +192,19 @@ def test_scan_scales_a_bounded_field_on_an_infinite_piece():
     assert math.isinf(modular(u, shrink, Ball(radius=8), quad)[0])
     scan = membership_scan(u, shrink, radii, quad)
     assert scan.verdict == "convergent"
-    assert scan.scale == luxemburg_norm(u, shrink, Ball(radius=8), quad).value > 1.0
+    # the scale is the upper end of the norm on the radial rule, which
+    # brackets sup |u| = 2 at the origin; Monte Carlo nodes miss that peak
+    norm = luxemburg_norm(u, shrink, Ball(radius=8), Quadrature("radial"))
+    assert scan.scale == norm.value + norm.abs_error
+    assert norm.value <= 2.0 <= scan.scale < 2.0 + 1e-4
     assert all(math.isfinite(v) for v in scan.increments)
     # a finite exponent needs no scale
     assert membership_scan(u, constant_field(4.0), radii, quad).scale == 1.0
+
+
+def test_scan_refuses_an_infinite_piece_off_the_axis():
+    # the scale norm runs on the radial rule, which needs pieces that are
+    # solids of revolution about the x1 axis
+    p = ExponentField(((Ball(center=(0.0, 2.0, 0.0), radius=1.0), math.inf),), 4.0)
+    with pytest.raises(QuadratureDomainError, match="solids of revolution"):
+        membership_scan(gaussian_scalar(), p, [4, 8, 16], Quadrature(n=20_000, seed=1))
