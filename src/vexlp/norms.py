@@ -26,8 +26,9 @@ the ball of radius 8 stands in for R^3.  The radial rule is a product of
 three rules: Gauss-Legendre radii per cell, with cells split at the
 integrand's ``kinks`` (the radii where it is not smooth), Gauss-Legendre
 cosines on each arc of the meridian on which the exponent is constant,
-and uniform azimuths.  Every exponent piece must then be a solid of
-revolution about the x1 axis, and is integrated as exactly as the bulk
+and uniform azimuths.  The arcs end where the sphere meets a piece's
+boundary (`Region.polar_breaks`), so every exponent piece must be a solid
+of revolution about the x1 axis, and is integrated as exactly as the bulk
 whatever its share of the shell.  A radial profile (a cutoff derivative's
 size, `cutoff.RadialProfile`) needs one cosine and one azimuth per arc;
 any other integrand gets 24 of each.  The rule is deterministic; its
@@ -60,7 +61,7 @@ from .errors import (
     QuadratureDomainError,
     UnboundedRegionError,
 )
-from .exponents import ExponentField
+from .exponents import ExponentField, constant_field
 from .regions import Annulus, Ball, Region, row_norm
 
 _CAP = 1e30
@@ -68,16 +69,9 @@ _ESS_SUP_EXTRA = 10_000
 _WHOLE_SPACE = Ball(radius=8.0)  # stands in for R^3 when no domain is given
 # The radial rule's orders: radial nodes per cell, polar nodes per arc and
 # azimuths; the coarse rule halves each.  A radial profile takes
-# (_RADIAL_ORDER, 1, 1), any other integrand _FIELD_ORDERS.  The polar
-# grid that finds the arcs is refined geometrically toward 0, pi/2 and pi,
-# where cusp tips and the shrinking cusp's flare sit, plus uniform cells;
-# the bisection steps that locate a change of exponent along a meridian
-# are capped (adjacent floats are reached well before).
+# (_RADIAL_ORDER, 1, 1), any other integrand _FIELD_ORDERS.
 _FIELD_ORDERS = (96, 24, 24)
 _RADIAL_ORDER = 32
-_THETA_LEVELS = 60
-_THETA_CELLS = 64
-_BISECT_STEPS = 80
 _HOLDER_THRESHOLD = 2.0  # holder_check flags a ratio above this
 
 
@@ -217,56 +211,23 @@ def _gauss_radii(r0: float, r1: float, kinks, order: int) -> tuple[np.ndarray, n
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
-def _meridian(r: np.ndarray, theta: np.ndarray, axis: int = 1) -> np.ndarray:
-    """The points (r cos theta, r sin theta) of the (x1, x_axis) half-plane."""
-    pts = np.zeros((r.size, 3))
-    pts[:, 0] = r * np.cos(theta)
-    pts[:, axis] = r * np.sin(theta)
-    return pts
-
-
-def _polar_grid() -> np.ndarray:
-    """Polar angles on [0, pi], refined geometrically toward 0, pi/2 and pi."""
-    h = 0.5 * math.pi * 2.0 ** -np.arange(1.0, _THETA_LEVELS + 1)
-    uniform = np.linspace(0.0, 0.5 * math.pi, _THETA_CELLS // 2 + 1)
-    half = np.concatenate([h, 0.5 * math.pi - h, uniform])
-    return np.unique(np.concatenate([half, math.pi - half]))
+def _meridian(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The points (r cos theta, r sin theta, 0) of the (x1, x2) half-plane."""
+    return r[:, None] * np.column_stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)])
 
 
 def _polar_arcs(r: np.ndarray, p: ExponentField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arcs of the meridians of radii r on which p is constant.
-
-    Returns (row, start, end) per arc, row indexing r; each radius's arcs
-    run in order from 0 to pi.  p itself is evaluated, so the first
-    matching piece wins as everywhere else; each change of value between
-    two grid angles is bisected down to adjacent floats.  An exponent that
-    differs on the meridian turned into x3 is not axisymmetric.
-    """
-    grid = _polar_grid()
-    rr, tt = np.repeat(r, grid.size), np.tile(grid, r.size)
-    vals = p(_meridian(rr, tt))
-    if not np.array_equal(vals, p(_meridian(rr, tt, axis=2))):
-        raise QuadratureDomainError(
-            "the radial rule needs exponent pieces that are solids "
-            "of revolution about the x1 axis"
-        )
-    vals = vals.reshape(r.size, grid.size)
-    row, col = np.nonzero(vals[:, 1:] != vals[:, :-1])
-    lo, hi, left = grid[col], grid[col + 1], vals[row, col]
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        live = np.flatnonzero((lo < mid) & (mid < hi))
-        if live.size == 0:
-            break
-        same = p(_meridian(r[row[live]], mid[live])) == left[live]
-        lo[live[same]] = mid[live[same]]
-        hi[live[~same]] = mid[live[~same]]
-    # each radius's arcs: 0 before its first change, pi after its last
-    counts = np.bincount(row, minlength=r.size)
-    ends = np.cumsum(counts)
-    start = np.insert(hi, ends - counts, 0.0)
-    end = np.insert(hi, ends, math.pi)
-    return np.repeat(np.arange(r.size), counts + 1), start, end
+    """The arcs of the meridians of radii r on which p is constant, as (row,
+    start, end) per arc, row indexing r, each radius's arcs in order from 0 to
+    pi: cut at the polar breaks of p's piece regions, labelled by p at their
+    mid-angles (the first matching piece wins) and merged where labels agree."""
+    cuts = np.sort(np.hstack([np.zeros((r.size, 1)), np.full((r.size, 1), math.pi),
+                              *(region.polar_breaks(r) for region, _ in p.pieces)]), axis=1)
+    row, col = np.nonzero(cuts[:, 1:] > cuts[:, :-1])  # the NaN padding sorts last
+    start, end = cuts[row, col], cuts[row, col + 1]
+    label = p(_meridian(r[row], 0.5 * (start + end)))
+    first = np.flatnonzero(np.r_[True, (row[1:] != row[:-1]) | (label[1:] != label[:-1])])
+    return row[first], start[first], end[np.append(first[1:], row.size) - 1]
 
 
 def _arc_nodes(r, wr, row, a, b, n_mu: int, n_phi: int) -> _NodeSet:
@@ -275,10 +236,8 @@ def _arc_nodes(r, wr, row, a, b, n_mu: int, n_phi: int) -> _NodeSet:
     weights w_r w_mu (2 pi / n_phi) r^2."""
     # the arc's mid-cosine and half-width in cosine, the latter as a
     # product of sines, without the cancellation of tiny arcs
-    mid = 0.5 * (np.cos(a) + np.cos(b))
-    half = np.sin(0.5 * (a + b)) * np.sin(0.5 * (b - a))
-    keep = half > 0.0
-    row, mid, half = row[keep], mid[keep, None, None], half[keep, None, None]
+    mid = 0.5 * (np.cos(a) + np.cos(b))[:, None, None]
+    half = (np.sin(0.5 * (a + b)) * np.sin(0.5 * (b - a)))[:, None, None]
     x, wx = _gauss_legendre(n_mu)
     mu, w_mu = mid + half * x[:, None], half * wx[:, None]
     w_phi = 2.0 * math.pi / n_phi
@@ -306,8 +265,7 @@ def _build_nodes(
     rules = [fine, tuple(max(k // 2, 1) for k in fine)]
     radii = [_gauss_radii(*span, getattr(f, "kinks", ()), n_r) for n_r, _, _ in rules]
     r, wr = (np.concatenate(parts) for parts in zip(*radii))
-    row, a, b = (_polar_arcs(r, p) if p is not None  # else one arc: the whole meridian
-                 else (np.arange(r.size), np.zeros(r.size), np.full(r.size, math.pi)))
+    row, a, b = _polar_arcs(r, p if p is not None else constant_field(1.0))
     is_fine = row < radii[0][0].size
     nodes, coarse = (_arc_nodes(r, wr, row[m], a[m], b[m], *orders[1:])
                      for m, orders in zip((is_fine, ~is_fine), rules))
@@ -691,10 +649,12 @@ def lemma1_check(
 def lemma2_check(
     f, p: ExponentField, region: Region, quad: Quadrature = Quadrature()
 ) -> CheckReport:
-    """Norm of f vs. (sampled sup of |f|) * norm of 1, over a region."""
+    """Norm of f vs. (sup of |f| on the rule's nodes or on draws) * norm of 1."""
     lhs = luxemburg_norm(f, p, region, quad)
     one = luxemburg_norm(constant_one, p, region, quad)
-    sup = float(_magnitude(f, region.sample(_ESS_SUP_EXTRA, quad.seed + 3)).max())
+    pts = (_build_nodes(region, quad, f, p).points if quad.scheme == "radial"
+           else region.sample(_ESS_SUP_EXTRA, quad.seed + 3))
+    sup = float(_magnitude(f, pts).max())
     rhs = sup * one.value
     tol = 3.0 * (lhs.abs_error + sup * one.abs_error) + 1e-6 * max(rhs, 1.0)
     return CheckReport(lhs.value, rhs, max(0.0, lhs.value - rhs), tol,

@@ -6,7 +6,9 @@ axis, solids of revolution whose cross-section radius follows a power law
 in x1 (widening as x1^gamma or shrinking as x1^(-sigma/2)), and boolean
 combinations.  Each of the three axial families is one class whose axial
 bound (``half_length`` or ``length``) defaults to inf, the unbounded set;
-a finite bound clips it to a finite volume.
+a finite bound clips it to a finite volume.  Each solid of revolution about
+the x1 axis also gives, in closed form or as a root run to adjacent floats,
+the polar angles where a sphere about the origin may cross its boundary.
 
 Membership treats boundary points as members (closed sets) so repeated
 evaluation is deterministic.  Sampling and Monte Carlo volume run over an
@@ -29,7 +31,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AnalyticUnavailableError, SamplingBudgetError, UnboundedRegionError
+from .errors import (
+    AnalyticUnavailableError, QuadratureDomainError, SamplingBudgetError, UnboundedRegionError)
 
 _GEOMETRIC_LEVELS = 120  # strata toward a diverging cross-section at x1 = 0
 _UNIFORM_LEVELS = 16
@@ -140,6 +143,11 @@ class Region(ABC):
         pts, single = as_points(x)
         mask = self._contains_batch(pts)
         return bool(mask[0]) if single else mask
+
+    def polar_breaks(self, r: np.ndarray) -> np.ndarray:
+        """Per radius in r, the angles where |x| = r may cross the boundary, NaN-padded."""
+        raise QuadratureDomainError("the radial rule needs exponent pieces that are "
+                                    "solids of revolution about the x1 axis")
 
     def analytic_volume(self) -> float:
         raise AnalyticUnavailableError(
@@ -276,6 +284,14 @@ class Ball(Region):
     def analytic_volume(self):
         return 4.0 / 3.0 * math.pi * self.radius**3
 
+    def polar_breaks(self, r):
+        """cos theta = (r^2 + c^2 - radius^2) / (2 r c) about (c, 0, 0); NaN if c = 0."""
+        c = self.center[0]
+        if any(self.center[1:]):
+            return super().polar_breaks(r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.arccos((r**2 + c**2 - self.radius**2) / (2.0 * r * c))[:, None]
+
     def _extent(self):
         c1 = self.center[0]
         off = math.hypot(self.center[1], self.center[2])
@@ -304,6 +320,9 @@ class Annulus(Region):
         r = self.r_outer
         return Extent(-r, r, lambda a, b: r)
 
+    def polar_breaks(self, r):
+        return np.empty((r.size, 0))
+
 
 @dataclass(frozen=True)
 class Cylinder(Region):
@@ -327,6 +346,12 @@ class Cylinder(Region):
 
     def _extent(self):
         return Extent(-self.half_length, self.half_length, lambda a, b: 1.0)
+
+    def polar_breaks(self, r):
+        """sin theta = 1/r (arccos loses 1e-11 at r = 256) and |cos theta| = half_length/r."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ends = np.column_stack([np.arcsin(1.0 / r), np.arccos(self.half_length / r)])
+        return np.hstack([ends, math.pi - ends])
 
 
 def _check_cusp(name: str, value: float, length: float):
@@ -363,6 +388,9 @@ class PowerCusp(Region):
     def _extent(self):
         g, L = self.gamma, self.length
         return Extent(0.0, L, lambda a, b: min(max(b, 0.0), L) ** g)
+
+    def polar_breaks(self, r):
+        return _cusp_breaks(r, 2.0 * self.gamma, self.length)
 
 
 @dataclass(frozen=True)
@@ -401,6 +429,9 @@ class ShrinkCusp(Region):
             0.0, self.length, self._rho, diverging_lo=True, tail_volume=self._tail
         )
 
+    def polar_breaks(self, r):
+        return _cusp_breaks(r, -self.sigma, self.length)
+
 
 def _cusp_contains(pts: np.ndarray, power: float, length: float) -> np.ndarray:
     """0 < x1 <= length and x2^2 + x3^2 <= x1^power."""
@@ -409,6 +440,28 @@ def _cusp_contains(pts: np.ndarray, power: float, length: float) -> np.ndarray:
         bound = np.where(x1 > 0, np.abs(x1) ** power, -1.0)
     mask = (x1 > 0) & (_axis_dist_sq(pts) <= bound)
     return mask & (x1 <= length) if math.isfinite(length) else mask
+
+
+def _cusp_breaks(r: np.ndarray, power: float, length: float) -> np.ndarray:
+    """Where |x| = r meets x1 = length and x2^2 + x3^2 = x1^power: at the roots
+    s = x1 of s^2 + s^power = r^2, one if power > 0, else one each side of the
+    minimum s0 and x1 = 0, each at the well conditioned atan2(s^(power/2), s)."""
+    r = r[:, None]
+    s0 = np.full_like(r, (-0.5 * power) ** (1.0 / (2.0 - power)) if power < 0 else math.nan)
+    lo, hi = (np.hstack([0.0 * r, s0]), np.hstack([s0, r])) if power < 0 else (0.0 * r, r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        def excess(s):
+            return s * s + s**power - r * r
+        # bisect the floats' bit patterns, ordered as the floats: at most 63 steps
+        lo, hi = lo.view(np.int64), hi.view(np.int64)
+        positive = excess(lo.view(float)) > 0.0
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            same = (excess(mid.view(float)) > 0.0) == positive
+            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        s = np.where(excess(s0) > 0.0, math.nan, hi.view(float))  # no root: all of x1 > 0 inside
+        flare = np.full_like(r, 0.5 * math.pi if power < 0 else math.nan)
+        return np.hstack([np.arctan2(s ** (0.5 * power), s), flare, np.arccos(length / r)])
 
 
 @dataclass(frozen=True)
@@ -421,6 +474,9 @@ class Complement(Region):
     def _extent(self):
         return Extent(-math.inf, math.inf, lambda a, b: math.inf)
 
+    def polar_breaks(self, r):
+        return self.inner.polar_breaks(r)
+
 
 @dataclass(frozen=True)
 class Intersect(Region):
@@ -429,6 +485,9 @@ class Intersect(Region):
 
     def _contains_batch(self, pts):
         return self.first._contains_batch(pts) & self.second._contains_batch(pts)
+
+    def polar_breaks(self, r):
+        return np.hstack([self.first.polar_breaks(r), self.second.polar_breaks(r)])
 
     def _extent(self):
         e1, e2 = self.first._extent(), self.second._extent()

@@ -40,7 +40,8 @@ from vexlp.cli import main  # noqa: E402
 # infinite exponent piece, the radial shell terms, the piece-aware radial
 # rule on the shrinking cusp, the bounded tube and widening cusp of the
 # region grammar, a shell or ball minus the tube, and the `pieces` exponent
-# form; with the README `liouville` run, the two `liouville-*-200k` runs
+# form (`norm-pieces-bounded` puts every bounded piece region of the grammar
+# under the radial rule); with the README `liouville` run, the two `liouville-*-200k` runs
 # cover every job kind of the `liouville` benchmark workload at its size.
 # `liouville-mc` and `alpha-beta-mc` are the README runs on Monte Carlo, at
 # 200k samples and seed 7, and `decay-mc` reaches the Monte Carlo cutoff norms.
@@ -110,6 +111,14 @@ EXTRA = {
         "--samples", "50000", "--seed", "3"],
     "norm-pieces": [
         "norm", "--exponent", '{"pieces":[{"region":{"type":"cylinder"},"value":5}],"default":4}',
+        "--field", '{"name":"inverse_quadratic"}', "--quad", "radial"],
+    "norm-pieces-bounded": [
+        "norm", "--exponent", '{"pieces":['
+        '{"region":{"type":"ball","center":[-3,0,0],"radius":2},"value":6},'
+        '{"region":{"type":"truncated_power_cusp","gamma":0.5,"length":5},"value":5},'
+        '{"region":{"type":"truncated_shrink_cusp","sigma":0.5,"length":4},"value":4.5},'
+        '{"region":{"type":"diff","keep":{"type":"cylinder_segment","half_length":6},'
+        '"remove":{"type":"ball","radius":2}},"value":5.5}],"default":4}',
         "--field", '{"name":"inverse_quadratic"}', "--quad", "radial"],
 }
 

@@ -24,9 +24,9 @@ N, SEEDS = 100_000, range(10)
 # The shrinking cusp's inner piece (exponent +inf, conjugate 1) carries
 # the gradient norm at large R, yet holds a handful of Monte Carlo nodes
 # there; the per-node variance cannot see what no node samples, so the
-# error bar is 20-60 times too small (ROADMAP item D: per-piece strata).
+# error bar is 20-60 times too small (ROADMAP item F: per-piece strata).
 SPARSE_PIECE = pytest.mark.xfail(
-    strict=True, reason="MC misses the shrinking cusp's inner piece (ROADMAP item D)")
+    strict=True, reason="MC misses the shrinking cusp's inner piece (ROADMAP item F)")
 
 
 

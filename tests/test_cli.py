@@ -670,6 +670,18 @@ def test_lemmas_on_a_velocity_field(tmp_path):
     assert json.loads((tmp_path / "lemmas.json").read_text())["checks"]["holder"]["passed"]
 
 
+def test_radial_lemmas_read_no_seed(tmp_path):
+    # under the radial rule lemma2 takes its sup of |f| from the rule's own
+    # nodes, so no check draws, and lhs <= sup * norm(1) on shared nodes
+    argv = ["lemmas", "--preset", "cylinder", "--inner", "5", "--outer", "4", "--region",
+            '{"type":"annulus","inner":2,"outer":4}', "--quad", "radial"]
+    for seed in (1, 2):
+        assert main(argv + ["--seed", str(seed), "--out", str(tmp_path / str(seed))]) == 0
+    assert (tmp_path / "1" / "lemmas.csv").read_bytes() == (tmp_path / "2" / "lemmas.csv").read_bytes()
+    checks = [json.loads((tmp_path / seed / "lemmas.json").read_text())["checks"] for seed in "12"]
+    assert checks[0] == checks[1] and checks[0]["lemma2"]["passed"]
+
+
 def test_malformed_region_center_is_usage_error():
     with pytest.raises(ConfigError, match="three finite coordinates"):
         region_from_dict({"type": "ball", "center": [1, 0], "radius": 2})

@@ -37,6 +37,7 @@ from vexlp.regions import (
     Annulus,
     Ball,
     Cylinder,
+    Diff,
     Intersect,
     PowerCusp,
     Region,
@@ -640,14 +641,38 @@ def test_cylinder_arc_measure_is_exact():
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_thin_shrink_cusp_arcs_are_labelled_throughout():
+    # near r = 1.285 the sphere leaves the sigma = 1/2 cusp on an arc of
+    # cos-width 0.039 about tan^2 theta = 2/sigma, thinner than a coarse
+    # polar grid; each arc's label must hold across its interior
+    p = preset(PRESETS["shrink_cusp"])
+    r = np.linspace(1.27, 1.30, 3001)
+    row, a, b = norms._polar_arcs(r, p)
+    label = p(norms._meridian(r[row], 0.5 * (a + b)))
+    for t in np.linspace(0.05, 0.95, 8):
+        assert (p(norms._meridian(r[row], a + t * (b - a))) == label).all()
+
+
+# each piece region as the first piece of a two-piece exponent (5 inside, 4 outside)
+PIECE_REGIONS = {
+    **{name: spec.inner_region() for name, spec in PRESETS.items()},
+    "ball-ahead": Ball((12.0, 0.0, 0.0), 3.0),
+    "ball-behind": Ball((-10.0, 0.0, 0.0), 4.0),
+    "cylinder_segment": Cylinder(12.0),
+    "truncated_power_cusp": PowerCusp(0.5, 12.0),
+    "truncated_shrink_cusp": ShrinkCusp(0.5, 12.0),
+    "diff": Diff(Cylinder(), Ball((12.0, 0.0, 0.0), 3.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIECE_REGIONS))
 def test_radial_rule_piece_weights_match_mc_volumes(name):
-    spec = PRESETS[name]
-    p = preset(spec)
+    region = PIECE_REGIONS[name]
+    p = two_piece_field(region, 5.0, 4.0)
     cut = make_cutoff(16.0)
     nodes = _build_nodes(cut.support(), RADIAL, cut.size("laplacian"), p)
-    inner = p(nodes.points) == spec.inner_exponent()
-    est = Intersect(cut.support(), spec.inner_region()).volume("monte_carlo", n=200_000, seed=5)
+    inner = p(nodes.points) == 5.0
+    est = Intersect(cut.support(), region).volume("monte_carlo", n=200_000, seed=5)
     assert abs(float(nodes.weights[inner].sum()) - est.value) <= 3.0 * est.std_error
     assert float(nodes.weights.sum()) == pytest.approx(cut.support().analytic_volume(), rel=1e-12)
 

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from vexlp.cli import region_from_dict
-from vexlp.errors import AnalyticUnavailableError, SamplingBudgetError, UnboundedRegionError
+from vexlp.errors import (
+    AnalyticUnavailableError, QuadratureDomainError, SamplingBudgetError, UnboundedRegionError)
+from vexlp.norms import _meridian
 from vexlp.regions import (
     _CHUNK,
     Annulus,
@@ -415,3 +417,54 @@ def test_ball_center_needs_three_finite_coordinates():
         Ball(radius=math.nan)
     with pytest.raises(ValueError, match="half_length must be positive"):
         Cylinder(math.nan)
+
+
+# ---------------------------------------------------------------------------
+# polar breaks: where a sphere about the origin crosses a region's boundary
+
+SHAPES = (0.01, 0.5, 0.99)
+# the regions with one boundary surface, where every break is a crossing;
+# an axial bound or a Diff adds breaks that may fall outside the region
+ONE_SURFACE = {
+    "tube": Cylinder(),
+    **{f"power-cusp-{g}": PowerCusp(g) for g in SHAPES},
+    **{f"shrink-cusp-{s}": ShrinkCusp(s) for s in SHAPES},
+    "ball-behind": Ball((-3.0, 0.0, 0.0), 2.0),
+    "ball-ahead": Ball((40.0, 0.0, 0.0), 30.0),
+}
+BREAK_REGIONS = {
+    **ONE_SURFACE,
+    "tube-segment": Cylinder(5.0),
+    **{f"power-cusp-{g}-length": PowerCusp(g, 5.0) for g in SHAPES},
+    **{f"shrink-cusp-{s}-length": ShrinkCusp(s, 5.0) for s in SHAPES},
+    "diff": Diff(Cylinder(40.0), Ball(radius=2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BREAK_REGIONS))
+def test_polar_breaks_are_where_membership_changes(name):
+    # on the meridian of each radius, membership is constant between
+    # neighbouring breaks, checked just inside each end of each arc and at
+    # its midpoint; on one boundary surface, each break flips it, unless
+    # an even number of them coincide
+    region = BREAK_REGIONS[name]
+    r = np.exp(np.random.default_rng(11).uniform(math.log(0.5), math.log(512.0), 400))
+    breaks = region.polar_breaks(r)
+    assert breaks.shape[0] == r.size
+    for radius, row in zip(r, breaks):
+        cuts = np.unique(np.concatenate([[0.0, math.pi], row[np.isfinite(row)]]))
+        assert 0.0 <= cuts[0] and cuts[-1] <= math.pi
+        step = np.minimum(1e-9, 0.25 * np.diff(cuts))
+        lo, hi = cuts[:-1] + step, cuts[1:] - step
+        inside = [region.contains(_meridian(np.full_like(t, radius), t))
+                  for t in (lo, 0.5 * (lo + hi), hi)]
+        assert (inside[0] == inside[1]).all() and (inside[1] == inside[2]).all(), radius
+        if name in ONE_SURFACE:
+            odd = np.array([np.count_nonzero(row == b) % 2 == 1 for b in cuts[1:-1]], dtype=bool)
+            assert (odd == (inside[2][:-1] != inside[0][1:])).all(), radius
+
+
+def test_polar_breaks_refuse_a_ball_off_the_axis():
+    with pytest.raises(QuadratureDomainError, match="solids of revolution"):
+        Ball((0.0, 6.0, 0.0), 1.0).polar_breaks(np.array([4.0, 8.0]))
+    assert np.isnan(Ball(radius=3.0).polar_breaks(np.array([2.0, 3.0, 4.0]))).all()
