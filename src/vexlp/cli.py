@@ -464,6 +464,12 @@ def run_liouville(cfg: RunConfig):
             "velocity": report.velocity_scan.verdict,
             "pressure": report.pressure_scan.verdict,
         },
+        "scans": {
+            name: {"scale": scan.scale, "increments": scan.increments,
+                   "errors": scan.errors, "ratios": scan.ratios}
+            for name, scan in (("velocity", report.velocity_scan),
+                               ("pressure", report.pressure_scan))
+        },
         "fits": {
             k: None if f is None else {"slope": f.slope, "intercept": f.intercept}
             for k, f in report.fits.items()

@@ -427,9 +427,15 @@ def liouville_pipeline(
         for name in ("alpha", "beta1", "beta2", "lap_norm", "grad_norm")
     }
 
+    undecided = [name for name, scan in (("velocity", scan_u), ("pressure", scan_p))
+                 if scan.verdict == "undecided"]
     if scan_u.verdict == "diverging" or scan_p.verdict == "diverging":
         conclusion = "hypotheses-violated"
         note = "global integrability fails, so the decay bounds do not apply"
+    elif undecided:
+        conclusion = "inconclusive"
+        note = (f"membership scan undecided for the {' and '.join(undecided)}: the "
+                "increments fall, but not under the 0.9 envelope")
     else:
         ok = True
         for name, cert in (("alpha", cert_a), ("beta1", cert_b)):

@@ -233,8 +233,14 @@ def ns_residual(u: VectorField3, p: ScalarField3, x) -> Array:
 class ScanResult:
     rows: tuple[tuple[float, float, float], ...]  # (radius, truncated modular, err)
     increments: tuple[float, ...]
-    verdict: str  # "convergent" | "diverging"
+    verdict: str  # "convergent" | "undecided" | "diverging"
     scale: float = 1.0  # the lambda whose f / lambda was scanned
+    errors: tuple[float, ...] = ()  # each increment's quadrature error
+
+    @property
+    def ratios(self) -> list[float]:
+        """The last ratios of successive increments, as the verdict reads them."""
+        return _last_ratios(self.increments)
 
 
 def membership_scan(
@@ -258,9 +264,9 @@ def membership_scan(
 
     The verdict is "convergent" when the shell-by-shell increments decay
     under a fixed geometric envelope (ratio <= 0.9 over the last shells)
-    or are identically zero, and "diverging" otherwise; increments that
-    fail to decay clearly are treated as diverging, which is the
-    conservative call for a hypothesis check.
+    or are identically zero, "undecided" when they fall over the last
+    shells but not under that envelope (a slowly decaying field in the
+    space looks so over a finite grid), and "diverging" otherwise.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
@@ -286,7 +292,12 @@ def membership_scan(
         (r, float(c), float(e)) for r, c, e in zip(radii, cums, np.cumsum(errors))
     )
     verdict = _trend_verdict(increments)
-    return ScanResult(rows, tuple(float(v) for v in increments), verdict, scale)
+    return ScanResult(rows, tuple(float(v) for v in increments), verdict, scale,
+                      tuple(float(e) for e in errors))
+
+
+def _last_ratios(increments) -> list[float]:
+    return [b / a for a, b in zip(increments[-4:], increments[-3:]) if a > 1e-300]
 
 
 def _trend_verdict(increments: list[float]) -> str:
@@ -299,11 +310,7 @@ def _trend_verdict(increments: list[float]) -> str:
     slack = 1.0 + 1e-9
     if last[0] <= last[1] * slack and last[1] <= last[2] * slack and last[2] > 0:
         return "diverging"
-    ratios = [
-        b / a for a, b in zip(increments[-4:], increments[-3:]) if a > 1e-300
-    ]
-    if ratios and max(ratios) <= 0.9:
+    ratios = _last_ratios(increments)
+    if not ratios or max(ratios) <= 0.9:  # under the envelope, or collapsed to zero
         return "convergent"
-    if not ratios:  # tail already collapsed to zero
-        return "convergent"
-    return "diverging"
+    return "undecided" if max(ratios) < 1.0 else "diverging"

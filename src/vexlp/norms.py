@@ -24,19 +24,21 @@ envelope (works for any samplable region, piecewise integrands included)
 or a radial rule over origin-centered balls and shells; without a domain,
 the ball of radius 8 stands in for R^3.  The radial rule is a product of
 three rules: Gauss-Legendre radii per cell, with cells split at the
-integrand's ``kinks`` (the radii where it is not smooth), Gauss-Legendre
+integrand's ``kinks`` (the radii where it is not smooth) and at the octave
+radii r1/2, ..., r1/16 of the span [r0, r1], so a shell [R/2, R] is one
+cell and a ball five cells geometric toward the origin, Gauss-Legendre
 cosines on each arc of the meridian on which the exponent is constant,
 and uniform azimuths.  The arcs end where the sphere meets a piece's
 boundary (`Region.polar_breaks`), so every exponent piece must be a solid
 of revolution about the x1 axis, and is integrated as exactly as the bulk
 whatever its share of the shell.  A radial profile (a cutoff derivative's
 size, `cutoff.RadialProfile`) needs one cosine and one azimuth per arc;
-any other integrand gets 24 of each.  The rule is deterministic; its
-error is the gap to the same rule at half the order (for a norm, between
-the two roots).  The last Monte Carlo node set is kept in a one-slot memo
-keyed by (domain, quad), so the integrals and norms asked of one shell in
-a row draw it once; its arrays are read-only because every caller then
-holds the same set.  A set gathers the indices and points of its
+any other integrand gets 24 radii per cell and 24 of each.  The rule is
+deterministic; its error is the gap to the same rule at half the order
+(for a norm, between the two roots).  The last Monte Carlo node set is
+kept in a one-slot memo keyed by (domain, quad), so the integrals and
+norms asked of one shell in a row draw it once; its arrays are read-only
+because every caller then holds the same set.  A set gathers the indices and points of its
 in-domain nodes on first use and keeps them, read-only, for as long as it
 lives; a radial set, whose nodes all lie in the domain, gathers no copy.
 
@@ -69,8 +71,9 @@ _ESS_SUP_EXTRA = 10_000
 _WHOLE_SPACE = Ball(radius=8.0)  # stands in for R^3 when no domain is given
 # The radial rule's orders: radial nodes per cell, polar nodes per arc and
 # azimuths; the coarse rule halves each.  A radial profile takes
-# (_RADIAL_ORDER, 1, 1), any other integrand _FIELD_ORDERS.
-_FIELD_ORDERS = (96, 24, 24)
+# (_RADIAL_ORDER, 1, 1), any other integrand _FIELD_ORDERS: with octave
+# cells, 24 radii match 96 on the shell terms, whose error is angular.
+_FIELD_ORDERS = (24, 24, 24)
 _RADIAL_ORDER = 32
 _HOLDER_THRESHOLD = 2.0  # holder_check flags a ratio above this
 
@@ -204,8 +207,9 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gauss_radii(r0: float, r1: float, kinks, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre radii and weights on [r0, r1], ``order`` per cell
-    between the kinks that lie inside."""
-    edges = np.array([r0, *sorted(k for k in kinks if r0 < k < r1), r1])
+    between the kinks and the octave radii r1/2, ..., r1/16 that lie inside."""
+    cuts = {*kinks, *(r1 / 2**k for k in range(1, 5))}
+    edges = np.array([r0, *sorted(k for k in cuts if r0 < k < r1), r1])
     x, w = _gauss_legendre(order)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()

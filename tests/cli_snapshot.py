@@ -2,6 +2,7 @@
 
     python tests/cli_snapshot.py OUT
     python tests/cli_snapshot.py --goldens [CASE ...]
+    python tests/cli_snapshot.py --compare OLD NEW
 
 Runs each `CASES` entry of `tests/test_cli.py`, each `vexlp` command of the
 README examples block (parsed from README.md, with its `--out` replaced)
@@ -19,6 +20,13 @@ With ``--goldens`` it rewrites ``tests/golden/<case>/`` from `CASES` (the
 named cases, or all of them) and records this machine's fingerprint for
 each in ``tests/golden/FINGERPRINT.json``, which the golden test prints
 next to its own when a case no longer matches.
+
+With ``--compare`` it prints every cell of two snapshot trees that moved:
+each CSV and JSON leaf whose value differs, with its relative move and,
+for a number, the move in units of its row's error bar (the old
+``abs_error``, ``errors`` or ``std_error`` of the CSV row or JSON object
+holding it).  Other files that differ are named.  It exits 1 when
+anything moved, as ``diff`` does.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from test_cli import CASES, GOLDEN, fingerprint  # noqa: E402
+from test_cli import CASES, GOLDEN, _csv_cells, _json_cells, fingerprint  # noqa: E402
 from vexlp.cli import main  # noqa: E402
 
 # runs outside CASES and the README that reach the Monte Carlo norm, an
@@ -171,12 +179,73 @@ def write_goldens(names: list[str]) -> None:
     stamp.write_text(json.dumps(stamps, indent=2, sort_keys=True) + "\n")
 
 
+# the columns holding a row's error bar, one per command family
+ERROR_COLUMNS = ("abs_error", "errors", "std_error")
+
+
+def _cells(path: Path) -> dict:
+    """A snapshot file as {cell path: (value, column, record)}, the JSON
+    rows named by the header of the run's CSV."""
+    if path.suffix == ".csv":
+        return _csv_cells(path.read_text())
+    table = path.with_suffix(".csv")
+    header = table.read_text().splitlines()[0].split(",") if table.exists() else []
+    return _json_cells(json.loads(path.read_text()), header)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _move(a, b, record) -> str:
+    """b - a relative to a, and in units of the record's error bar."""
+    text = f", rel {abs(b - a) / abs(a):.2e}" if a else ", rel inf"
+    for column in ERROR_COLUMNS:
+        bar = record.get(column) if isinstance(record, dict) else None
+        if _is_number(bar) and bar > 0:
+            return text + f", {abs(b - a) / bar:.3g} x {column} {bar:.3g}"
+    return text + ", no bar"
+
+
+def compare(old: Path, new: Path) -> int:
+    """Print each cell that moved between two snapshot trees; the count."""
+    moved = 0
+    for name in sorted({p.relative_to(old) for p in old.rglob("*") if p.is_file()}
+                       | {p.relative_to(new) for p in new.rglob("*") if p.is_file()}):
+        a, b = old / name, new / name
+        if not (a.exists() and b.exists()):
+            print(f"{name}: only in {old if a.exists() else new}")
+            moved += 1
+            continue
+        if a.read_bytes() == b.read_bytes():
+            continue
+        if a.suffix not in (".csv", ".json"):
+            print(f"{name}: differs")
+            moved += 1
+            continue
+        want, got = _cells(a), _cells(b)
+        for path in sorted(want.keys() ^ got.keys()):
+            print(f"{name} {path}: only in {'OLD' if path in want else 'NEW'}")
+            moved += 1
+        for path, (x, _, record) in want.items():
+            if path not in got or got[path][0] == x:
+                continue
+            y = got[path][0]
+            numbers = _is_number(x) and _is_number(y)
+            print(f"{name} {path}: {x!r} -> {y!r}" + (_move(x, y, record) if numbers else ""))
+            moved += 1
+    return moved
+
+
 if __name__ == "__main__":
     if len(sys.argv) >= 2 and sys.argv[1] == "--goldens":
         write_goldens(sys.argv[2:])
         sys.exit()
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(1 if compare(Path(sys.argv[2]), Path(sys.argv[3])) else 0)
     if len(sys.argv) != 2:
-        sys.exit("usage: python tests/cli_snapshot.py OUT | --goldens [CASE ...]")
+        sys.exit("usage: python tests/cli_snapshot.py OUT | --goldens [CASE ...]"
+                 " | --compare OLD NEW")
     out = Path(sys.argv[1])
     if out.exists() and any(out.iterdir()):
         sys.exit(f"{out} is not empty")

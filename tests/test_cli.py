@@ -208,6 +208,21 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert (a / "liouville.json").read_bytes() == (b / "liouville.json").read_bytes()
 
 
+def test_liouville_json_explains_its_scans(tmp_path):
+    argv = ["liouville", "--preset", "cylinder", "--inner", "5", "--outer", "4",
+            "--field", '{"name":"decaying_solenoidal","rate":0.78}', "--grid-start", "8",
+            "--grid-factor", "2", "--grid-count", "6", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "liouville.json").read_text())
+    assert report["conclusion"] == "inconclusive"
+    assert report["membership"] == {"velocity": "undecided", "pressure": "convergent"}
+    velocity = report["scans"]["velocity"]
+    assert velocity["scale"] == 1.0
+    assert len(velocity["increments"]) == len(velocity["errors"]) == 6
+    assert len(velocity["ratios"]) == 3 and all(0.9 < r < 1.0 for r in velocity["ratios"])
+    assert report["scans"]["pressure"]["increments"] == [0.0] * 6
+
+
 def test_every_command_has_a_golden_case():
     assert set(CASES) == set(COMMANDS)
 

@@ -338,6 +338,28 @@ def test_pipeline_decaying_field_confirmed():
         "radius", "alpha", "beta1", "beta2", "beta", "lap_norm", "grad_norm", "error"]
 
 
+SLOW_DECAY_PRESETS = {
+    "cylinder": CYL,
+    "power_cusp": PresetSpec.make("power_cusp", outer=4, inner=5, gamma="1/2"),
+    "shrink_cusp": PresetSpec.make("shrink_cusp", outer=4, sigma="1/2"),
+}
+
+
+@pytest.mark.parametrize("rate, verdict, conclusion", [
+    (0.78, "undecided", "inconclusive"), (0.80, "convergent", "decay-confirmed")])
+@pytest.mark.parametrize("name", sorted(SLOW_DECAY_PRESETS))
+def test_pipeline_slow_decay_is_never_called_a_violation(name, rate, verdict, conclusion):
+    # with outer exponent 4 the field lies in L^p(.) for every rate above 3/4;
+    # at 0.78 the velocity increments fall by about 0.92 a shell, above the
+    # scan's 0.9 envelope, which leaves the run inconclusive, not violated
+    rep = liouville_pipeline(SLOW_DECAY_PRESETS[name], decaying_solenoidal(rate), zero_scalar(),
+                             [8 * 2**k for k in range(6)], Quadrature(scheme="radial", seed=7))
+    assert (rep.velocity_scan.verdict, rep.conclusion) == (verdict, conclusion)
+    assert rep.pressure_scan.verdict == "convergent"
+    if verdict == "undecided":
+        assert "velocity" in rep.note and "pressure" not in rep.note
+
+
 def test_pipeline_requires_grid():
     with pytest.raises(ValueError):
         liouville_pipeline(CYL, zero_vector(), zero_scalar(), [8, 16, 32])

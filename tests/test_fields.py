@@ -10,6 +10,7 @@ from vexlp.exponents import ExponentField, PresetSpec, constant_field, preset
 from vexlp.fields import (
     ScalarField3,
     VectorField3,
+    _trend_verdict,
     decaying_solenoidal,
     fd_jacobian,
     gaussian_scalar,
@@ -163,6 +164,13 @@ def test_zero_scan_converges_with_zero_modulars():
     )
     assert scan.verdict == "convergent"
     assert all(row[1] == 0.0 for row in scan.rows)
+
+
+def test_trend_verdict_is_undecided_when_increments_fall_above_the_envelope():
+    assert _trend_verdict([1.0, 0.5, 0.25, 0.125]) == "convergent"
+    assert _trend_verdict([1.0, 0.92, 0.85, 0.78]) == "undecided"
+    assert _trend_verdict([1.0, 1.1, 1.2, 1.3]) == "diverging"
+    assert _trend_verdict([1.0, 0.5, 2.0, 0.5]) == "diverging"  # a last ratio above 1
 
 
 def test_scan_requires_increasing_radii():

@@ -9,10 +9,18 @@ import numpy as np
 import pytest
 
 from vexlp import norms
+from vexlp.cli import exponent_from_dict, field_from_dict
 from vexlp.cutoff import make_cutoff
 from vexlp.errors import ExponentRangeError, ExponentRelationError, QuadratureDomainError
+from vexlp.estimates import alpha_term, beta_terms
 from vexlp.exponents import PresetSpec, constant_field, preset, two_piece_field
-from vexlp.fields import gaussian_scalar, inverse_quadratic_scalar, zero_scalar
+from vexlp.fields import (
+    decaying_solenoidal,
+    gaussian_scalar,
+    gradient_counterexample,
+    inverse_quadratic_scalar,
+    zero_scalar,
+)
 from vexlp.norms import (
     Quadrature,
     _build_nodes,
@@ -714,3 +722,84 @@ def test_radial_restriction_identity_on_the_readme_region():
     assert masked(f, region).kinks == (2.0, 4.0)
     rep = restriction_identity_check(f, preset(PRESETS["cylinder"]), region, RADIAL)
     assert rep.deviation <= rep.tolerance and rep.deviation < 3.3e-3
+
+
+# ---------------------------------------------------------------------------
+# field orders: octave cells of 24 radii
+
+README_GRID = [8.0 * 2**k for k in range(6)]
+# the fields of the `liouville` benchmark jobs; the shell terms do not read
+# the exponent, so the cylinder and power-cusp jobs share the first entry
+SHELL_FIELDS = {
+    "decaying_solenoidal": (decaying_solenoidal(2.0), zero_scalar()),
+    "counterexample": gradient_counterexample(),
+}
+# the radial `norm` runs of tests/cli_snapshot.py, as (field, exponent) specs
+SNAPSHOT_NORMS = {
+    "norm": ({"name": "gaussian"}, {"constant": 2}),
+    "norm-pieces": ({"name": "inverse_quadratic"},
+                    {"pieces": [{"region": {"type": "cylinder"}, "value": 5}], "default": 4}),
+    "norm-pieces-bounded": ({"name": "inverse_quadratic"}, {"pieces": [
+        {"region": {"type": "ball", "center": [-3, 0, 0], "radius": 2}, "value": 6},
+        {"region": {"type": "truncated_power_cusp", "gamma": 0.5, "length": 5}, "value": 5},
+        {"region": {"type": "truncated_shrink_cusp", "sigma": 0.5, "length": 4}, "value": 4.5},
+        {"region": {"type": "diff", "keep": {"type": "cylinder_segment", "half_length": 6},
+                    "remove": {"type": "ball", "radius": 2}}, "value": 5.5}], "default": 4}),
+}
+
+
+def _double_the_field_orders(monkeypatch):
+    monkeypatch.setattr(norms, "_FIELD_ORDERS", tuple(2 * k for k in norms._FIELD_ORDERS))
+
+
+def _shell_terms(u, P, R):
+    """alpha, beta1, beta2 and beta at R on the radial rule, and their bars."""
+    a, a_err = alpha_term(R, u, RADIAL)
+    flux = beta_terms(R, u, P, RADIAL)
+    return [a, flux.beta1, flux.beta2, flux.beta], [a_err, *flux.errors]
+
+
+@pytest.mark.parametrize("name", sorted(SHELL_FIELDS))
+def test_shell_term_bars_cover_the_doubled_orders(name, monkeypatch):
+    # terms that vanish by symmetry sit at roundoff, whence the floor of
+    # 1e-12 times the row's largest term
+    u, P = SHELL_FIELDS[name]
+    rows = [_shell_terms(u, P, R) for R in README_GRID]
+    _double_the_field_orders(monkeypatch)
+    for R, (values, bars) in zip(README_GRID, rows):
+        doubled, _ = _shell_terms(u, P, R)
+        floor = 1e-12 * max(abs(v) for v in values)
+        for v, d, bar in zip(values, doubled, bars):
+            assert abs(d - v) <= max(bar, floor), (R, v, d, bar)
+
+
+@pytest.mark.parametrize("name", sorted(SNAPSHOT_NORMS))
+def test_snapshot_norm_bars_cover_the_doubled_orders(name, monkeypatch):
+    field, exponent = SNAPSHOT_NORMS[name]
+    f, p = field_from_dict(field), exponent_from_dict(exponent, True)
+    res = luxemburg_norm(f, p, None, RADIAL)
+    _double_the_field_orders(monkeypatch)
+    assert abs(luxemburg_norm(f, p, None, RADIAL).value - res.value) <= res.abs_error
+
+
+def test_field_rule_takes_24_radii_per_octave():
+    # a shell [R/2, R] is one cell; a ball [0, R] is cut at R/16, ..., R/2
+    for domain, octaves in ((Annulus(32.0, 64.0), [32, 64]),
+                            (Ball(radius=64.0), [0, 4, 8, 16, 32, 64])):
+        nodes = _build_nodes(domain, RADIAL, gaussian_scalar())
+        cells = len(octaves) - 1
+        assert (nodes.weights.size, nodes.coarse.weights.size) == (cells * 24**3, cells * 12**3)
+        radii = np.unique(np.round(np.hypot.reduce(nodes.points, axis=1), 9))
+        assert (np.histogram(radii, octaves)[0] == 24).all()
+        assert float(nodes.weights.sum()) == pytest.approx(domain.analytic_volume(), rel=1e-12)
+
+
+@pytest.mark.parametrize("R", [8.0, 256.0])
+def test_cutoff_profile_rule_gets_no_octave_cut(R):
+    # 32 radii per cell between the kinks, one node per arc: the cylinder
+    # preset's meridians have three arcs, and the Laplacian's sign change
+    # splits its shell in two cells
+    p, cut = preset(PRESETS["cylinder"]).conjugate(2), make_cutoff(R)
+    for kind, cells in (("laplacian", 2), ("gradient", 1)):
+        nodes = _build_nodes(cut.support(), RADIAL, cut.size(kind), p)
+        assert (nodes.weights.size, nodes.coarse.weights.size) == (cells * 96, cells * 48)
