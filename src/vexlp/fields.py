@@ -178,16 +178,17 @@ def decaying_solenoidal(rate: float) -> VectorField3:
         raise ValueError(f"decay rate must be positive, got {rate}")
     a = float(rate)
 
-    def parts(pts):
+    def parts(pts, jacobian: bool):
+        """psi and dpsi at s = |x|^2 for the velocity, dpsi and d2psi for its Jacobian."""
         s = np.einsum("ij,ij->i", pts, pts)
-        psi = (1.0 + s) ** (-a / 2.0)
         dpsi = -(a / 2.0) * (1.0 + s) ** (-a / 2.0 - 1.0)
-        d2psi = (a / 2.0) * (a / 2.0 + 1.0) * (1.0 + s) ** (-a / 2.0 - 2.0)
-        return psi, dpsi, d2psi
+        if jacobian:
+            return dpsi, (a / 2.0) * (a / 2.0 + 1.0) * (1.0 + s) ** (-a / 2.0 - 2.0)
+        return (1.0 + s) ** (-a / 2.0), dpsi
 
     def u_fn(pts):
         x1, x2, x3 = pts[:, 0], pts[:, 1], pts[:, 2]
-        psi, dpsi, _ = parts(pts)
+        psi, dpsi = parts(pts, jacobian=False)
         rho2 = x1**2 + x2**2
         return np.stack(
             [
@@ -200,7 +201,7 @@ def decaying_solenoidal(rate: float) -> VectorField3:
 
     def u_jac(pts):
         x1, x2, x3 = pts[:, 0], pts[:, 1], pts[:, 2]
-        _, dpsi, d2psi = parts(pts)
+        dpsi, d2psi = parts(pts, jacobian=True)
         rho2 = x1**2 + x2**2
         n = pts.shape[0]
         J = np.empty((n, 3, 3))

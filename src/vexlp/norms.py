@@ -9,10 +9,10 @@ sum_j lambda^(-p_j) M_j with M_j = sum of w |f|^p_j over the nodes where
 p = p_j; one pass over the nodes gives every log M_j, and each bisection
 step is then a sum of a few scalar terms.  That pass is compact: f and p
 are evaluated once on the in-domain nodes, and only the nodes with finite
-p and |f| > 0 are kept, as their indices, p, log|f| and log w (a
-`_Compact`).  The log-moments, the modular and the Monte Carlo error of
-the root are all derived from these arrays, which belong to the one call
-and die with it.  Where the exponent is +inf the modular contributes
+p and |f| > 0 are kept, as their indices, p and log|f| (a `_Compact`).
+The log-moments (which alone take log w), the modular and the Monte Carlo
+error of the root are all derived from these arrays, which belong to the
+one call and die with it.  Where the exponent is +inf the modular contributes
 nothing if the sup of |f| over the nodes there stays at or below the
 scale and +inf otherwise, so the norm on such a piece degenerates to the
 sup norm, and the overall norm is the larger of the bisection root and
@@ -38,9 +38,14 @@ deterministic; its error is the gap to the same rule at half the order
 (for a norm, between the two roots).  The last Monte Carlo node set is
 kept in a one-slot memo keyed by (domain, quad), so the integrals and
 norms asked of one shell in a row draw it once; its arrays are read-only
-because every caller then holds the same set.  A set gathers the indices and points of its
-in-domain nodes on first use and keeps them, read-only, for as long as it
-lives; a radial set, whose nodes all lie in the domain, gathers no copy.
+because every caller then holds the same set.  Its points are drawn by
+`Box.sample` into one column-major buffer, 16,384 rows of a stratum's
+stream at a time, so the domain's membership test reads contiguous
+coordinates; `regions` gives the measured faults and times behind both
+choices.  A set gathers the indices and points of its in-domain nodes on
+first use, in C order for the fields, and keeps them, read-only, for as
+long as it lives; a radial set, whose nodes all lie in the domain and are
+C-ordered already, gathers no copy.
 
 Fields enter as plain callables mapping (n, 3) point arrays to scalars or
 vectors; vector values are reduced by the Euclidean magnitude.
@@ -118,7 +123,7 @@ class NormResult:
 
 @dataclass
 class _NodeSet:
-    points: np.ndarray          # (n, 3)
+    points: np.ndarray          # (n, 3); column-major for Monte Carlo
     weights: np.ndarray         # (n,)
     inside: np.ndarray          # (n,) bool
     slices: tuple[tuple[int, int], ...] = ()  # Monte Carlo strata
@@ -128,14 +133,12 @@ class _NodeSet:
     @functools.cached_property
     def in_domain(self) -> tuple[Optional[np.ndarray], np.ndarray]:
         """The indices of the in-domain nodes (None when every node is
-        inside) and their points, gathered on first use and kept, read-only,
-        as long as the set; when every node is inside, the points are a view
-        of ``points``."""
-        if self.inside.all():
-            idx, pts = None, self.points.view()
-        else:
-            idx = np.flatnonzero(self.inside)
-            pts = self.points[idx]
+        inside) and their points in C order, gathered on first use and kept,
+        read-only, as long as the set; C-ordered points with every node
+        inside are a view of ``points``."""
+        idx = None if self.inside.all() else np.flatnonzero(self.inside)
+        pts = np.ascontiguousarray(self.points[slice(None) if idx is None else idx])
+        if idx is not None:
             idx.setflags(write=False)
         pts.setflags(write=False)
         return idx, pts
@@ -175,7 +178,7 @@ def _mc_nodes(domain: Region, quad: Quadrature) -> _NodeSet:
     boxes, vols, counts, rngs = zip(*env.strata(quad.n, quad.seed))
     ends = np.cumsum(counts).tolist()
     slices = tuple(zip([0] + ends[:-1], ends))
-    points = np.empty((ends[-1], 3))
+    points = np.empty((3, ends[-1])).T
     for box, rng, (a, b) in zip(boxes, rngs, slices):
         box.sample(rng, b - a, out=points[a:b])
     weights = np.repeat(np.array(vols) / counts, counts)
@@ -313,14 +316,14 @@ def _estimate(
 
 class _Compact(NamedTuple):
     """The nodes of a set where p is finite and |f| > 0: their indices into
-    the set, and p, log|f| and log w there.  Every pass of the modular and
-    the norm over the nodes starts from these arrays; they belong to one
-    call and die with it."""
+    the set, p and log|f| there, and the set's weights (not a copy).  Every
+    pass of the modular and the norm over the nodes starts from these
+    arrays; they belong to one call and die with it."""
 
     at: np.ndarray
     p: np.ndarray
     log_f: np.ndarray
-    log_w: np.ndarray
+    weights: np.ndarray
 
 
 def _compact(nodes: _NodeSet, f, p: ExponentField) -> tuple[_Compact, float]:
@@ -332,7 +335,7 @@ def _compact(nodes: _NodeSet, f, p: ExponentField) -> tuple[_Compact, float]:
     keep = finite & (mag > 0.0)
     at = np.flatnonzero(keep) if idx is None else idx[keep]
     sup = float(np.max(mag, where=~finite, initial=0.0))
-    return _Compact(at, pv[keep], np.log(mag[keep]), np.log(nodes.weights[at])), sup
+    return _Compact(at, pv[keep], np.log(mag[keep]), nodes.weights), sup
 
 
 def _power_contrib(nodes: _NodeSet, c: _Compact, lam: float) -> np.ndarray:
@@ -349,11 +352,11 @@ def _log_moments(c: _Compact) -> tuple[np.ndarray, np.ndarray]:
     Each sum runs over the compact nodes where p = p_j, in log-sum-exp form
     so that no M_j overflows.
     """
-    exps = np.unique(c.p)
+    exps, log_w = np.unique(c.p), np.log(c.weights[c.at])
     log_m = np.empty(exps.size)
     for j, p_j in enumerate(exps):
         sel = c.p == p_j
-        t = p_j * c.log_f[sel] + c.log_w[sel]
+        t = p_j * c.log_f[sel] + log_w[sel]
         top = float(t.max())
         if math.isfinite(top):
             top += math.log(float(np.sum(np.exp(t - top))))

