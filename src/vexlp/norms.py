@@ -6,46 +6,27 @@ bisection on a map that is monotone in lambda by construction.  The nodes
 are frozen for the whole root search.  The exponent is piecewise
 constant, so with distinct finite values p_j the modular of f/lambda is
 sum_j lambda^(-p_j) M_j with M_j = sum of w |f|^p_j over the nodes where
-p = p_j; one pass over the nodes gives every log M_j, and each bisection
-step is then a sum of a few scalar terms.  That pass is compact: f and p
-are evaluated once on the in-domain nodes, and only the nodes with finite
-p and |f| > 0 are kept, as their indices, p and log|f| (a `_Compact`).
-The log-moments (which alone take log w), the modular and the Monte Carlo
-error of the root are all derived from these arrays, which belong to the
-one call and die with it.  Where the exponent is +inf the modular contributes
-nothing if the sup of |f| over the nodes there stays at or below the
-scale and +inf otherwise, so the norm on such a piece degenerates to the
-sup norm, and the overall norm is the larger of the bisection root and
-that sup.  Monte Carlo adds extra draws to the sup; the radial rule
-draws nothing and takes it from its own nodes.
+p = p_j; one pass over the nodes (a `_Compact`) gives every log M_j, and
+each bisection step is then a sum of a few scalar terms.  Where p = +inf
+the norm degenerates to the sup of |f| there (`_frozen`, `_finish`).
 
 Quadrature is either stratified rejection Monte Carlo over a region
 envelope (works for any samplable region, piecewise integrands included)
-or a radial rule over origin-centered balls and shells; without a domain,
-the ball of radius 8 stands in for R^3.  The radial rule is a product of
-three rules: Gauss-Legendre radii per cell, with cells split at the
-integrand's ``kinks`` (the radii where it is not smooth) and at the octave
-radii r1/2, ..., r1/16 of the span [r0, r1], so a shell [R/2, R] is one
-cell and a ball five cells geometric toward the origin, Gauss-Legendre
-cosines on each arc of the meridian on which the exponent is constant,
-and uniform azimuths.  The arcs end where the sphere meets a piece's
-boundary (`Region.polar_breaks`), so every exponent piece must be a solid
-of revolution about the x1 axis, and is integrated as exactly as the bulk
-whatever its share of the shell.  A radial profile (a cutoff derivative's
-size, `cutoff.RadialProfile`) needs one cosine and one azimuth per arc;
-any other integrand gets 24 radii per cell and 24 of each.  The rule is
-deterministic; its error is the gap to the same rule at half the order
-(for a norm, between the two roots).  The last Monte Carlo node set is
-kept in a one-slot memo keyed by (domain, quad), so the integrals and
-norms asked of one shell in a row draw it once; its arrays are read-only
-because every caller then holds the same set.  Its points are drawn by
-`Box.sample` into one column-major buffer, 16,384 rows of a stratum's
-stream at a time, so the domain's membership test reads contiguous
-coordinates; `regions` gives the measured faults and times behind both
-choices.  A set gathers the indices and points of its in-domain nodes on
-first use, in C order for the fields, and keeps them, read-only, for as
-long as it lives; a radial set, whose nodes all lie in the domain and are
-C-ordered already, gathers no copy.
+or a radial rule over origin-centered balls and shells (a ball of radius 8
+without a domain), the product of three rules: Gauss-Legendre radii per
+cell, with cells split at the integrand's ``kinks`` (the radii where it is
+not smooth) and at the octave radii r1/2, ..., r1/16 of the span [r0, r1],
+so a shell [R/2, R] is one cell and a ball five cells geometric toward the
+origin, Gauss-Legendre cosines on each arc of the meridian on which the
+exponent is constant, and uniform azimuths.  The arcs end where the sphere
+meets a piece's boundary (`Region.polar_breaks`), so every exponent piece
+must be a solid of revolution about the x1 axis, and is integrated as
+exactly as the bulk whatever its share of the shell.  A radial profile (a
+cutoff derivative's size, `cutoff.RadialProfile`) needs one cosine and one
+azimuth per arc; any other integrand gets 24 radii per cell and 24 of
+each.  The rule is deterministic; its error is the gap to the same rule at
+half the order (for a norm, between the two roots).  A Monte Carlo node
+set is drawn by `Box.sample` and kept in a one-slot memo (`_mc_nodes`).
 
 Fields enter as plain callables mapping (n, 3) point arrays to scalars or
 vectors; vector values are reduced by the Euclidean magnitude.
@@ -167,8 +148,9 @@ _mc_memo: Optional[tuple[tuple[Region, Quadrature], _NodeSet]] = None
 
 
 def _mc_nodes(domain: Region, quad: Quadrature) -> _NodeSet:
-    """The Monte Carlo nodes of (domain, quad), a function of the two alone;
-    a request for the same pair as the last one returns the same set."""
+    """The Monte Carlo nodes of (domain, quad), a function of the two alone; a
+    request for the same pair as the last one (one shell's integrals and norms
+    in a row) returns the same set, read-only since every caller holds it."""
     global _mc_memo
     key, memo = (domain, quad), _mc_memo
     if memo is not None and memo[0] == key:
@@ -347,11 +329,8 @@ def _power_contrib(nodes: _NodeSet, c: _Compact, lam: float) -> np.ndarray:
 
 
 def _log_moments(c: _Compact) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct finite exponents p_j and log M_j, M_j = sum of w |f|^p_j.
-
-    Each sum runs over the compact nodes where p = p_j, in log-sum-exp form
-    so that no M_j overflows.
-    """
+    """Distinct finite exponents p_j and log M_j, M_j = sum of w |f|^p_j over
+    the compact nodes where p = p_j, in log-sum-exp form so no M_j overflows."""
     exps, log_w = np.unique(c.p), np.log(c.weights[c.at])
     log_m = np.empty(exps.size)
     for j, p_j in enumerate(exps):
@@ -367,7 +346,7 @@ def _log_moments(c: _Compact) -> tuple[np.ndarray, np.ndarray]:
 def _moment_modular(exps: np.ndarray, log_m: np.ndarray, lam: float) -> float:
     """Modular of f/lam as sum_j lam^(-p_j) M_j; +inf where a term overflows."""
     with np.errstate(over="ignore"):
-        return float(np.sum(np.exp(log_m - exps * math.log(lam))))
+        return float(np.add.reduce(np.exp(log_m - exps * math.log(lam))))
 
 
 def _frozen(f, p: ExponentField, domain: Optional[Region], quad: Quadrature):
@@ -414,19 +393,13 @@ def luxemburg_norm(
     domain: Optional[Region] = None,
     quad: Quadrature = Quadrature(),
 ) -> NormResult:
-    """Smallest lambda with modular(f / lambda) <= 1.
-
-    Brackets by doubling/halving and bisects the monotone map on frozen
-    quadrature nodes; on infinite-exponent pieces the norm contribution is
-    the ess-sup of |f| over the nodes (see `_frozen`).  Escaping the
-    bracket above 1e30 reports status "infinite"; a vanishing modular
-    reports status "zero".
-
-    Each bisection step evaluates the modular from the per-exponent
-    log-moments taken in one pass over the nodes.  The quadrature part of
-    ``abs_error`` is the gap to the root on the coarse rule for the
-    deterministic radial rule, and the propagated standard error for Monte
-    Carlo; `_finish` gives the error where the sup sets the norm.
+    """Smallest lambda with modular(f / lambda) <= 1, by `_bisect_root`;
+    on infinite-exponent pieces the norm contribution is the ess-sup of |f|
+    over the nodes (see `_frozen`).  Escaping the bracket above 1e30 reports
+    status "infinite"; a vanishing modular reports status "zero".  The
+    quadrature part of ``abs_error`` is the gap to the root on the coarse
+    rule for the deterministic radial rule, and the propagated standard
+    error for Monte Carlo; `_finish` gives the error where the sup sets it.
     """
     nodes, compact, sup_inf_piece, coarse = _frozen(f, p, domain, quad)
     evaluations = 0

@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -202,6 +203,22 @@ def test_moment_modular_matches_node_pass(kind, k):
         else:
             assert moment == pytest.approx(node, rel=1e-12, abs=0.0), lam
     assert 0 < overflowed < 61
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 40])
+def test_moment_modular_is_the_sum_of_its_terms_bit_for_bit(size):
+    # every bit of the plain np.sum, overflow to +inf included, and no
+    # warning without an errstate around the call
+    rng = np.random.default_rng(size)
+    exps, log_m = rng.uniform(1.0, 8.0, size), rng.uniform(-50.0, 50.0, size)
+    lams = np.geomspace(1e-300, 1e300, 601)
+    with np.errstate(over="ignore"):
+        want = [float(np.sum(np.exp(log_m - exps * math.log(lam)))) for lam in lams]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [_moment_modular(exps, log_m, lam) for lam in lams]
+    assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    assert math.isinf(got[0]) and got[-1] < 1e-300
 
 
 @pytest.mark.parametrize("k", [2, 3])

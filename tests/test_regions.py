@@ -13,10 +13,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vexlp import regions
 from vexlp.cli import region_from_dict
+from vexlp.cutoff import make_cutoff
 from vexlp.errors import (
     AnalyticUnavailableError, QuadratureDomainError, SamplingBudgetError, UnboundedRegionError)
-from vexlp.norms import _meridian
+from vexlp.exponents import PresetSpec, preset
+from vexlp.norms import Quadrature, _build_nodes, _meridian
 from vexlp.regions import (
     _CHUNK,
     Annulus,
@@ -468,3 +471,84 @@ def test_polar_breaks_refuse_a_ball_off_the_axis():
     with pytest.raises(QuadratureDomainError, match="solids of revolution"):
         Ball((0.0, 6.0, 0.0), 1.0).polar_breaks(np.array([4.0, 8.0]))
     assert np.isnan(Ball(radius=3.0).polar_breaks(np.array([2.0, 3.0, 4.0]))).all()
+
+
+def bisected_breaks(r, power, length):
+    """The cusp breaks with every root from the full 63-step bisection of
+    the floats' bit patterns: the reference `_cusp_breaks` must equal."""
+    r = r[:, None]
+    s0 = np.full_like(r, (-0.5 * power) ** (1.0 / (2.0 - power)) if power < 0 else math.nan)
+    lo, hi = (np.hstack([0.0 * r, s0]), np.hstack([s0, r])) if power < 0 else (0.0 * r, r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        def excess(s):
+            return s * s + s**power - r * r
+        lo, hi = lo.view(np.int64), hi.view(np.int64)
+        positive = excess(lo.view(float)) > 0.0
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            same = (excess(mid.view(float)) > 0.0) == positive
+            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        s = np.where(excess(s0) > 0.0, math.nan, hi.view(float))
+        flare = np.full_like(r, 0.5 * math.pi if power < 0 else math.nan)
+        return np.hstack([np.arctan2(s ** (0.5 * power), s), flare, np.arccos(length / r)])
+
+
+def fallback_rows(monkeypatch) -> list[int]:
+    """Counts, call by call, the rows that `_cusp_breaks` hands to the full bisection."""
+    counts, bisect = [], regions._bisect_floats
+
+    def counted(excess, lo, hi):
+        counts.append(lo.shape[0])
+        return bisect(excess, lo, hi)
+
+    monkeypatch.setattr(regions, "_bisect_floats", counted)
+    return counts
+
+
+# 2 gamma and -sigma: grids over both families, every two-decimal shape of
+# the benchmark's preset bands (gamma in [0.45, 0.55], sigma in [0.4, 0.6])
+# and SHAPES
+CUSP_POWERS = sorted({
+    *np.round(np.linspace(0.5, 1.5, 11), 2), *np.round(np.arange(90, 111, 2) / 100, 2),
+    *np.round(-np.linspace(0.2, 1.8, 17), 2), *np.round(-np.arange(40, 61) / 100, 2),
+    *(2.0 * g for g in SHAPES), *(-s for s in SHAPES),
+})
+
+
+@pytest.mark.parametrize("power", CUSP_POWERS)
+def test_cusp_breaks_equal_the_full_bisection(power, monkeypatch):
+    rng = np.random.default_rng(int(1000 * abs(power)))
+    r = [np.exp(rng.uniform(math.log(1e-3), math.log(1e4), 600))]
+    if power < 0:  # the shrinking cusp: above its tangency radius, and below it (no root)
+        s0 = (-0.5 * power) ** (1.0 / (2.0 - power))
+        tangent = math.sqrt(s0**2 + s0**power)
+        r += [tangent * np.linspace(1.0, 1.2, 1200),
+              tangent * (1.0 + np.geomspace(1e-16, 1e-3, 300)),
+              tangent * np.linspace(0.5, 1.0, 60, endpoint=False)]
+    r = np.concatenate(r)
+    fallback = fallback_rows(monkeypatch)
+    for length in (math.inf, 5.0):
+        got, want = regions._cusp_breaks(r, power, length), bisected_breaks(r, power, length)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), power
+    if power < 0:
+        assert np.isnan(got[-60:, :-2]).all()
+        assert sum(fallback) > 0  # near tangency
+
+
+@pytest.mark.parametrize("spec", [
+    *(PresetSpec.make("power_cusp", gamma=g, inner=5, outer=4) for g in ("0.45", "0.5", "0.55")),
+    *(PresetSpec.make("shrink_cusp", sigma=s, outer=4)
+      for s in ("0.4", "0.45", "0.5", "0.55", "0.6")),
+], ids=lambda spec: f"{spec.kind}-{spec.gamma or spec.sigma}")
+def test_cusp_breaks_need_no_bisection_on_the_readme_decay_radii(spec, monkeypatch):
+    # the README decay grid, R = 8 * 2^k, each kind's rule and its
+    # half-order rule: every root is certified, none bisected
+    p = preset(spec, validate=False)
+    fallback, calls, breaks = fallback_rows(monkeypatch), [], regions._cusp_breaks
+    monkeypatch.setattr(regions, "_cusp_breaks", lambda *args: calls.append(args) or breaks(*args))
+    for radius in 8.0 * 2.0 ** np.arange(6):
+        cut = make_cutoff(radius)
+        for kind in ("laplacian", "gradient"):
+            _build_nodes(cut.support(), Quadrature("radial"), cut.size(kind), p)
+    assert len(calls) == 12 and fallback == []
