@@ -118,8 +118,12 @@ class _NodeSet:
         read-only, as long as the set; C-ordered points with every node
         inside are a view of ``points``."""
         idx = None if self.inside.all() else np.flatnonzero(self.inside)
-        pts = np.ascontiguousarray(self.points[slice(None) if idx is None else idx])
-        if idx is not None:
+        if idx is None:
+            pts = np.ascontiguousarray(self.points[:])  # a view: the read-only flag is its own
+        else:  # by columns: from column-major points half the time of a row gather
+            pts = np.empty((idx.size, 3))
+            for j in range(3):
+                np.take(self.points[:, j], idx, out=pts[:, j], mode="clip")
             idx.setflags(write=False)
         pts.setflags(write=False)
         return idx, pts

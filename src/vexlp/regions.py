@@ -22,10 +22,11 @@ Every Monte Carlo stratum is drawn by `Box.sample`, 16,384 rows of its
 stream at a time (so the draws are those of one whole-stratum draw), into
 a column-major buffer whose coordinates the membership tests read as
 contiguous columns (an `Annulus` test on stride-3 rows took 3x as long).
-A Monte Carlo volume counts a stratum chunk by chunk in one such buffer,
-so its memory does not grow with the sample count.  A 16,384-row chunk
-(384 KB, temporaries 128 KB) is reused from cache; at 65,536 rows a
-`volume-growth` cycle took about 8,800 minor page faults, at 16,384 under 10.
+A Monte Carlo volume counts a stratum chunk by chunk in one such buffer, so
+its memory does not grow with the sample count; a 16,384-row chunk (384 KB)
+stays in cache (a `volume-growth` cycle took 8,800 minor page faults at 65,536
+rows, under 10 at 16,384).  A stratum the region decides (all or none of its
+draws are members) counts undrawn; 17% of a cycle's rows lay in such strata.
 """
 
 from __future__ import annotations
@@ -157,6 +158,10 @@ class Region(ABC):
         mask = self._contains_batch(pts)
         return bool(mask[0]) if single else mask
 
+    def _decides(self, box: Box) -> Optional[bool]:
+        """True if every point `Box.sample` can draw from box is a member, False if none is."""
+        return None
+
     def polar_breaks(self, r: np.ndarray) -> np.ndarray:
         """Per radius in r, the angles where |x| = r may cross the boundary, NaN-padded."""
         raise QuadratureDomainError("the radial rule needs exponent pieces that are "
@@ -229,7 +234,7 @@ class Region(ABC):
     def volume(
         self, method: str = "analytic", n: int = 1_000_000, seed: int = 0
     ) -> VolumeEstimate:
-        """Region volume, exact or by stratified rejection counting."""
+        """Region volume, exact or by stratified counting; a decided stratum counts undrawn."""
         if method == "analytic":
             return VolumeEstimate(self.analytic_volume(), 0.0)
         if method != "monte_carlo":
@@ -238,11 +243,12 @@ class Region(ABC):
         total = var = 0.0
         buf = np.empty((3, min(_CHUNK, max(n, 1)))).T  # every count is at most max(n, 1)
         for box, vol, n_i, rng in env.strata(n, seed):
-            hits = 0
-            for start in range(0, n_i, _CHUNK):
-                pts = box.sample(rng, m := min(_CHUNK, n_i - start), out=buf[:m])
-                hits += int(np.count_nonzero(self._contains_batch(pts)))
-            p = hits / n_i
+            if (p := self._decides(box)) is None:  # else True or False: the p its draws give
+                hits = 0
+                for start in range(0, n_i, _CHUNK):
+                    pts = box.sample(rng, m := min(_CHUNK, n_i - start), out=buf[:m])
+                    hits += int(np.count_nonzero(self._contains_batch(pts)))
+                p = hits / n_i
             total += vol * p
             var += vol**2 * p * (1.0 - p) / n_i
         return VolumeEstimate(total, math.sqrt(var) + env.tail_bound)
@@ -281,6 +287,19 @@ def _axis_dist_sq(pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _shell_decides(box: Box, center, inner_sq: float, outer_sq: float) -> Optional[bool]:
+    """Whether inner_sq <= `_radius_sq(x - center)` <= outer_sq for all or none of box's corners
+    and draws x, each coordinate in [lo, max(hi, top)], top the draw at u = 1 - 2^-53."""
+    near, far = [], []
+    for l, h, c in zip(box.lo, box.hi, center):
+        a, b = l - c, max(h, (1.0 - 2.0**-53) * (h - l) + l) - c
+        near.append(max(a, -b, 0.0))
+        far.append(max(-a, b))
+    near, far = (x * x + z * z + y * y for x, y, z in (near, far))  # monotone float steps
+    return True if inner_sq <= near and far <= outer_sq else (
+        False if far < inner_sq or near > outer_sq else None)
+
+
 def _radius_sq(pts: np.ndarray) -> np.ndarray:
     """x1^2 + x2^2 + x3^2 per row, summed as (x1^2 + x3^2) + x2^2: the
     association of ``np.einsum("ij,ij->i", pts, pts)`` on C-ordered rows,
@@ -304,6 +323,9 @@ class Ball(Region):
 
     def _contains_batch(self, pts):
         return _radius_sq(pts - np.asarray(self.center)) <= self.radius**2
+
+    def _decides(self, box):
+        return _shell_decides(box, self.center, 0.0, self.radius**2)
 
     def analytic_volume(self):
         return 4.0 / 3.0 * math.pi * self.radius**3
@@ -336,6 +358,9 @@ class Annulus(Region):
     def _contains_batch(self, pts):
         r2 = _radius_sq(pts)
         return (r2 >= self.r_inner**2) & (r2 <= self.r_outer**2)
+
+    def _decides(self, box):
+        return _shell_decides(box, (0.0, 0.0, 0.0), self.r_inner**2, self.r_outer**2)
 
     def analytic_volume(self):
         return 4.0 / 3.0 * math.pi * (self.r_outer**3 - self.r_inner**3)
@@ -484,8 +509,9 @@ def _cusp_breaks(r: np.ndarray, power: float, length: float) -> np.ndarray:
     Each root is the float `_bisect_floats` returns: a safeguarded Newton run
     from where s^2 or s^power alone is r^2, certified on the 2 _ULPS + 1 floats
     about it (the excess leaves lo's side once there, and its rounding band, 4
-    ulp(r^2) over the slope, spans under _ULPS / 2 of them).  Rows that fail,
-    near tangency where that sign flips within a few ulps, bisect."""
+    ulp(r^2) over the slope, spans under _ULPS / 2 of them).  A row whose step
+    once shrinks less than 3x no longer holds the loop.  Rows that fail, near
+    tangency where that sign flips within a few ulps, bisect."""
     r = r[:, None]
     s0 = np.full_like(r, (-0.5 * power) ** (1.0 / (2.0 - power)) if power < 0 else math.nan)
     lo, hi = (np.hstack([0.0 * r, s0]), np.hstack([s0, r])) if power < 0 else (0.0 * r, r)
@@ -494,7 +520,7 @@ def _cusp_breaks(r: np.ndarray, power: float, length: float) -> np.ndarray:
             return s * s + s**power - r * r
         positive, none = excess(lo) > 0.0, excess(s0) > 0.0  # none: all of x1 > 0 inside
         s = np.hstack([r ** (2.0 / power), r]) if power < 0 else np.minimum(r, r ** (2.0 / power))
-        a, b = lo, hi  # the sign bracket
+        a, b, last, slow = lo, hi, math.inf, none  # the sign bracket, the last |step|
         for _ in range(_NEWTON_STEPS):
             sp = s**power
             g = s * s + sp - r * r
@@ -503,7 +529,8 @@ def _cusp_breaks(r: np.ndarray, power: float, length: float) -> np.ndarray:
             t = s - (step := g / (2.0 * s + power * sp / s))
             s = np.where((a <= t) & (t <= b), t, 0.5 * (a + b))
             near = (abs(step) <= 8.0 * np.spacing(s)) | (b.view(np.int64) - a.view(np.int64) <= 8)
-            if (near | none).all():
+            slow, last = slow | (3.0 * abs(step) >= last), abs(step)  # at a double root a step halves
+            if (near | slow).all():
                 break
         bits = s.view(np.int64)[..., None] + np.arange(-_ULPS, _ULPS + 1)
         np.clip(bits, lo.view(np.int64)[..., None], hi.view(np.int64)[..., None], out=bits)
@@ -542,6 +569,10 @@ class Intersect(Region):
 
     def _contains_batch(self, pts):
         return self.first._contains_batch(pts) & self.second._contains_batch(pts)
+
+    def _decides(self, box):
+        a, b = self.first._decides(box), self.second._decides(box)
+        return False if False in (a, b) else True if a and b else None
 
     def polar_breaks(self, r):
         return np.hstack([self.first.polar_breaks(r), self.second.polar_breaks(r)])

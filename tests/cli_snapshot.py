@@ -53,6 +53,8 @@ from vexlp.cli import main  # noqa: E402
 # cover every job kind of the `liouville` benchmark workload at its size.
 # `liouville-mc` and `alpha-beta-mc` are the README runs on Monte Carlo, at
 # 200k samples and seed 7, and `decay-mc` reaches the Monte Carlo cutoff norms.
+# The two `volume-mc-shell-*-cusp` runs count envelope strata that the region
+# decides (wholly outside the shell) without drawing them.
 EXTRA = {
     "liouville-mc": [
         "liouville", "--preset", "cylinder", "--inner", "5", "--outer", "4",
@@ -104,6 +106,14 @@ EXTRA = {
     "volume-mc-truncated-power-cusp": [
         "volume", "--region", '{"type":"truncated_power_cusp","gamma":0.5,"length":4}',
         "--method", "monte_carlo", "--samples", "100000", "--seed", "3"],
+    "volume-mc-shell-power-cusp": [
+        "volume", "--region", '{"type":"intersect","first":{"type":"annulus","inner":128,'
+        '"outer":256},"second":{"type":"power_cusp","gamma":0.5}}',
+        "--method", "monte_carlo", "--samples", "1000000", "--seed", "3"],
+    "volume-mc-shell-shrink-cusp": [
+        "volume", "--region", '{"type":"intersect","first":{"type":"annulus","inner":4,'
+        '"outer":8},"second":{"type":"shrink_cusp","sigma":0.5}}',
+        "--method", "monte_carlo", "--samples", "1000000", "--seed", "3"],
     "lemmas-shell-cylinder-segment": [
         "lemmas", "--preset", "cylinder", "--inner", "5", "--outer", "4", "--region",
         '{"type":"intersect","first":{"type":"annulus","inner":2,"outer":4},'

@@ -247,6 +247,80 @@ def test_monte_carlo_volume_memory_does_not_grow_with_samples():
 
 
 # ---------------------------------------------------------------------------
+# decided strata: a box whose draws are all members, or none, is not drawn
+
+
+def _decided_boxes():
+    """(region, box) pairs: random boxes and boxes built to sit on a boundary."""
+    rng = np.random.default_rng(17)
+    shell, ball = Annulus(2.0, 4.0), Ball((3.0, -2.0, 1.0), 1.5)
+    far_ball = Ball((1e8, 0.0, 0.0), 1.0)  # x - c cancels; ulps of x are 1.5e-8
+    cases = []
+    for region in (shell, ball, Annulus(0.0, 3.0)):
+        c = np.asarray(getattr(region, "center", (0.0, 0.0, 0.0)))
+        for _ in range(300):  # random boxes of every size about the centre
+            a, b = np.sort(c + rng.normal(size=(2, 3)) * rng.choice([0.3, 1.0, 3.0]), axis=0)
+            cases.append((region, Box(tuple(a), tuple(b))))
+    # corners exactly on r_inner and r_outer, on an axis and on a diagonal
+    for r in (2.0, 4.0):
+        d = r / math.sqrt(3.0)
+        for lo, hi in [((r, 0.0, 0.0), (r, 0.0, 0.0)), ((0.0, 0.0, 0.0), (r, 0.0, 0.0)),
+                       ((r, -0.0, 0.0), (5.0, 0.0, 0.0)), ((0.0, 0.0, 0.0), (d, d, d)),
+                       ((d, d, d), (5.0, 5.0, 5.0)), ((-d, -d, -d), (d, d, d)),
+                       ((-r, 0.0, 0.0), (r, 0.0, 0.0)), ((-5.0, -r, -0.5), (-r, r, 0.5))]:
+            cases.append((shell, Box(lo, hi)))
+        for k in range(-4, 5):  # a few floats wide, with the sphere inside or at an end
+            x = float(np.nextafter(r, r + k)) if k else r
+            for w in (1, 3, 40):
+                cases.append((shell, Box((x, 0.0, 0.0), (x + w * math.ulp(x), 0.0, 0.0))))
+                cases.append((shell, Box((d, d, d), (d + w * math.ulp(d),) * 3)))
+    for k in range(-3, 4):  # straddling 0, and far from the origin
+        cases.append((shell, Box((-1.0, -1.0, -1.0), (1.0 + k * 1e-16, 1.0, 1.0))))
+        x = 1e8 + 1.0 + k * math.ulp(1e8)
+        cases.append((far_ball, Box((x, 0.0, 0.0), (x + 4 * math.ulp(1e8), 0.0, 0.0))))
+        cases.append((far_ball, Box((1e8 - 0.5, -0.5, -0.5), (x, 0.5, 0.5))))
+    for R in (8.0, 256.0):  # the 120 geometric strata of the shrinking cusp
+        region = Intersect(Annulus(R / 2, R), ShrinkCusp(0.5))
+        cases += [(region, box) for box in region.envelope().boxes]
+    return cases
+
+
+def test_a_decided_box_agrees_with_membership_on_its_draws_and_corners():
+    rng = np.random.default_rng(3)
+    decided = {True: 0, False: 0}
+    for region, box in _decided_boxes():
+        verdict = region._decides(box)
+        if verdict is None:
+            continue
+        decided[verdict] += 1
+        corners = np.array(np.meshgrid(*zip(box.lo, box.hi), indexing="ij")).reshape(3, -1).T
+        pts = np.vstack([box.sample(rng, 2000), corners])
+        assert (region.contains(pts) == verdict).all(), (region, box, verdict)
+    assert min(decided.values()) >= 50, decided
+
+
+VOLUME_GROWTH = {
+    "tube": lambda R: Intersect(Annulus(R / 2, R), Cylinder()),
+    "widening_cusp": lambda R: Intersect(Annulus(R / 2, R), PowerCusp(0.5)),
+    "shrinking_cusp": lambda R: Intersect(Annulus(R / 2, R), ShrinkCusp(0.5)),
+    "outside_tube": lambda R: Diff(Annulus(R / 2, R), Cylinder()),
+}
+
+
+@pytest.mark.parametrize("R", [8.0, 256.0])
+@pytest.mark.parametrize("kind", sorted(VOLUME_GROWTH))
+def test_volume_skips_decided_strata_with_the_bits_of_the_full_draw(kind, R, monkeypatch):
+    region = VOLUME_GROWTH[kind](R)
+    decided = [box for box in region.envelope().boxes if region._decides(box) is not None]
+    assert bool(decided) == kind.endswith("cusp")
+    drawn, sample = [], Box.sample
+    monkeypatch.setattr(Box, "sample", lambda box, *a, **k: drawn.append(box) or sample(box, *a, **k))
+    est = region.volume("monte_carlo", n=300_000, seed=6)
+    assert not set(drawn) & set(decided)
+    assert (est.value, est.std_error) == _one_shot_volume(region, 300_000, 6)
+
+
+# ---------------------------------------------------------------------------
 # sampling
 
 
