@@ -183,7 +183,7 @@ def exponent_from_dict(d: dict, validate: bool) -> ExponentField:
             return ExponentField(pieces, _exponent_value(d["default"]))
     except KeyError as exc:
         raise ConfigError(f"exponent spec {d!r} is missing field {exc}") from None
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad exponent spec {d!r}: {exc}") from None
     return preset(preset_spec_from_dict(d), validate=validate)
 
@@ -296,25 +296,19 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    """Strict JSON: a non-finite float is written as "inf", "-inf" or "nan"."""
-    path.write_text(json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False,
-                               default=_jsonify) + "\n")
+    """Strict JSON: a non-finite float is written as "inf", "-inf" or "nan",
+    and a Fraction as its string, such as "9/2"."""
+    path.write_text(json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _strict(obj):
-    if isinstance(obj, float) and not math.isfinite(obj):
+    if isinstance(obj, Fraction) or isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)
     if isinstance(obj, dict):
         return {k: _strict(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_strict(v) for v in obj]
     return obj
-
-
-def _jsonify(obj):  # json.dumps writes floats itself and asks only for the rest
-    if isinstance(obj, Fraction):
-        return str(obj)
-    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +340,9 @@ def run_volume(cfg: RunConfig):
 def run_decay(cfg: RunConfig):
     spec = preset_spec_from_dict(cfg.exponent)
     p = preset(spec, validate=cfg.validate)
-    kinds = [cfg.kind] if cfg.kind else ["laplacian", "gradient"]
     grid = cfg.grid(fit=True)
-    pairs = [(kind, p.conjugate(2 if kind == "laplacian" else 3)) for kind in kinds]
+    pairs = [(kind, p.conjugate(k)) for kind, _, k in estimates.TERMS.values()
+             if cfg.kind in (None, kind)]
     rows, summary = [], {}
     for rep in estimates.cutoff_norm_decays(pairs, grid, cfg.quad()):
         for R, v, e in zip(rep.total.radii, rep.total.values, rep.norm_errors):
@@ -395,18 +389,13 @@ def run_alpha_beta(cfg: RunConfig):
 
 def run_certify(cfg: RunConfig):
     spec = preset_spec_from_dict({"outer": 4, **cfg.exponent})
-    bound = estimates.admissible_upper_bound(
-        "cusp" if spec.kind == "power_cusp" else spec.kind, spec.outer, gamma=spec.gamma
-    )
-    payload = {
-        "upper_bound": bound if isinstance(bound, Fraction) else "inf",
-        "upper_bound_float": float(bound),
-    }
+    bound = spec.inner_cap()
+    payload = {"upper_bound": bound, "upper_bound_float": float(bound)}
     rows, code, line = [], 0, f"certify: upper bound {float(bound):g}"
     if spec.inner is not None or spec.kind == "shrink_cusp":
         if cfg.validate:
             spec.validate()
-        terms = ["alpha", "beta"] if cfg.term in (None, "both") else [cfg.term]
+        terms = list(estimates.TERMS) if cfg.term in (None, "both") else [cfg.term]
         certs = {term: estimates.predicted_exponent(spec, term) for term in terms}
         certified = all(cert.overall for cert in certs.values())
         # a certificate entry's fields are the CSV columns, term first

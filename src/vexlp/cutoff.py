@@ -43,8 +43,9 @@ class RadialCutoff:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 1.0:
-            raise InvalidRadiusError(f"cutoff radius must exceed 1, got {self.radius}")
+        if not (self.radius > 1.0 and math.isfinite(self.radius * self.radius)):
+            raise InvalidRadiusError(
+                f"cutoff radius must exceed 1 and have a finite square, got {self.radius}")
 
     def _t(self, rho: np.ndarray) -> np.ndarray:
         return np.clip((2.0 * rho - self.radius) / self.radius, 0.0, 1.0)

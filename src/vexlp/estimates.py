@@ -15,8 +15,10 @@ both supported on the shell R/2 <= |x| <= R, with the pointwise majorant
 integrates |grad||P||u|.  The norm bound for each term pays the cutoff
 scaling R^-k (k = 2 for alpha, 1 for beta) against the shell volume
 growth R^d of each exponent piece, giving per-piece decay exponents
--k + d/q for the relevant conjugate bound q.  Certificates evaluate these
-exponents in exact rational arithmetic; the empirical side fits log-log
+-k + d/q for the relevant conjugate bound q (the 2-conjugate for alpha,
+the 3-conjugate for beta).  ``TERMS`` holds this pairing, and
+`PresetSpec.pieces` each piece's exponent and growth.  Certificates
+evaluate these exponents in exact rational arithmetic; the empirical side fits log-log
 slopes of the measured quantities and compares with the certified bound
 plus a tolerance (the truth may decay faster than the bound).
 """
@@ -31,8 +33,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cutoff import RadialCutoff, make_cutoff
-from .errors import DecayFitError, PresetConstraintError
-from .exponents import ExponentField, PresetSpec, preset
+from .errors import DecayFitError
+from .exponents import ExponentField, PresetSpec, _conjugate_value, preset
+from .exponents import admissible_upper_bound  # noqa: F401  (re-exported)
 from .fields import ScalarField3, ScanResult, VectorField3, membership_scan, ns_residual
 from .norms import (
     Quadrature,
@@ -44,6 +47,9 @@ from .regions import Ball, row_norm
 SLOPE_MARGIN = 0.15
 _ZERO_FLOOR = 1e-12
 _RESIDUAL_TOL = 1e-8  # energy_identity_check withholds its verdict above this
+# per shell term: the cutoff derivative it carries, that derivative's
+# scaling R^-k, and the numerator of the conjugate of p(.) it pairs with
+TERMS = {"alpha": ("laplacian", 2, 2), "beta": ("gradient", 1, 3)}
 
 
 @dataclass(frozen=True)
@@ -175,7 +181,7 @@ def cutoff_norm_decays(
     per pair.  The norms run a radius at a time, every pair at the seed of
     that radius, so Monte Carlo norms of one shell share its node set."""
     for kind, _ in pairs:
-        if kind not in ("laplacian", "gradient"):
+        if kind not in {d for d, _, _ in TERMS.values()}:
             raise ValueError(f"kind must be 'laplacian' or 'gradient', got {kind!r}")
     if len(r_grid) < 4:
         raise ValueError("decay grids need at least four radii")
@@ -218,79 +224,21 @@ class ExponentCertificate:
         return max(e.exponent for e in self.entries)
 
 
-def _growth_inner(spec: PresetSpec) -> Fraction:
-    if spec.kind == "cylinder":
-        return Fraction(1)
-    if spec.kind == "power_cusp":
-        return 2 * spec.gamma + 1
-    return 1 - spec.sigma
-
-
-def _inv_conjugate(p: Optional[Fraction], k: int) -> Fraction:
-    """Largest reciprocal of the k-conjugate on a constant piece."""
-    if p is None:  # the infinite piece: conjugate is identically 1
-        return Fraction(1)
-    return (p - k) / p
-
-
 def predicted_exponent(spec: PresetSpec, term: str) -> ExponentCertificate:
-    """Exact per-piece decay exponents -k + d/q for a preset layout.
-
-    The alpha term pays the Laplacian scaling (k = 2) against the
-    2-conjugate q = p/(p-2); the beta term pays the gradient scaling
-    (k = 1) against the 3-conjugate r = p/(p-3).  d is the shell
-    volume-growth exponent of each piece and the conjugate bound is the
-    worst one there.
-    """
-    if term not in ("alpha", "beta"):
+    """Exact per-piece decay exponents -k + d/q for a preset layout: the
+    term's scaling k and conjugate q from ``TERMS``, each piece's exponent
+    and shell growth d from ``spec.pieces()``.  ExponentRangeError when q
+    does not exist on a piece."""
+    if term not in TERMS:
         raise ValueError(f"term must be 'alpha' or 'beta', got {term!r}")
-    k_scale, k_conj = (2, 2) if term == "alpha" else (1, 3)
-    growths = {"inner": _growth_inner(spec), "outer": Fraction(3)}
-    inner_p = None if spec.kind == "shrink_cusp" else spec.inner
+    _, k_scale, k_conj = TERMS[term]
     entries = []
-    for piece, p_val in (("inner", inner_p), ("outer", spec.outer)):
-        inv_q = _inv_conjugate(p_val, k_conj)
-        expo = -k_scale + growths[piece] * inv_q
-        entries.append(
-            CertificateEntry(term, piece, growths[piece], inv_q, expo, expo < 0)
-        )
-    bound = admissible_upper_bound(
-        "cusp" if spec.kind == "power_cusp" else spec.kind,
-        spec.outer,
-        gamma=spec.gamma,
-    )
-    return ExponentCertificate(term, tuple(entries), all(e.negative for e in entries), bound)
-
-
-def admissible_upper_bound(
-    kind: str, p_out, gamma=None
-) -> Fraction | float:
-    """Supremum of inner exponents keeping every decay power negative.
-
-    The binding constraint comes from the flux term: with shell growth d
-    the negativity of -1 + d (p-3)/p caps p at 3d/(d-1) when d > 1.  The
-    unit tube has d = 1 (no cap); the widening cusp has d = 2 gamma + 1,
-    giving (6 gamma + 3) / (2 gamma); the shrinking cusp has d < 1 so even
-    an infinite inner exponent is admissible.  The Laplacian term's cap
-    2d/(d-2), for d > 2, never binds: 3d/(d-1) < 2d/(d-2) for every d < 4,
-    and gamma <= 1 keeps d <= 3.
-    """
-    p_out = Fraction(p_out) if not isinstance(p_out, Fraction) else p_out
-    if not Fraction(3) < p_out < Fraction(9, 2):
-        raise PresetConstraintError(
-            f"outer exponent must satisfy 3 < outer < 9/2; got {p_out}"
-        )
-    if kind == "cylinder":
-        return math.inf
-    if kind == "shrink_cusp":
-        return math.inf
-    if kind != "cusp":
-        raise ValueError(f"unknown region kind {kind!r}")
-    g = Fraction(gamma) if not isinstance(gamma, Fraction) else gamma
-    if not 0 < g <= 1:
-        raise PresetConstraintError(f"cusp exponent must lie in (0, 1]; got {g}")
-    d = 2 * g + 1
-    return Fraction(3) * d / (d - 1)
+    for piece, p_val, growth in spec.pieces():
+        inv_q = 1 / Fraction(_conjugate_value(p_val, k_conj))
+        expo = -k_scale + growth * inv_q
+        entries.append(CertificateEntry(term, piece, growth, inv_q, expo, expo < 0))
+    return ExponentCertificate(
+        term, tuple(entries), all(e.negative for e in entries), spec.inner_cap())
 
 
 # ---------------------------------------------------------------------------
@@ -398,21 +346,20 @@ def liouville_pipeline(
         raise ValueError("the pipeline needs at least four radii")
     radii = [float(r) for r in r_grid]
     p_field = preset(spec, validate=validate)
+    cuts = [make_cutoff(R) for R in radii]  # every radius checked before a scan takes it
     scan_u = membership_scan(u, p_field, radii, Quadrature(n=max(quad.n // 4, 20_000), seed=quad.seed + 5))
     scan_p = membership_scan(
         P, p_field.divided_by(2), radii, Quadrature(n=max(quad.n // 4, 20_000), seed=quad.seed + 6)
     )
-    q_field = p_field.conjugate(2)
-    r_field = p_field.conjugate(3)
+    conjugates = [(kind, p_field.conjugate(k)) for kind, _, k in TERMS.values()]
 
     rows = []
-    for i, R in enumerate(radii):
-        cut = make_cutoff(R)
+    for i, (R, cut) in enumerate(zip(radii, cuts)):
         q_i = quad.with_seed(quad.seed + 31 * i)
         a, a_err = alpha_term(R, u, q_i, cutoff=cut)
         flux = beta_terms(R, u, P, q_i, cutoff=cut)
-        lap = luxemburg_norm(cut.size("laplacian"), q_field, cut.support(), q_i)
-        grad = luxemburg_norm(cut.size("gradient"), r_field, cut.support(), q_i)
+        lap, grad = (luxemburg_norm(cut.size(kind), field, cut.support(), q_i)
+                     for kind, field in conjugates)
         rows.append(
             PipelineRow(
                 R, a, flux.beta1, flux.beta2, flux.beta, lap.value, grad.value,
@@ -420,8 +367,7 @@ def liouville_pipeline(
             )
         )
 
-    cert_a = predicted_exponent(spec, "alpha")
-    cert_b = predicted_exponent(spec, "beta")
+    cert_a, cert_b = (predicted_exponent(spec, term) for term in TERMS)
     fits = {
         name: _maybe_fit(radii, [getattr(r, name) for r in rows])
         for name in ("alpha", "beta1", "beta2", "lap_norm", "grad_norm")

@@ -282,7 +282,10 @@ def _stratified_se(nodes: _NodeSet, contrib: np.ndarray) -> float:
         if n_i < 2:
             continue
         vol = float(nodes.weights[a] * n_i)
-        var += vol**2 * float(np.var(block)) / n_i
+        try:
+            var += vol**2 * float(np.var(block)) / n_i
+        except OverflowError:  # Python's float ** raises where numpy gives inf
+            var = math.inf
     return math.sqrt(var)
 
 

@@ -300,6 +300,12 @@ def _shell_decides(box: Box, center, inner_sq: float, outer_sq: float) -> Option
         False if far < inner_sq or near > outer_sq else None)
 
 
+def _check_square(what: str, size: float) -> None:
+    """A size's square must be a float: Python's float ** raises where numpy gives inf."""
+    if not math.isfinite(size * size):
+        raise ValueError(f"{what} {size} is too large: its square overflows a float")
+
+
 def _radius_sq(pts: np.ndarray) -> np.ndarray:
     """x1^2 + x2^2 + x3^2 per row, summed as (x1^2 + x3^2) + x2^2: the
     association of ``np.einsum("ij,ij->i", pts, pts)`` on C-ordered rows,
@@ -320,6 +326,7 @@ class Ball(Region):
             raise ValueError(f"ball center needs three finite coordinates, got {self.center}")
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
+        _check_square("ball radius", self.radius)
 
     def _contains_batch(self, pts):
         return _radius_sq(pts - np.asarray(self.center)) <= self.radius**2
@@ -354,6 +361,7 @@ class Annulus(Region):
     def __post_init__(self):
         if not 0 <= self.r_inner < self.r_outer:
             raise ValueError("annulus requires 0 <= r_inner < r_outer")
+        _check_square("annulus outer radius", self.r_outer)
 
     def _contains_batch(self, pts):
         r2 = _radius_sq(pts)

@@ -54,8 +54,16 @@ from vexlp.cli import main  # noqa: E402
 # `liouville-mc` and `alpha-beta-mc` are the README runs on Monte Carlo, at
 # 200k samples and seed 7, and `decay-mc` reaches the Monte Carlo cutoff norms.
 # The two `volume-mc-shell-*-cusp` runs count envelope strata that the region
-# decides (wholly outside the shell) without drawing them.
+# decides (wholly outside the shell) without drawing them.  The three
+# `certify-*` runs reach the certificate kinds the README does not: the
+# shrinking cusp, the tube's beta term alone, and an inner exponent past the
+# float range, which the certificate keeps exact.
 EXTRA = {
+    "certify-shrink-cusp": ["certify", "--preset", "shrink_cusp", "--sigma", "1/2", "--outer", "4"],
+    "certify-cylinder-beta": ["certify", "--preset", "cylinder", "--inner", "5", "--outer", "4",
+                              "--term", "beta"],
+    "certify-cylinder-1e400": ["certify", "--preset", "cylinder", "--inner", "1e400",
+                               "--outer", "4"],
     "liouville-mc": [
         "liouville", "--preset", "cylinder", "--inner", "5", "--outer", "4",
         "--field", '{"name":"decaying_solenoidal","rate":2}', "--grid-start", "8",

@@ -738,6 +738,8 @@ def test_the_pieces_form_matches_its_preset(tmp_path):
 
 
 GAUSSIAN_RADIAL = ["--field", '{"name":"gaussian"}', "--quad", "radial"]
+CYLINDER_FLAGS = ["--preset", "cylinder", "--inner", "5", "--outer", "4"]
+BALL_1E160 = '{"type":"ball","radius":1e160}'
 # runs that end in an error no other test or snapshot reaches: argv, stderr text
 ERROR_PATHS = {
     "radial-off-a-shell": (["norm", *GAUSSIAN_RADIAL, "--exponent", '{"constant":2}', "--region",
@@ -761,7 +763,57 @@ ERROR_PATHS = {
                       "cusp exponent must lie in (0, 1]"),
     "config-not-object": (["volume", "--config", "{list}"], "must hold a JSON object"),
     "no-subcommand": ([], "choose a subcommand"),
+    # a layout without the conjugate its certificate pairs with (p <= k)
+    "certify-no-2-conjugate": (["certify", "--preset", "cylinder", "--inner", "2", "--outer", "4",
+                                "--no-validate"], "numerator 2 needs every piece bound > 2"),
+    "certify-no-3-conjugate": (["certify", "--preset", "power_cusp", "--gamma", "1/2", "--inner",
+                                "3", "--outer", "4", "--no-validate"],
+                               "numerator 3 needs every piece bound > 3"),
+    "certify-alpha-no-2-conjugate": (["certify", "--preset", "power_cusp", "--gamma", "1/2",
+                                      "--inner", "1", "--outer", "4", "--no-validate", "--term",
+                                      "alpha"], "numerator 2 needs every piece bound > 2"),
+    # exponents and cusp powers whose floats do not exist or round out of range
+    "decay-inner-1e400": (["decay", "--preset", "cylinder", "--inner", "1e400", "--outer", "4",
+                           "--radii", "2,4,8,16"], "preset exponents must be at most"),
+    "norm-inner-1e400": (["norm", "--preset", "cylinder", "--inner", "1e400", "--outer", "4",
+                          *GAUSSIAN_RADIAL], "preset exponents must be at most"),
+    "norm-constant-1e400": (["norm", *GAUSSIAN_RADIAL, "--exponent", '{"constant":"1e400"}'],
+                            "bad exponent spec"),
+    "certify-gamma-1e-400": (["certify", "--preset", "power_cusp", "--gamma", "1e-400", "--inner",
+                              "5", "--outer", "4"], "the inner cap (6*gamma+3)/(2*gamma) exceeds"),
+    "decay-gamma-1e-400": (["decay", "--preset", "power_cusp", "--gamma", "1e-400", "--inner", "5",
+                            "--outer", "4", "--radii", "2,4,8,16"],
+                           "power_cusp preset needs 0 < gamma < 1 as a float; it rounds to 0.0"),
+    # sizes whose square overflows a float
+    **{f"{argv[0]}-radius-1e160": (argv, "cutoff radius must exceed 1 and have a finite square")
+       for argv in (["decay", *CYLINDER_FLAGS, "--radii", "2,4,8,1e160"],
+                    ["alpha-beta", "--field", '{"name":"decaying_solenoidal","rate":2}',
+                     "--radii", "2,4,8,1e160"],
+                    ["liouville", *CYLINDER_FLAGS, "--field", '{"name":"zero"}',
+                     "--radii", "2,4,8,1e160", "--seed", "1", "--samples", "1000"],
+                    ["energy", "--field", '{"name":"zero"}', "--radii", "1e160"])},
+    **{name: (argv, "is too large: its square overflows a float") for name, argv in {
+        "volume-ball-1e160": ["volume", "--region", BALL_1E160],
+        "volume-mc-ball-1e160": ["volume", "--region", BALL_1E160, "--method", "monte_carlo",
+                                 "--seed", "1", "--samples", "1000"],
+        "volume-annulus-1e160": ["volume", "--region",
+                                 '{"type":"annulus","inner":1,"outer":1e160}'],
+        "norm-ball-1e160": ["norm", "--field", '{"name":"gaussian"}', "--exponent",
+                            '{"constant":2}', "--region", BALL_1E160, "--seed", "1",
+                            "--samples", "10"],
+        "lemmas-ball-1e160": ["lemmas", *CYLINDER_FLAGS, "--region", BALL_1E160, "--seed", "1",
+                              "--samples", "1000"]}.items()},
 }
+
+
+def test_a_shell_variance_past_the_float_range_is_no_error(tmp_path):
+    # at radius 1e100 a Monte Carlo stratum volume squares past the float range;
+    # the variance is then inf, and the fit drops the norm there, under its zero floor
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["decay", *CYLINDER_FLAGS, "--radii", "2,4,8,1e100", "--quad", "mc",
+                     "--seed", "1", "--samples", "1000", "--out", str(tmp_path)]) == 0
+    rows = list(csv.DictReader((tmp_path / "decay.csv").open()))
+    assert [float(r["R"]) for r in rows] == [2.0, 4.0, 8.0] * 2
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
@@ -802,7 +854,8 @@ def test_flag_table_keeps_every_flag_and_config_field(capsys):
 # property: every input ends in an exit code, never in a traceback or a hang
 
 _SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
-                    st.floats(-2.0, 20.0), st.sampled_from(["x", "9/2", "1/2", "inf", ""]),
+                    st.floats(-2.0, 20.0), st.just(1e160),
+                    st.sampled_from(["x", "9/2", "1/2", "inf", "", "1e400", "1e-400"]),
                     st.lists(st.integers(0, 4), max_size=2))
 _REGION = st.one_of(
     st.sampled_from([
@@ -843,7 +896,7 @@ _FIELD = st.one_of(
         optional={"rate": _SCALAR, "value": _SCALAR}),
     _SCALAR,
 )
-_NUMBERS = st.lists(st.floats(0.5, 40.0), min_size=4, max_size=5)
+_NUMBERS = st.lists(st.one_of(st.floats(0.5, 40.0), st.just(1e160)), min_size=4, max_size=5)
 # per config field: values of the right shape mixed with wrong ones
 _CONFIG_VALUES = {
     "region": _REGION,
@@ -893,11 +946,12 @@ _FLAG = st.one_of(
     st.tuples(st.sampled_from(["--seed", "--grid-count"]),
               st.one_of(st.integers(-2, 5).map(str), st.just("x"))),
     st.tuples(st.sampled_from(["--tol", "--grid-start", "--grid-factor"]),
-              st.sampled_from(["0", "-1", "1e-300", "1e-3", "0.5", "2", "8", "nan", "inf", "x"])),
+              st.sampled_from(["0", "-1", "1e-300", "1e-3", "0.5", "2", "8", "1e160", "nan", "inf",
+                               "x"])),
     st.tuples(st.just("--radii"), st.one_of(
         _NUMBERS.map(lambda rs: ",".join(f"{r:g}" for r in rs)), st.just("4,x"))),
     st.tuples(st.sampled_from(["--inner", "--outer", "--gamma", "--sigma"]),
-              st.sampled_from(["5", "4", "1/2", "0", "x", "inf"])),
+              st.sampled_from(["5", "4", "1/2", "0", "x", "inf", "1e400", "1e-400"])),
     st.tuples(st.sampled_from(["--region", "--field", "--pressure", "--exponent"]), _JSON_TEXT),
     st.tuples(st.just("--quad"), st.sampled_from(["radial", "mc", "strat", "bad"])),
     st.tuples(st.just("--preset"), st.sampled_from(["cylinder", "power_cusp", "shrink_cusp"])),

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from vexlp.cutoff import RadialCutoff
-from vexlp.errors import PresetConstraintError
+from vexlp.errors import ExponentRangeError, PresetConstraintError
 from vexlp.estimates import (
     admissible_upper_bound,
     alpha_term,
@@ -274,12 +274,34 @@ def test_admissible_upper_bound_validates_outer():
 
 
 def test_certificate_consistent_with_bound():
-    g = Fraction(1, 2)
-    cap = admissible_upper_bound("cusp", 4, gamma=g)  # = 6
-    below = PresetSpec.make("power_cusp", outer=4, inner=cap - Fraction(1, 10), gamma=g)
-    above = PresetSpec.make("power_cusp", outer=4, inner=cap + Fraction(1, 10), gamma=g)
-    assert predicted_exponent(below, "beta").overall
-    assert not predicted_exponent(above, "beta").overall
+    for g in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(1)):
+        cap = admissible_upper_bound("cusp", 4, gamma=g)  # = 6 at gamma = 1/2
+        below = PresetSpec.make("power_cusp", outer=4, inner=cap - Fraction(1, 10), gamma=g)
+        above = PresetSpec.make("power_cusp", outer=4, inner=cap + Fraction(1, 10), gamma=g)
+        assert predicted_exponent(below, "beta").overall, g
+        assert not predicted_exponent(above, "beta").overall, g
+
+
+@pytest.mark.parametrize("spec", PRESET_MATRIX, ids=lambda s: f"{s.kind}")
+def test_every_cap_is_the_inner_cap(spec):
+    cap = spec.inner_cap()
+    region_kind = {"power_cusp": "cusp"}.get(spec.kind, spec.kind)  # the wrapper's names
+    assert admissible_upper_bound(region_kind, spec.outer, gamma=spec.gamma) == cap
+    assert predicted_exponent(spec, "beta").inner_upper_bound == cap
+    spec.validate()
+    if cap < math.inf:  # validate refuses the cap itself and names it
+        with pytest.raises(PresetConstraintError, match=f"= {cap}; got {cap}$"):
+            replace(spec, inner=cap).validate()
+
+
+def test_certificate_needs_the_conjugate_on_every_piece():
+    # p <= k has no k-conjugate: the certificate refuses as the conjugate field does
+    low = PresetSpec.make("power_cusp", outer=4, inner=3, gamma="1/2")
+    assert predicted_exponent(low, "alpha").overall  # 3 > 2
+    with pytest.raises(ExponentRangeError, match="numerator 3"):
+        predicted_exponent(low, "beta")
+    with pytest.raises(ExponentRangeError):
+        preset(low, validate=False).conjugate(3)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,29 @@ def test_piece_disjointness_and_bands():
                 assert np.all(inner < cap)
 
 
+@pytest.mark.parametrize("spec", [
+    PresetSpec.make("cylinder", outer=4, inner=5),
+    PresetSpec.make("power_cusp", outer="7/2", inner="11/2", gamma="1/2"),
+    PresetSpec.make("shrink_cusp", outer=4, sigma="1/2"),
+], ids=lambda s: s.kind)
+def test_preset_values_are_the_pieces_exponents(spec):
+    p = preset(spec)
+    (_, inner, _), (_, outer, _) = spec.pieces()
+    assert [v for _, v in p.pieces] == [float(inner)] and p.default == float(outer)
+    assert p.pieces[0][0] == spec.inner_region()
+
+
+def test_preset_exponents_and_powers_must_be_floats():
+    with pytest.raises(PresetConstraintError, match="at most"):
+        preset(PresetSpec.make("cylinder", outer=4, inner="1e400"))
+    with pytest.raises(PresetConstraintError, match="rounds to 0.0"):
+        preset(PresetSpec.make("power_cusp", outer=4, inner=5, gamma="1e-400"), validate=False)
+    with pytest.raises(PresetConstraintError, match="rounds to 1.0"):
+        preset(PresetSpec.make("shrink_cusp", outer=4, sigma="0.99999999999999999999"))
+    # the exact arithmetic takes what the floats cannot
+    assert PresetSpec.make("cylinder", outer=4, inner="1e400").inner_cap() == math.inf
+
+
 def test_preset_validation_messages():
     with pytest.raises(PresetConstraintError, match=r"\(6\*gamma\+3\)/\(2\*gamma\)"):
         preset(PresetSpec.make("power_cusp", outer=4, inner=7, gamma="1/2"))
