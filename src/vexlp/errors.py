@@ -10,11 +10,8 @@ class UnboundedRegionError(ToolkitError):
 
 
 class SamplingBudgetError(ToolkitError):
-    """Raised when rejection sampling exhausts its draw budget.
-
-    The region is empty, or too thin for its sampling envelope; the message
-    reports how many of the drawn points were accepted.
-    """
+    """Raised when a region holds none of the points drawn over its envelope:
+    it is empty, or too thin for the draw's size; the message gives that size."""
 
 
 class QuadratureDomainError(ToolkitError, ValueError):

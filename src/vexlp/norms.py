@@ -53,7 +53,6 @@ from .exponents import ExponentField, constant_field
 from .regions import Annulus, Ball, Region, row_norm
 
 _CAP = 1e30
-_ESS_SUP_EXTRA = 10_000
 _WHOLE_SPACE = Ball(radius=8.0)  # stands in for R^3 when no domain is given
 # The radial rule's orders: radial nodes per cell, polar nodes per arc and
 # azimuths; the coarse rule halves each.  A radial profile takes
@@ -359,19 +358,11 @@ def _moment_modular(exps: np.ndarray, log_m: np.ndarray, lam: float) -> float:
 def _frozen(f, p: ExponentField, domain: Optional[Region], quad: Quadrature):
     """The frozen data of the modular and the norm: nodes, their compact
     arrays and the ess-sup of |f| where p = +inf (else 0), both from
-    `_compact`, and for the radial rule `_compact` on its coarse rule (else
-    None).  The radial rule takes the sup from its own nodes; Monte Carlo
-    adds extra draws to its nodes where p has an infinite piece."""
+    `_compact` on the nodes alone under either scheme, and for the radial
+    rule `_compact` on its coarse rule (else None)."""
     nodes = _build_nodes(domain, quad, f, p)
     compact, sup = _compact(nodes, f, p)
-    if nodes.coarse is not None:
-        return nodes, compact, sup, _compact(nodes.coarse, f, p)
-    if p.has_infinite_piece:
-        extra = _resolve_domain(domain).sample(_ESS_SUP_EXTRA, quad.seed + 9901)
-        mask = ~np.isfinite(p(extra))
-        if mask.any():
-            sup = max(sup, float(_magnitude(f, extra[mask]).max()))
-    return nodes, compact, sup, None
+    return nodes, compact, sup, None if nodes.coarse is None else _compact(nodes.coarse, f, p)
 
 
 def modular(
@@ -383,8 +374,8 @@ def modular(
     """Integral of |f(x)|^p(x) over the domain, with standard error.
 
     Where p = +inf the integrand is replaced by the indicator convention:
-    the contribution is 0 if the sup of |f| there (see `_frozen`) is at
-    most 1 and +inf otherwise.  An overflowing power at any node reports +inf.
+    the contribution is 0 if the sup of |f| on the nodes there (`_frozen`)
+    is at most 1 and +inf otherwise.  An overflowing power at any node reports +inf.
     """
     nodes, compact, sup, coarse = _frozen(f, p, domain, quad)
     coarse_contrib = None if coarse is None else _power_contrib(nodes.coarse, coarse[0], 1.0)
@@ -402,7 +393,7 @@ def luxemburg_norm(
 ) -> NormResult:
     """Smallest lambda with modular(f / lambda) <= 1, by `_bisect_root`;
     on infinite-exponent pieces the norm contribution is the ess-sup of |f|
-    over the nodes (see `_frozen`).  Escaping the bracket above 1e30 reports
+    over the norm's own nodes (`_frozen`).  Escaping the bracket above 1e30 reports
     status "infinite"; a vanishing modular reports status "zero".  The
     quadrature part of ``abs_error`` is the gap to the root on the coarse
     rule for the deterministic radial rule, and the propagated standard
@@ -636,12 +627,10 @@ def lemma1_check(
 def lemma2_check(
     f, p: ExponentField, region: Region, quad: Quadrature = Quadrature()
 ) -> CheckReport:
-    """Norm of f vs. (sup of |f| on the rule's nodes or on draws) * norm of 1."""
+    """Norm of f vs. (sup of |f| on the in-domain nodes of both norms) * norm of 1."""
     lhs = luxemburg_norm(f, p, region, quad)
     one = luxemburg_norm(constant_one, p, region, quad)
-    pts = (_build_nodes(region, quad, f, p).points if quad.scheme == "radial"
-           else region.sample(_ESS_SUP_EXTRA, quad.seed + 3))
-    sup = float(_magnitude(f, pts).max())
+    sup = float(np.max(_magnitude(f, _build_nodes(region, quad, f, p).in_domain[1]), initial=0.0))
     rhs = sup * one.value
     tol = 3.0 * (lhs.abs_error + sup * one.abs_error) + 1e-6 * max(rhs, 1.0)
     return CheckReport(lhs.value, rhs, max(0.0, lhs.value - rhs), tol,

@@ -12,9 +12,9 @@ window of floats (bisected to adjacent floats near tangency), the polar
 angles where a sphere about the origin may cross its boundary.
 
 Membership treats boundary points as members (closed sets) so repeated
-evaluation is deterministic.  Sampling and Monte Carlo volume run over an
-axis-aligned *envelope*: a list of disjoint boxes covering the region,
-stratified along x1 wherever the cross-section radius varies.  The
+evaluation is deterministic.  Sampling (the members of one stratified draw)
+and Monte Carlo volume run over an axis-aligned *envelope*: disjoint boxes
+covering the region, stratified along x1 where the cross-section varies.  The
 shrinking-cusp family flares near x1 = 0 (the cross-section radius
 diverges), so its envelope uses geometrically refined strata toward 0 and
 reports the volume of the omitted sliver as part of the error estimate.
@@ -43,10 +43,6 @@ from .errors import (
 
 _GEOMETRIC_LEVELS = 120  # strata toward a diverging cross-section at x1 = 0
 _UNIFORM_LEVELS = 16
-# rejection sampling gives up after max(_DRAW_BUDGET, _DRAWS_PER_POINT * n)
-# draws: an empty region would otherwise loop forever
-_DRAW_BUDGET = 1 << 22
-_DRAWS_PER_POINT = 1024
 _CHUNK = 1 << 14  # rows a Monte Carlo stratum draws (and a volume tests) at a time
 _NEWTON_STEPS = 12  # a cusp root's Newton steps; 3-5 reach 8 ulps on README radii
 _ULPS = 64  # half-width, in floats, of the window that certifies a cusp root
@@ -168,6 +164,15 @@ class Region(ABC):
                                     "solids of revolution about the x1 axis")
 
     def analytic_volume(self) -> float:
+        """`_closed_volume`, or UnboundedRegionError where it overflows a float."""
+        try:
+            if math.isfinite(vol := self._closed_volume()):
+                return vol
+        except OverflowError:  # Python's float ** raises where numpy gives inf
+            pass
+        raise UnboundedRegionError(f"{type(self).__name__} volume overflows a float")
+
+    def _closed_volume(self) -> float:
         raise AnalyticUnavailableError(
             f"{type(self).__name__} has no closed-form volume"
         )
@@ -201,35 +206,23 @@ class Region(ABC):
                 continue
             boxes.append(Box((float(a), -rho, -rho), (float(b), rho, rho)))
         env = Envelope(tuple(boxes), tail)
-        if not env.volumes().sum() > 0.0:  # no boxes, or their volume underflows
+        total = env.volumes().sum()
+        if not total > 0.0:  # no boxes, or their volume underflows
             raise UnboundedRegionError(f"{type(self).__name__} envelope is empty")
+        if not math.isfinite(total):  # the strata split n by it
+            raise UnboundedRegionError(f"{type(self).__name__} envelope volume overflows a float")
         return env
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        """n points uniform over the region; deterministic for a fixed seed."""
-        env = self.envelope()
-        vols = env.volumes()
-        weights = vols / vols.sum()
-        los = np.array([b.lo for b in env.boxes])
-        his = np.array([b.hi for b in env.boxes])
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        out = np.empty((0, 3))
-        chunk = max(4 * n, 1024)
-        drawn, budget = 0, max(_DRAW_BUDGET, _DRAWS_PER_POINT * n)
-        while out.shape[0] < n:
-            if drawn >= budget:
-                raise SamplingBudgetError(
-                    f"{type(self).__name__} accepted {out.shape[0]} of {drawn} "
-                    f"drawn points, short of the {n} requested: the region is "
-                    "empty or too thin for its sampling envelope"
-                )
-            drawn += chunk
-            idx = rng.choice(len(env.boxes), size=chunk, p=weights)
-            u = rng.random((chunk, 3))
-            pts = los[idx] + u * (his[idx] - los[idx])
-            pts = pts[self._contains_batch(pts)]
-            out = np.concatenate([out, pts]) if out.size else pts
-        return out[:n]
+        """The members, C-ordered, of the points `Envelope.strata(n, seed)` draws
+        (n, or more where a stratum's one-point floor adds some): bit for bit
+        the in-domain nodes of `Quadrature(n=n, seed=seed)`."""
+        strata = self.envelope().strata(n, seed)
+        pts = np.concatenate([box.sample(rng, k) for box, _, k, rng in strata])
+        if not (kept := pts[self._contains_batch(pts)]).size:
+            raise SamplingBudgetError(f"{type(self).__name__} holds none of its {len(pts)} "
+                                      "draws: the region is empty or too thin for its envelope")
+        return kept
 
     def volume(
         self, method: str = "analytic", n: int = 1_000_000, seed: int = 0
@@ -334,7 +327,7 @@ class Ball(Region):
     def _decides(self, box):
         return _shell_decides(box, self.center, 0.0, self.radius**2)
 
-    def analytic_volume(self):
+    def _closed_volume(self):
         return 4.0 / 3.0 * math.pi * self.radius**3
 
     def polar_breaks(self, r):
@@ -370,7 +363,7 @@ class Annulus(Region):
     def _decides(self, box):
         return _shell_decides(box, (0.0, 0.0, 0.0), self.r_inner**2, self.r_outer**2)
 
-    def analytic_volume(self):
+    def _closed_volume(self):
         return 4.0 / 3.0 * math.pi * (self.r_outer**3 - self.r_inner**3)
 
     def _extent(self):
@@ -396,7 +389,7 @@ class Cylinder(Region):
         tube = _axis_dist_sq(pts) <= 1.0
         return tube if math.isinf(self.half_length) else tube & (np.abs(pts[:, 0]) <= self.half_length)
 
-    def analytic_volume(self):
+    def _closed_volume(self):
         if math.isinf(self.half_length):
             raise UnboundedRegionError("the infinite tube has infinite volume")
         return 2.0 * math.pi * self.half_length
@@ -436,7 +429,7 @@ class PowerCusp(Region):
     def _contains_batch(self, pts):
         return _cusp_contains(pts, 2.0 * self.gamma, self.length)
 
-    def analytic_volume(self):
+    def _closed_volume(self):
         if math.isinf(self.length):
             raise UnboundedRegionError("the widening cusp has infinite volume")
         e = 2.0 * self.gamma + 1.0
@@ -469,7 +462,7 @@ class ShrinkCusp(Region):
     def _contains_batch(self, pts):
         return _cusp_contains(pts, -self.sigma, self.length)
 
-    def analytic_volume(self):
+    def _closed_volume(self):
         if math.isinf(self.length):
             raise UnboundedRegionError("the shrinking cusp has infinite volume")
         e = 1.0 - self.sigma

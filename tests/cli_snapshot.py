@@ -57,7 +57,9 @@ from vexlp.cli import main  # noqa: E402
 # decides (wholly outside the shell) without drawing them.  The three
 # `certify-*` runs reach the certificate kinds the README does not: the
 # shrinking cusp, the tube's beta term alone, and an inner exponent past the
-# float range, which the certificate keeps exact.
+# float range, which the certificate keeps exact.  `norm-mc-shrink-cusp-sup`
+# is a Monte Carlo norm set by the sup on the infinite piece, and
+# `energy-decaying` reaches a non-zero momentum residual on the probe points.
 EXTRA = {
     "certify-shrink-cusp": ["certify", "--preset", "shrink_cusp", "--sigma", "1/2", "--outer", "4"],
     "certify-cylinder-beta": ["certify", "--preset", "cylinder", "--inner", "5", "--outer", "4",
@@ -79,6 +81,12 @@ EXTRA = {
     "norm-mc-shrink-cusp": [
         "norm", "--field", '{"name":"inverse_quadratic"}', "--preset", "shrink_cusp",
         "--sigma", "1/2", "--outer", "4", "--samples", "50000", "--seed", "2"],
+    "norm-mc-shrink-cusp-sup": [
+        "norm", "--field", '{"name":"decaying_solenoidal","rate":2}', "--preset", "shrink_cusp",
+        "--sigma", "1/2", "--outer", "4", "--region", '{"type":"ball","radius":16}',
+        "--samples", "200000", "--seed", "7"],
+    "energy-decaying": ["energy", "--field", '{"name":"decaying_solenoidal","rate":2}',
+                        "--radii", "4,8"],
     "alpha-beta-radial": [
         "alpha-beta", "--field", '{"name":"gradient_counterexample"}',
         "--pressure", '{"name":"counterexample"}', "--radii", "4,8,16", "--quad", "radial"],

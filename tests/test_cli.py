@@ -740,6 +740,8 @@ def test_the_pieces_form_matches_its_preset(tmp_path):
 GAUSSIAN_RADIAL = ["--field", '{"name":"gaussian"}', "--quad", "radial"]
 CYLINDER_FLAGS = ["--preset", "cylinder", "--inner", "5", "--outer", "4"]
 BALL_1E160 = '{"type":"ball","radius":1e160}'
+BALL_1E104 = '{"type":"ball","radius":1e104}'
+POWER_CUSP_1E160 = '{"type":"truncated_power_cusp","gamma":0.5,"length":1e160}'
 # runs that end in an error no other test or snapshot reaches: argv, stderr text
 ERROR_PATHS = {
     "radial-off-a-shell": (["norm", *GAUSSIAN_RADIAL, "--exponent", '{"constant":2}', "--region",
@@ -803,6 +805,21 @@ ERROR_PATHS = {
                             "--samples", "10"],
         "lemmas-ball-1e160": ["lemmas", *CYLINDER_FLAGS, "--region", BALL_1E160, "--seed", "1",
                               "--samples", "1000"]}.items()},
+    # sizes whose square passes the radius check but whose volume overflows a float
+    **{name: (argv, "envelope volume overflows a float") for name, argv in {
+        "energy-radius-1e104": ["energy", "--field", '{"name":"zero"}', "--radii", "1e104"],
+        "lemmas-power-cusp-1e160": ["lemmas", *CYLINDER_FLAGS, "--region", POWER_CUSP_1E160,
+                                    "--seed", "1", "--samples", "1000"],
+        "volume-mc-ball-1e104": ["volume", "--region", BALL_1E104, "--method", "monte_carlo",
+                                 "--seed", "1", "--samples", "1000"],
+        "norm-ball-1e104": ["norm", "--field", '{"name":"gaussian"}', "--exponent",
+                            '{"constant":2}', "--region", BALL_1E104, "--seed", "1",
+                            "--samples", "1000"]}.items()},
+    **{name: (["volume", "--region", region], f"{kind} volume overflows a float")
+       for name, kind, region in (
+           ("volume-ball-1e104", "Ball", BALL_1E104),
+           ("volume-annulus-1e104", "Annulus", '{"type":"annulus","inner":1,"outer":1e104}'),
+           ("volume-power-cusp-1e160", "PowerCusp", POWER_CUSP_1E160))},
 }
 
 
@@ -854,7 +871,7 @@ def test_flag_table_keeps_every_flag_and_config_field(capsys):
 # property: every input ends in an exit code, never in a traceback or a hang
 
 _SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
-                    st.floats(-2.0, 20.0), st.just(1e160),
+                    st.floats(-2.0, 20.0), st.just(1e160), st.just(1e104),
                     st.sampled_from(["x", "9/2", "1/2", "inf", "", "1e400", "1e-400"]),
                     st.lists(st.integers(0, 4), max_size=2))
 _REGION = st.one_of(

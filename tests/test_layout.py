@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vexlp import norms, regions
+from vexlp.errors import UnboundedRegionError
 from vexlp.norms import Quadrature, _build_nodes, _NodeSet
 from vexlp.regions import (
     Annulus, Ball, Complement, Cylinder, Diff, Intersect, PowerCusp, ShrinkCusp)
@@ -167,3 +168,17 @@ def test_in_domain_points_are_c_ordered_when_every_node_is_inside(order):
     # C-ordered points are gathered as a view; column-major ones are copied
     assert np.shares_memory(pts, points) == (order == "C")
     assert points.flags.writeable
+
+
+def test_sample_is_the_in_domain_nodes_of_the_same_draw():
+    sampled = []
+    for name, region in LAYOUT_REGIONS.items():
+        try:
+            region.envelope()
+        except UnboundedRegionError:
+            continue
+        sampled.append(name)
+        for n, seed in ((1000, 3), (50_000, 8)):
+            expected = norms._mc_nodes(region, Quadrature(n=n, seed=seed)).in_domain[1]
+            assert np.array_equal(region.sample(n, seed), expected), (name, n)
+    assert len(sampled) == 8  # all but the unbounded tube, cusps and complement

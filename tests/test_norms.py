@@ -151,6 +151,23 @@ def test_norm_infinite_piece_reduces_to_sup():
     assert res.value == pytest.approx(2.0)
 
 
+def test_monte_carlo_sups_come_from_the_norms_own_nodes(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a Monte Carlo sup draws no points beside the norm's nodes")
+
+    monkeypatch.setattr(Region, "sample", no_sampling)
+    f = decaying_solenoidal(2.0)
+    p = preset(PresetSpec.make("shrink_cusp", outer=4, sigma="1/2"))
+    domain, quad = Ball(radius=16), Quadrature(n=20_000, seed=7)
+    pts = norms._mc_nodes(domain, quad).in_domain[1]
+    mag, on_piece = np.linalg.norm(f(pts), axis=1), ~np.isfinite(p(pts))
+    assert on_piece.any()
+    res = luxemburg_norm(f, p, domain, quad)
+    assert norms._frozen(f, p, domain, quad)[2] == mag[on_piece].max() <= res.value
+    rep = lemma2_check(f, p, domain, quad)
+    assert rep.rhs == mag.max() * luxemburg_norm(constant_one, p, domain, quad).value
+
+
 def test_norm_counts_evaluations():
     res = luxemburg_norm(constant_one, constant_field(3.0), Ball(radius=1), MC)
     assert res.evaluations > 5

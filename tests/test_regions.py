@@ -7,7 +7,6 @@ not.
 """
 
 import math
-import signal
 import tracemalloc
 
 import numpy as np
@@ -327,8 +326,9 @@ def test_volume_skips_decided_strata_with_the_bits_of_the_full_draw(kind, R, mon
 def test_sampler_points_are_members():
     for region in (Ball(radius=1), Annulus(1, 2), ShrinkCusp(0.5, 16)):
         pts = region.sample(1000, seed=7)
-        assert pts.shape == (1000, 3)
+        assert 0 < pts.shape[0] <= 1000 and pts.shape[1] == 3
         assert bool(region.contains(pts).all())
+        np.testing.assert_array_equal(pts, region.sample(1000, seed=7))
 
 
 def test_sampler_intersection():
@@ -360,25 +360,16 @@ def test_sample_unbounded_raises():
         Ball(radius=5e-324).sample(10, seed=0)
 
 
-def test_sample_empty_region_fails_within_budget():
-    def timed_out(signum, frame):
-        raise TimeoutError("sampling an empty region still runs after 10 s")
-
-    previous = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(10)
-    try:
-        with pytest.raises(SamplingBudgetError, match=r"accepted 0 of \d+ drawn"):
-            Diff(Ball(radius=1), Ball(radius=2)).sample(10, 0)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+def test_sample_empty_region_fails_at_once():
+    with pytest.raises(SamplingBudgetError, match="holds none of its 10 draws"):
+        Diff(Ball(radius=1), Ball(radius=2)).sample(10, 0)
 
 
-def test_sample_thin_region_stays_within_budget():
-    # a thin shell through the tube accepts about 0.3% of its envelope draws
+def test_sample_thin_region_returns_its_members():
+    # a thin shell through the tube holds about 0.3% of its envelope draws
     thin = Intersect(Annulus(255, 256), Cylinder())
-    pts = thin.sample(1000, seed=1)
-    assert pts.shape == (1000, 3)
+    pts = thin.sample(100_000, seed=1)
+    assert 0 < pts.shape[0] < 1000
     assert np.all(thin.contains(pts))
 
 
