@@ -84,7 +84,7 @@ class RadialCutoff:
     def size(self, kind: str) -> "RadialProfile":
         """|Laplacian| (kind "laplacian") or |grad| (kind "gradient") as a
         function of (n, 3) points; it depends on |x| alone and names the
-        radii where it is not smooth, so a radial rule can split there."""
+        radii where a radial rule splits its cells."""
         return RadialProfile(self, kind)
 
     def support(self) -> Region:
@@ -97,9 +97,10 @@ class RadialProfile:
     """The size of a cutoff derivative, |Laplacian| or |grad|, as a field.
 
     Its values equal those of the cutoff's derivative methods.  ``kinks``
-    are the radii where the profile is not smooth: the shell edges R/2 and
-    R, and for the Laplacian the radius R(1 + 1/sqrt(3))/2 where it
-    changes sign; |grad| has no kink inside the shell.
+    are the radii where a radial rule cuts its cells, the same for both
+    kinds so both norms of a shell share one rule: the shell edges R/2 and
+    R, and R(1 + 1/sqrt(3))/2, where the Laplacian changes sign and |grad|
+    is smooth, so the extra cell edge costs it no accuracy.
     """
 
     cutoff: RadialCutoff
@@ -113,9 +114,7 @@ class RadialProfile:
     @property
     def kinks(self) -> tuple[float, ...]:
         R = self.cutoff.radius
-        if self.kind == "laplacian":
-            return (R / 2.0, R * (1.0 + _LAPLACIAN_ZERO_T) / 2.0, R)
-        return (R / 2.0, R)
+        return (R / 2.0, R * (1.0 + _LAPLACIAN_ZERO_T) / 2.0, R)
 
 
 def make_cutoff(radius: float) -> RadialCutoff:

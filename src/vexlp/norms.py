@@ -25,8 +25,10 @@ exactly as the bulk whatever its share of the shell.  A radial profile (a
 cutoff derivative's size, `cutoff.RadialProfile`) needs one cosine and one
 azimuth per arc; any other integrand gets 24 radii per cell and 24 of
 each.  The rule is deterministic; its error is the gap to the same rule at
-half the order (for a norm, between the two roots).  A Monte Carlo node
-set is drawn by `Box.sample` and kept in a one-slot memo (`_mc_nodes`).
+half the order (for a norm, between the two roots).  The last node set of
+each scheme is kept in a one-slot memo of its own (`_recall`): a Monte Carlo
+set by its (domain, quad), a radial rule by what it reads, so a shell's
+integrals share one rule, and so do its two cutoff norms, whose kinks agree.
 
 Fields enter as plain callables mapping (n, 3) point arrays to scalars or
 vectors; vector values are reduced by the Euclidean magnitude.
@@ -70,8 +72,9 @@ class Quadrature:
     ``scheme`` is "mc" (stratified rejection Monte Carlo over the region
     envelope, whose x1 slabs the region decides) or "radial" (over an
     origin-centered ball or shell: the radial rule of the module notes).
-    ``n`` is the Monte Carlo sample budget, ``seed`` its stream and
-    ``rel_tol`` the relative width of the norm's bisection.
+    ``n`` is the Monte Carlo sample budget, which a draw may pass by up to
+    one point per envelope stratum (each takes at least one), ``seed`` its
+    stream and ``rel_tol`` the relative width of the norm's bisection.
     """
 
     scheme: str = "mc"
@@ -142,23 +145,29 @@ class _NodeSet:
         return out
 
 
-def _resolve_domain(domain: Optional[Region]) -> Region:
-    return domain if domain is not None else _WHOLE_SPACE
-
-
-# The last Monte Carlo node set, as ((domain, quad), node set), or None.
+# The last node set of each scheme as (key, set), or None; two slots, so a
+# shell's radial rule never frees the Monte Carlo draw of a scan.
 _mc_memo: Optional[tuple[tuple[Region, Quadrature], _NodeSet]] = None
+_radial_memo: Optional[tuple[tuple, _NodeSet]] = None
+
+
+def _recall(slot: str, key, build: Callable[[], _NodeSet]) -> _NodeSet:
+    """The set in the memo ``slot`` if its key is ``key``, else build()'s, kept
+    there read-only since every caller holds it; a miss frees the old first."""
+    memo = globals()[slot]
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    globals()[slot] = memo = None
+    nodes = build()
+    for s in filter(None, (nodes, nodes.coarse)):
+        for array in (s.points, s.weights, s.inside):
+            array.setflags(write=False)
+    globals()[slot] = (key, nodes)
+    return nodes
 
 
 def _mc_nodes(domain: Region, quad: Quadrature) -> _NodeSet:
-    """The Monte Carlo nodes of (domain, quad), a function of the two alone; a
-    request for the same pair as the last one (one shell's integrals and norms
-    in a row) returns the same set, read-only since every caller holds it."""
-    global _mc_memo
-    key, memo = (domain, quad), _mc_memo
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    _mc_memo = memo = None  # free the old set before the new one is drawn
+    """The Monte Carlo nodes of (domain, quad), a function of the two alone."""
     env = domain.envelope()
     boxes, vols, counts, rngs = zip(*env.strata(quad.n, quad.seed))
     ends = np.cumsum(counts).tolist()
@@ -167,11 +176,7 @@ def _mc_nodes(domain: Region, quad: Quadrature) -> _NodeSet:
     for box, rng, (a, b) in zip(boxes, rngs, slices):
         box.sample(rng, b - a, out=points[a:b])
     weights = np.repeat(np.array(vols) / counts, counts)
-    nodes = _NodeSet(points, weights, domain.contains(points), slices, tail_bound=env.tail_bound)
-    for array in (nodes.points, nodes.weights, nodes.inside):
-        array.setflags(write=False)
-    _mc_memo = (key, nodes)
-    return nodes
+    return _NodeSet(points, weights, domain.contains(points), slices, tail_bound=env.tail_bound)
 
 
 def _radial_span(domain: Region) -> Optional[tuple[float, float]]:
@@ -244,25 +249,31 @@ def _arc_nodes(r, wr, row, a, b, n_mu: int, n_phi: int) -> _NodeSet:
 def _build_nodes(
     domain: Optional[Region], quad: Quadrature, f=None, p: Optional[ExponentField] = None
 ) -> _NodeSet:
-    """The frozen nodes of a quadrature over a domain; under the radial
-    scheme, the radial rule for f against p with its half-order rule as
-    ``coarse``, the arcs found once for the radii of both."""
-    dom = _resolve_domain(domain)
+    """The frozen nodes of a quadrature over a domain, the last of each scheme
+    kept (`_recall`); under the radial scheme, the radial rule for f against p
+    with its half-order rule as ``coarse``."""
+    dom = domain if domain is not None else _WHOLE_SPACE
     if quad.scheme == "mc":
-        return _mc_nodes(dom, quad)
+        return _recall("_mc_memo", (dom, quad), lambda: _mc_nodes(dom, quad))
     if (span := _radial_span(dom)) is None:
         raise QuadratureDomainError(
             f"the radial rule needs an origin-centered ball or shell; got {type(dom).__name__}")
     fine = (_RADIAL_ORDER, 1, 1) if isinstance(f, RadialProfile) else _FIELD_ORDERS
-    rules = [fine, tuple(max(k // 2, 1) for k in fine)]
-    radii = [_gauss_radii(*span, getattr(f, "kinks", ()), n_r) for n_r, _, _ in rules]
-    r, wr = (np.concatenate(parts) for parts in zip(*radii))
-    row, a, b = _polar_arcs(r, p if p is not None else constant_field(1.0))
-    is_fine = row < radii[0][0].size
-    nodes, coarse = (_arc_nodes(r, wr, row[m], a[m], b[m], *orders[1:])
-                     for m, orders in zip((is_fine, ~is_fine), rules))
-    nodes.coarse = coarse
-    return nodes
+    kinks, p = getattr(f, "kinks", ()), p if p is not None else constant_field(1.0)
+    vals = [*(v for _, v in p.pieces), p.default]  # the arcs see only which agree
+    key = (span, fine, kinks, [region for region, _ in p.pieces], [vals.index(v) for v in vals])
+
+    def build() -> _NodeSet:  # the arcs found once for the radii of both rules
+        rules = [fine, tuple(max(k // 2, 1) for k in fine)]
+        radii = [_gauss_radii(*span, kinks, n_r) for n_r, _, _ in rules]
+        r, wr = (np.concatenate(parts) for parts in zip(*radii))
+        row, a, b = _polar_arcs(r, p)
+        is_fine = row < radii[0][0].size
+        nodes, coarse = (_arc_nodes(r, wr, row[m], a[m], b[m], *orders[1:])
+                         for m, orders in zip((is_fine, ~is_fine), rules))
+        nodes.coarse = coarse
+        return nodes
+    return _recall("_radial_memo", key, build)
 
 
 def _magnitude(f, pts: np.ndarray) -> np.ndarray:

@@ -135,13 +135,16 @@ def test_size_profile_values_and_kinks(kind):
     size = c.size(kind)
     want = np.abs(c.laplacian(pts)) if kind == "laplacian" else np.linalg.norm(c.grad(pts), axis=1)
     assert np.array_equal(size(pts), want)
-    if kind == "gradient":
-        assert size.kinks == (8.0, 16.0)  # the shell edges only
-        return
-    # the Laplacian changes sign at R(1 + 1/sqrt(3))/2, the one kink inside the shell
+    # both kinds cut at the shell edges and at R(1 + 1/sqrt(3))/2, where the
+    # Laplacian changes sign, so both norms of a shell share one rule
     lo, star, hi = size.kinks
     assert (lo, hi) == (8.0, 16.0)
     assert star == pytest.approx(8.0 * (1.0 + 1.0 / math.sqrt(3.0)), rel=1e-15)
+    if kind == "gradient":  # |grad| is smooth there: its slopes on either side agree
+        r = star * (1.0 + np.array([-1e-6, 0.0, 1e-6]))
+        g = size(np.column_stack([r, np.zeros(3), np.zeros(3)]))
+        assert g[1] - g[0] == pytest.approx(g[2] - g[1], rel=1e-4)
+        return
     near = np.array([[star * (1.0 - 1e-9), 0.0, 0.0], [star * (1.0 + 1e-9), 0.0, 0.0]])
     below, above = c.laplacian(near)
     assert below < 0.0 < above

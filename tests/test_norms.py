@@ -14,7 +14,7 @@ from vexlp.cli import exponent_from_dict, field_from_dict
 from vexlp.cutoff import make_cutoff
 from vexlp.errors import ExponentRangeError, ExponentRelationError, QuadratureDomainError
 from vexlp.estimates import alpha_term, beta_terms
-from vexlp.exponents import PresetSpec, constant_field, preset, two_piece_field
+from vexlp.exponents import ExponentField, PresetSpec, constant_field, preset, two_piece_field
 from vexlp.fields import (
     decaying_solenoidal,
     gaussian_scalar,
@@ -625,16 +625,17 @@ def test_on_domain_writes_each_row_and_zero_off_the_domain():
 
 
 @pytest.mark.parametrize("quad", [Quadrature(n=100_000, seed=5), RADIAL], ids=["mc", "radial"])
-def test_norm_and_integral_passes_keep_no_per_node_array(quad):
-    # once a call returns, per-node memory is held by the memo'd Monte
-    # Carlo set and its in-domain gather alone; each call below leaves at
-    # least 40k per-node values behind if it keeps any per-node array
+def test_norm_and_integral_passes_keep_no_per_node_array(quad, monkeypatch):
+    # once a call returns, per-node memory is held by the memo'd node sets
+    # and the Monte Carlo set's in-domain gather alone; each call below
+    # leaves at least 40k per-node values behind if it keeps any other
     p = preset(PRESETS["cylinder"]).conjugate(2)
     cut = make_cutoff(16.0)
     f, shell = (lambda pts: np.abs(cut.laplacian(pts))), cut.support()
     calls = (lambda: luxemburg_norm(f, p, shell, quad),
              lambda: modular(f, p, shell, quad),
              lambda: integrate_many(lambda pts: [f(pts), f(pts) ** 2], shell, quad))
+    monkeypatch.setattr(norms, "_radial_memo", None)  # restored after the test
     for call in calls:  # the memo, its gather and first-use caches
         call()
     gc.collect()
@@ -642,6 +643,7 @@ def test_norm_and_integral_passes_keep_no_per_node_array(quad):
     try:
         for call in calls:
             call()
+        norms._radial_memo = None  # the last radial set may stay alive: let it go
         gc.collect()
         left = tracemalloc.get_traced_memory()[0]
     finally:
@@ -832,8 +834,87 @@ def test_field_rule_takes_24_radii_per_octave():
 def test_cutoff_profile_rule_gets_no_octave_cut(R):
     # 32 radii per cell between the kinks, one node per arc: the cylinder
     # preset's meridians have three arcs, and the Laplacian's sign change
-    # splits its shell in two cells
+    # splits the shell in two cells for both kinds
     p, cut = preset(PRESETS["cylinder"]).conjugate(2), make_cutoff(R)
-    for kind, cells in (("laplacian", 2), ("gradient", 1)):
+    for kind in ("laplacian", "gradient"):
         nodes = _build_nodes(cut.support(), RADIAL, cut.size(kind), p)
-        assert (nodes.weights.size, nodes.coarse.weights.size) == (cells * 96, cells * 48)
+        assert (nodes.weights.size, nodes.coarse.weights.size) == (2 * 96, 2 * 48)
+
+
+# the one-slot memo of radial node sets
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_shell_builds_one_rule_for_its_cutoff_norms_and_one_for_its_integrals(name, monkeypatch):
+    sets, build = [], norms._build_nodes
+    monkeypatch.setattr(norms, "_build_nodes", lambda *a, **k: sets.append(build(*a, **k)) or sets[-1])
+    monkeypatch.setattr(norms, "_radial_memo", None)
+    p, cut, u = preset(PRESETS[name]), make_cutoff(64.0), decaying_solenoidal(2.0)
+    for kind, k in (("laplacian", 2), ("gradient", 3)):
+        luxemburg_norm(cut.size(kind), p.conjugate(k), cut.support(), RADIAL)
+    alpha_term(64.0, u, RADIAL, cutoff=cut)
+    beta_terms(64.0, u, zero_scalar(), RADIAL, cutoff=cut)
+    assert len(sets) == 4 and sets[0] is sets[1] and sets[2] is sets[3] and sets[1] is not sets[2]
+
+
+def _tube_exponent(*values: float) -> ExponentField:
+    """The ball-ahead and the tube as pieces, then the default: 3 arcs' labels."""
+    return ExponentField(((PIECE_REGIONS["ball-ahead"], values[0]), (Cylinder(), values[1])),
+                         values[2])
+
+
+@pytest.mark.parametrize("first, second, shared", [
+    ((5.0, 4.0, 3.0), (6.0, 2.0, 1.5), True),    # all distinct in both
+    ((5.0, 4.0, 4.0), (3.0, 2.0, 2.0), True),    # tube = default in both
+    ((5.0, 4.0, 3.0), (5.0, 4.0, 4.0), False),   # tube = default in the second only
+    ((5.0, 4.0, 4.0), (5.0, 4.0, 3.0), False),   # and the other way round
+    ((4.0, 5.0, 4.0), (5.0, 4.0, 4.0), False),   # ball = default against tube = default
+], ids=["distinct", "tube-default", "merge", "split", "other-pair"])
+def test_a_radial_set_is_reused_only_for_the_same_equal_value_pattern(
+        first, second, shared, monkeypatch):
+    cut = make_cutoff(16.0)
+    rule = lambda values: _build_nodes(  # noqa: E731
+        cut.support(), RADIAL, cut.size("gradient"), _tube_exponent(*values))
+    monkeypatch.setattr(norms, "_radial_memo", None)
+    before = rule(first)
+    warm = rule(second)
+    assert (warm is before) == shared
+    monkeypatch.setattr(norms, "_radial_memo", None)
+    cold = rule(second)
+    assert cold is not warm
+    for got, want in ((warm, cold), (warm.coarse, cold.coarse)):
+        for name in ("points", "weights", "inside"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_memoized_radial_arrays_are_read_only(monkeypatch):
+    monkeypatch.setattr(norms, "_radial_memo", None)
+    cut = make_cutoff(16.0)
+    nodes = _build_nodes(cut.support(), RADIAL, cut.size("laplacian"), preset(PRESETS["cylinder"]))
+    assert norms._radial_memo[1] is nodes
+    for s in (nodes, nodes.coarse):
+        for array in (s.points, s.weights, s.inside, s.in_domain[1]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
+def test_a_radial_miss_releases_the_previous_set_before_building(monkeypatch):
+    alive_during_build = []
+
+    class Probe(Cylinder):  # a piece region that looks back while the rule cuts its arcs
+        def polar_breaks(self, r):
+            gc.collect()
+            alive_during_build.append(old() is not None)
+            return super().polar_breaks(r)
+
+    monkeypatch.setattr(norms, "_radial_memo", None)
+    cut = make_cutoff(16.0)
+    first = _build_nodes(cut.support(), RADIAL, cut.size("gradient"), two_piece_field(Cylinder(), 5, 4))
+    first.on_domain(lambda pts: [pts[:, 0]])  # fills its in-domain gather
+    watched = [weakref.ref(obj) for s in (first, first.coarse)
+               for obj in (s, s.points, s.weights, s.inside, s.in_domain[1])]
+    old = lambda: next((ref() for ref in watched if ref() is not None), None)  # noqa: E731
+    del first
+    _build_nodes(cut.support(), RADIAL, cut.size("gradient"), two_piece_field(Probe(), 5, 4))
+    gc.collect()
+    assert alive_during_build == [False] and old() is None

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vexlp import regions
+from vexlp import norms, regions
 from vexlp.cli import region_from_dict
 from vexlp.cutoff import make_cutoff
 from vexlp.errors import (
@@ -607,13 +607,15 @@ def test_cusp_breaks_equal_the_full_bisection(power, monkeypatch):
       for s in ("0.4", "0.45", "0.5", "0.55", "0.6")),
 ], ids=lambda spec: f"{spec.kind}-{spec.gamma or spec.sigma}")
 def test_cusp_breaks_need_no_bisection_on_the_readme_decay_radii(spec, monkeypatch):
-    # the README decay grid, R = 8 * 2^k, each kind's rule and its
-    # half-order rule: every root is certified, none bisected
+    # the README decay grid, R = 8 * 2^k, each radius's rule and its
+    # half-order rule, which both kinds share: every root is certified,
+    # none bisected
     p = preset(spec, validate=False)
+    monkeypatch.setattr(norms, "_radial_memo", None)
     fallback, calls, breaks = fallback_rows(monkeypatch), [], regions._cusp_breaks
     monkeypatch.setattr(regions, "_cusp_breaks", lambda *args: calls.append(args) or breaks(*args))
     for radius in 8.0 * 2.0 ** np.arange(6):
         cut = make_cutoff(radius)
         for kind in ("laplacian", "gradient"):
             _build_nodes(cut.support(), Quadrature("radial"), cut.size(kind), p)
-    assert len(calls) == 12 and fallback == []
+    assert len(calls) == 6 and fallback == []
