@@ -163,11 +163,8 @@ def cutoff_norm_decay(
     r_grid: Sequence[float],
     quad: Quadrature = Quadrature(),
 ) -> NormDecayReport:
-    """Luxemburg norms of a cutoff derivative over a geometric radius grid.
-
-    ``kind`` selects the Laplacian (pairs with the 2-conjugate) or the
-    gradient magnitude (pairs with the 3-conjugate).
-    """
+    """Luxemburg norms of a cutoff derivative ("laplacian" or "gradient", see
+    ``TERMS``) over a geometric radius grid."""
     (report,) = cutoff_norm_decays([(kind, conjugate_field)], r_grid, quad)
     return report
 
@@ -225,10 +222,8 @@ class ExponentCertificate:
 
 
 def predicted_exponent(spec: PresetSpec, term: str) -> ExponentCertificate:
-    """Exact per-piece decay exponents -k + d/q for a preset layout: the
-    term's scaling k and conjugate q from ``TERMS``, each piece's exponent
-    and shell growth d from ``spec.pieces()``.  ExponentRangeError when q
-    does not exist on a piece."""
+    """Exact per-piece decay exponents -k + d/q for a preset layout (module
+    notes); ExponentRangeError when q does not exist on a piece."""
     if term not in TERMS:
         raise ValueError(f"term must be 'alpha' or 'beta', got {term!r}")
     _, k_scale, k_conj = TERMS[term]
@@ -263,12 +258,8 @@ def energy_identity_check(
     quad: Optional[Quadrature] = None,
     gap_tol: float = 1e-2,
 ) -> EnergyReport:
-    """Check gradient-energy = alpha + beta for a pointwise solution.
-
-    The verdict is withheld (None) when the momentum residual exceeds
-    ``_RESIDUAL_TOL`` on sampled points, since the identity is derived from
-    the equation itself.
-    """
+    """Check gradient-energy = alpha + beta, an identity of pointwise solutions:
+    the verdict is None where the residual on probe points passes _RESIDUAL_TOL."""
     quad = quad or Quadrature(scheme="radial")
     cut = make_cutoff(R)
     probe = Ball(radius=R).sample(256, 12345)

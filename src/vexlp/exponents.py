@@ -60,20 +60,19 @@ class BoundsReport:
 
 @dataclass(frozen=True)
 class ExponentField:
-    """Piecewise-constant exponent: first matching region wins, else the
-    default.  Every value lies in [1, +inf]."""
+    """Piecewise-constant exponent (module notes): the first matching region wins."""
 
     pieces: tuple[tuple[Region, float], ...]
     default: float
 
     def __post_init__(self):
-        for v in self._values():
+        for v in self.values():
             if not v >= 1.0:
                 raise ExponentRangeError(f"exponent must be >= 1, got {v}")
 
     def __call__(self, x) -> np.ndarray | float:
         pts, single = as_points(x)
-        out = np.full(pts.shape[0], self.default)
+        out = np.full(pts.shape[0], self.default, dtype=float)
         unclaimed = np.ones(pts.shape[0], dtype=bool)
         for region, value in self.pieces:
             mask = unclaimed & region.contains(pts)
@@ -81,27 +80,23 @@ class ExponentField:
             unclaimed &= ~mask
         return float(out[0]) if single else out
 
-    def _values(self) -> tuple[float, ...]:
+    def values(self) -> tuple[float, ...]:
+        """The piece values in table order, then the default."""
         return (*(v for _, v in self.pieces), self.default)
 
     @property
     def declared_lower(self) -> float:
-        return min(self._values())
+        return min(self.values())
 
     @property
     def has_infinite_piece(self) -> bool:
-        return any(math.isinf(v) for v in self._values())
+        return any(math.isinf(v) for v in self.values())
 
     def essential_bounds(
         self, region: Region, seed: int = 0, n: int = 4096
     ) -> BoundsReport:
-        """Essential inf/sup of the exponent over a region.
-
-        Read off the table when the region is a listed piece region, else
-        the extremes over n points sampled in the region, which identify
-        the pieces it meets; ``region.sample`` raises UnboundedRegionError
-        for a region it cannot sample.
-        """
+        """Essential inf/sup of the exponent over a region (module notes);
+        ``region.sample`` raises UnboundedRegionError where it cannot sample."""
         for piece_region, v in self.pieces:
             if region == piece_region:
                 return BoundsReport(v, v)

@@ -7,8 +7,9 @@ are frozen for the whole root search.  The exponent is piecewise
 constant, so with distinct finite values p_j the modular of f/lambda is
 sum_j lambda^(-p_j) M_j with M_j = sum of w |f|^p_j over the nodes where
 p = p_j; one pass over the nodes (a `_Compact`) gives every log M_j, and
-each bisection step is then a sum of a few scalar terms.  Where p = +inf
-the norm degenerates to the sup of |f| there (`_frozen`, `_finish`).
+each bisection step is then a sum of a few terms on Python floats, with
+every bit of numpy's array sum (`_modular_at`).  Where p = +inf the norm
+degenerates to the sup of |f| there (`_frozen`, `_finish`).
 
 Quadrature is either stratified rejection Monte Carlo over a region
 envelope (works for any samplable region, piecewise integrands included)
@@ -21,7 +22,9 @@ origin, Gauss-Legendre cosines on each arc of the meridian on which the
 exponent is constant, and uniform azimuths.  The arcs end where the sphere
 meets a piece's boundary (`Region.polar_breaks`), so every exponent piece
 must be a solid of revolution about the x1 axis, and is integrated as
-exactly as the bulk whatever its share of the shell.  A radial profile (a
+exactly as the bulk whatever its share of the shell; each node keeps its
+arc's label as an index into `ExponentField.values`, so p is read off the
+rule's nodes, never evaluated there.  A radial profile (a
 cutoff derivative's size, `cutoff.RadialProfile`) needs one cosine and one
 azimuth per arc; any other integrand gets 24 radii per cell and 24 of
 each.  The rule is deterministic; its error is the gap to the same rule at
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -55,6 +59,7 @@ from .exponents import ExponentField, constant_field
 from .regions import Annulus, Ball, Region, row_norm
 
 _CAP = 1e30
+_EXP_MAX = math.log(sys.float_info.max)  # np.exp overflows past this argument
 _WHOLE_SPACE = Ball(radius=8.0)  # stands in for R^3 when no domain is given
 # The radial rule's orders: radial nodes per cell, polar nodes per arc and
 # azimuths; the coarse rule halves each.  A radial profile takes
@@ -110,6 +115,7 @@ class _NodeSet:
     weights: np.ndarray         # (n,)
     inside: np.ndarray          # (n,) bool
     slices: tuple[tuple[int, int], ...] = ()  # Monte Carlo strata
+    piece: Optional[np.ndarray] = None        # radial: each node's index into p.values()
     coarse: Optional["_NodeSet"] = None       # the same radial rule at half the order
     tail_bound: float = 0.0
 
@@ -160,7 +166,7 @@ def _recall(slot: str, key, build: Callable[[], _NodeSet]) -> _NodeSet:
     globals()[slot] = memo = None
     nodes = build()
     for s in filter(None, (nodes, nodes.coarse)):
-        for array in (s.points, s.weights, s.inside):
+        for array in (a for a in (s.points, s.weights, s.inside, s.piece) if a is not None):
             array.setflags(write=False)
     globals()[slot] = (key, nodes)
     return nodes
@@ -213,24 +219,26 @@ def _meridian(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return r[:, None] * np.column_stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)])
 
 
-def _polar_arcs(r: np.ndarray, p: ExponentField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _polar_arcs(r: np.ndarray, p: ExponentField) -> tuple[np.ndarray, ...]:
     """The arcs of the meridians of radii r on which p is constant, as (row,
-    start, end) per arc, row indexing r, each radius's arcs in order from 0 to
-    pi: cut at the polar breaks of p's piece regions, labelled by p at their
-    mid-angles (the first matching piece wins) and merged where labels agree."""
+    start, end, piece) per arc, each radius's arcs in order from 0 to pi: cut
+    at the polar breaks of p's piece regions, labelled by p at their
+    mid-angles (the first matching piece wins), merged where labels agree,
+    and indexed into r (row) and p.values() (piece, the label's first)."""
     cuts = np.sort(np.hstack([np.zeros((r.size, 1)), np.full((r.size, 1), math.pi),
                               *(region.polar_breaks(r) for region, _ in p.pieces)]), axis=1)
     row, col = np.nonzero(cuts[:, 1:] > cuts[:, :-1])  # the NaN padding sorts last
     start, end = cuts[row, col], cuts[row, col + 1]
     label = p(_meridian(r[row], 0.5 * (start + end)))
     first = np.flatnonzero(np.r_[True, (row[1:] != row[:-1]) | (label[1:] != label[:-1])])
-    return row[first], start[first], end[np.append(first[1:], row.size) - 1]
+    piece = np.argmax(label[first, None] == np.array(p.values(), dtype=float), axis=1)
+    return row[first], start[first], end[np.append(first[1:], row.size) - 1], piece
 
 
-def _arc_nodes(r, wr, row, a, b, n_mu: int, n_phi: int) -> _NodeSet:
+def _arc_nodes(r, wr, row, a, b, piece, n_mu: int, n_phi: int) -> _NodeSet:
     """n_mu Gauss-Legendre cosines on each arc [a, b] of the meridian of
     radius r[row], times n_phi uniform azimuths, nested in that order;
-    weights w_r w_mu (2 pi / n_phi) r^2."""
+    weights w_r w_mu (2 pi / n_phi) r^2, and each node its arc's piece."""
     # the arc's mid-cosine and half-width in cosine, the latter as a
     # product of sines, without the cancellation of tiny arcs
     mid = 0.5 * (np.cos(a) + np.cos(b))[:, None, None]
@@ -243,7 +251,7 @@ def _arc_nodes(r, wr, row, a, b, n_mu: int, n_phi: int) -> _NodeSet:
     xyz = np.broadcast_arrays(rr * mu, rr * s * np.cos(phi), rr * s * np.sin(phi))
     weights = np.broadcast_to(wr[row][:, None, None] * w_mu * w_phi * rr**2, xyz[0].shape)
     return _NodeSet(np.stack(xyz, axis=-1).reshape(-1, 3), weights.ravel(),
-                    np.ones(weights.size, dtype=bool))
+                    np.ones(weights.size, dtype=bool), piece=np.repeat(piece, n_mu * n_phi))
 
 
 def _build_nodes(
@@ -260,16 +268,16 @@ def _build_nodes(
             f"the radial rule needs an origin-centered ball or shell; got {type(dom).__name__}")
     fine = (_RADIAL_ORDER, 1, 1) if isinstance(f, RadialProfile) else _FIELD_ORDERS
     kinks, p = getattr(f, "kinks", ()), p if p is not None else constant_field(1.0)
-    vals = [*(v for _, v in p.pieces), p.default]  # the arcs see only which agree
+    vals = p.values()  # the arcs see only which agree
     key = (span, fine, kinks, [region for region, _ in p.pieces], [vals.index(v) for v in vals])
 
     def build() -> _NodeSet:  # the arcs found once for the radii of both rules
         rules = [fine, tuple(max(k // 2, 1) for k in fine)]
         radii = [_gauss_radii(*span, kinks, n_r) for n_r, _, _ in rules]
         r, wr = (np.concatenate(parts) for parts in zip(*radii))
-        row, a, b = _polar_arcs(r, p)
+        row, a, b, piece = _polar_arcs(r, p)
         is_fine = row < radii[0][0].size
-        nodes, coarse = (_arc_nodes(r, wr, row[m], a[m], b[m], *orders[1:])
+        nodes, coarse = (_arc_nodes(r, wr, row[m], a[m], b[m], piece[m], *orders[1:])
                          for m, orders in zip((is_fine, ~is_fine), rules))
         nodes.coarse = coarse
         return nodes
@@ -326,10 +334,12 @@ class _Compact(NamedTuple):
 
 
 def _compact(nodes: _NodeSet, f, p: ExponentField) -> tuple[_Compact, float]:
-    """f and p on the in-domain nodes as a `_Compact`, and the largest |f|
-    on the nodes where p = +inf (0 if none)."""
+    """f and p (read off a radial rule's piece indices) on the in-domain nodes
+    as a `_Compact`, and the largest |f| on the nodes where p = +inf (0 if none)."""
     idx, pts = nodes.in_domain
-    mag, pv = _magnitude(f, pts), np.asarray(p(pts), dtype=float)
+    mag = _magnitude(f, pts)
+    pv = (np.asarray(p(pts), dtype=float) if nodes.piece is None  # radial nodes are all inside
+          else np.array(p.values(), dtype=float)[nodes.piece])
     finite = np.isfinite(pv)
     keep = finite & (mag > 0.0)
     at = np.flatnonzero(keep) if idx is None else idx[keep]
@@ -358,12 +368,6 @@ def _log_moments(c: _Compact) -> tuple[np.ndarray, np.ndarray]:
             top += math.log(float(np.sum(np.exp(t - top))))
         log_m[j] = top
     return exps, log_m
-
-
-def _moment_modular(exps: np.ndarray, log_m: np.ndarray, lam: float) -> float:
-    """Modular of f/lam as sum_j lam^(-p_j) M_j; +inf where a term overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.add.reduce(np.exp(log_m - exps * math.log(lam))))
 
 
 def _frozen(f, p: ExponentField, domain: Optional[Region], quad: Quadrature):
@@ -414,7 +418,7 @@ def luxemburg_norm(
     evaluations = 0
     root, bracket = 0.0, 0.0
     if compact.at.size:
-        modular_at = _modular_at(compact)
+        modular_at = _modular_at(*_log_moments(compact))
 
         def rho(lam: float) -> float:
             nonlocal evaluations
@@ -431,10 +435,22 @@ def luxemburg_norm(
     return _finish(root, bracket, quad_err, sup_inf_piece, sup_err, evaluations)
 
 
-def _modular_at(compact: _Compact):
-    """lam -> modular of f/lam on frozen nodes, from the log-moments."""
-    exps, log_m = _log_moments(compact)
-    return lambda lam: _moment_modular(exps, log_m, lam)
+def _modular_at(exps: np.ndarray, log_m: np.ndarray):
+    """lam -> sum_j lam^(-p_j) M_j from `_log_moments`.  Below 8 terms each is
+    np.exp(log M_j - p_j log lam) on a float, +inf past exp's range (without
+    a warning), added left to right as np.add.reduce adds so few; from 8 on,
+    that array reduce itself."""
+    pairs = list(zip(exps.tolist(), log_m.tolist()))
+
+    def rho(lam: float) -> float:
+        t, total = math.log(lam), 0.0
+        if len(pairs) >= 8:
+            with np.errstate(over="ignore"):
+                return float(np.add.reduce(np.exp(log_m - exps * t)))
+        for p, m in pairs:
+            total += math.inf if (x := m - p * t) > _EXP_MAX else float(np.exp(x))
+        return total
+    return rho
 
 
 def _bisect_root(rho, rel_tol: float) -> tuple[float, float]:
@@ -499,7 +515,7 @@ def _root_uncertainty(nodes, compact: _Compact, coarse, lam: float, rel_tol: flo
     the same bracketing and bisection; on Monte Carlo nodes (coarse None),
     se(rho) / |d rho / d lam| at lam."""
     if coarse is not None:
-        return abs(lam - _bisect_root(_modular_at(coarse[0]), rel_tol)[0])
+        return abs(lam - _bisect_root(_modular_at(*_log_moments(coarse[0])), rel_tol)[0])
     contrib = _power_contrib(nodes, compact, lam)
     se = _stratified_se(nodes, contrib)
     # w p contrib vanishes off the compact nodes but is summed over the
@@ -691,7 +707,7 @@ def holder_check(
     regions = [region for region, _ in p.pieces]
     if any([region for region, _ in e.pieces] != regions for e in (q, r)):
         raise ExponentRelationError("q and r must list the piece regions of p, in its order")
-    inv = 1.0 / np.array([[*(v for _, v in e.pieces), e.default] for e in (p, q, r)])
+    inv = 1.0 / np.array([e.values() for e in (p, q, r)])
     gap = float(np.abs(inv[0] - inv[1] - inv[2]).max())
     if gap > 1e-9:
         raise ExponentRelationError(

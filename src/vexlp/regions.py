@@ -413,12 +413,8 @@ def _check_cusp(name: str, value: float, length: float):
 
 @dataclass(frozen=True)
 class PowerCusp(Region):
-    """Solid of revolution sqrt(x2^2 + x3^2) <= x1^gamma, 0 < x1 <= length.
-
-    The cross-section *radius* grows like x1^gamma, so a truncation to
-    0 < x1 <= L has volume pi * L^(2*gamma+1) / (2*gamma+1); the default
-    length inf is the unbounded cusp.
-    """
+    """Solid of revolution sqrt(x2^2 + x3^2) <= x1^gamma, 0 < x1 <= length; a
+    truncation to 0 < x1 <= L has volume pi * L^(2*gamma+1) / (2*gamma+1)."""
 
     gamma: float
     length: float = math.inf
@@ -445,13 +441,9 @@ class PowerCusp(Region):
 
 @dataclass(frozen=True)
 class ShrinkCusp(Region):
-    """Solid of revolution sqrt(x2^2 + x3^2) <= x1^(-sigma/2), 0 < x1 <= length.
-
-    The cross-section radius shrinks along the axis but diverges as
-    x1 -> 0+, so the set is unbounded in every direction near the plane
-    x1 = 0: a truncation has finite volume pi * length^(1-sigma) / (1-sigma)
-    but no finite bounding box.  The default length inf is the unbounded cusp.
-    """
+    """Solid of revolution sqrt(x2^2 + x3^2) <= x1^(-sigma/2), 0 < x1 <= length,
+    unbounded in every direction near the plane x1 = 0 (module notes): a
+    truncation has volume pi * length^(1-sigma) / (1-sigma) but no finite bounding box."""
 
     sigma: float
     length: float = math.inf

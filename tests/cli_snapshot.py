@@ -60,6 +60,10 @@ from vexlp.cli import main  # noqa: E402
 # float range, which the certificate keeps exact.  `norm-mc-shrink-cusp-sup`
 # is a Monte Carlo norm set by the sup on the infinite piece, and
 # `energy-decaying` reaches a non-zero momentum residual on the probe points.
+# `decay-power-cusp` is the README grid on the widening cusp, the middle job
+# kind of the `decay` benchmark workload, and `norm-pieces-many` a radial norm
+# whose nodes meet nine distinct exponent values, so its modular sums nine
+# terms by numpy's pairwise reduce (fewer than eight are summed in order).
 EXTRA = {
     "certify-shrink-cusp": ["certify", "--preset", "shrink_cusp", "--sigma", "1/2", "--outer", "4"],
     "certify-cylinder-beta": ["certify", "--preset", "cylinder", "--inner", "5", "--outer", "4",
@@ -153,6 +157,20 @@ EXTRA = {
         '{"region":{"type":"truncated_shrink_cusp","sigma":0.5,"length":4},"value":4.5},'
         '{"region":{"type":"diff","keep":{"type":"cylinder_segment","half_length":6},'
         '"remove":{"type":"ball","radius":2}},"value":5.5}],"default":4}',
+        "--field", '{"name":"inverse_quadratic"}', "--quad", "radial"],
+    "decay-power-cusp": [
+        "decay", "--preset", "power_cusp", "--gamma", "1/2", "--inner", "5", "--outer", "4",
+        "--grid-start", "8", "--grid-factor", "2", "--grid-count", "6"],
+    "norm-pieces-many": [
+        "norm", "--exponent", '{"pieces":['
+        '{"region":{"type":"ball","center":[-5.5,0,0],"radius":1},"value":6},'
+        '{"region":{"type":"ball","center":[-3,0,0],"radius":1},"value":7},'
+        '{"region":{"type":"ball","center":[3,0,0],"radius":1},"value":8},'
+        '{"region":{"type":"ball","center":[5.5,0,0],"radius":1},"value":9},'
+        '{"region":{"type":"truncated_power_cusp","gamma":0.5,"length":1.5},"value":5},'
+        '{"region":{"type":"truncated_shrink_cusp","sigma":0.5,"length":1},"value":4.5},'
+        '{"region":{"type":"ball","radius":0.5},"value":3},'
+        '{"region":{"type":"cylinder_segment","half_length":7.5},"value":5.5}],"default":4}',
         "--field", '{"name":"inverse_quadratic"}', "--quad", "radial"],
 }
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vexlp.errors import ExponentRangeError, PresetConstraintError, UnboundedRegionError
-from vexlp.exponents import PresetSpec, constant_field, preset, two_piece_field
+from vexlp.exponents import ExponentField, PresetSpec, constant_field, preset, two_piece_field
 from vexlp.regions import Annulus, Ball, Complement, Cylinder, PowerCusp
 
 
@@ -30,6 +30,13 @@ def test_evaluate_batch():
     p = preset(CYL)
     pts = np.array([[0, 0.1, 0.1], [0, 3, 0], [7, 0, 0]])
     np.testing.assert_array_equal(p(pts), [5.0, 4.0, 5.0])
+
+
+def test_an_integer_default_keeps_a_fractional_piece_value():
+    # the table's values as floats, whatever numbers it was given
+    p = ExponentField(((Cylinder(), 5.5),), 4)
+    np.testing.assert_array_equal(p(np.array([[0, 0.1, 0.1], [0, 3, 0]])), p.values())
+    assert p(np.array([[0, 0.1, 0.1]])).dtype == float
 
 
 def test_essential_bounds_exact_cases():

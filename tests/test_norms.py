@@ -27,7 +27,7 @@ from vexlp.norms import (
     _build_nodes,
     _compact,
     _log_moments,
-    _moment_modular,
+    _modular_at,
     constant_one,
     holder_check,
     integrate,
@@ -209,11 +209,12 @@ def test_moment_modular_matches_node_pass(kind, k):
     compact, _ = _compact(nodes, f, p)
     exps, log_m = _log_moments(compact)
     assert exps.size == 2  # one moment per preset piece
+    rho = _modular_at(exps, log_m)
     overflowed = 0
     for lam in np.geomspace(1e-300, 1e3, 61):
         with np.errstate(over="ignore"):
             node = node_modular(nodes, f, p, lam)
-        moment = _moment_modular(exps, log_m, lam)
+        moment = rho(float(lam))
         if math.isinf(node):
             overflowed += 1
             assert math.isinf(moment), lam
@@ -222,20 +223,44 @@ def test_moment_modular_matches_node_pass(kind, k):
     assert 0 < overflowed < 61
 
 
-@pytest.mark.parametrize("size", [1, 2, 7, 40])
+def _array_modular(exps, log_m, lam):
+    """The modular's terms as one array, summed by numpy's own reduce."""
+    with np.errstate(over="ignore"):
+        return float(np.add.reduce(np.exp(log_m - exps * math.log(lam))))
+
+
+def _bits(values) -> list[int]:
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 40])
 def test_moment_modular_is_the_sum_of_its_terms_bit_for_bit(size):
-    # every bit of the plain np.sum, overflow to +inf included, and no
-    # warning without an errstate around the call
+    # every bit of the array kernel on either side of numpy's pairwise
+    # threshold of 8 terms, overflow to +inf included, and no warning
+    # without an errstate around the call
     rng = np.random.default_rng(size)
     exps, log_m = rng.uniform(1.0, 8.0, size), rng.uniform(-50.0, 50.0, size)
-    lams = np.geomspace(1e-300, 1e300, 601)
-    with np.errstate(over="ignore"):
-        want = [float(np.sum(np.exp(log_m - exps * math.log(lam)))) for lam in lams]
+    lams = np.geomspace(1e-300, 1e300, 601).tolist()
+    want = [_array_modular(exps, log_m, lam) for lam in lams]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = [_moment_modular(exps, log_m, lam) for lam in lams]
-    assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+        rho = _modular_at(exps, log_m)
+        got = [rho(lam) for lam in lams]
+    assert _bits(got) == _bits(want)
     assert math.isinf(got[0]) and got[-1] < 1e-300
+
+
+def test_moment_modular_overflows_where_exp_does():
+    # at lam = 1 a term is exp(log M_j) itself: the last finite argument
+    # of np.exp and the next float past it
+    edge = math.log(np.finfo(float).max)
+    for top in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), np.inf):
+        exps, log_m = np.array([1.0, 2.0]), np.array([top, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _modular_at(exps, log_m)(1.0)
+        assert _bits([got]) == _bits([_array_modular(exps, log_m, 1.0)]), top
+        assert math.isinf(got) == (top > edge)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -677,7 +702,7 @@ def test_cylinder_arc_measure_is_exact():
     # its arcs there have cos-measure 2 (1 - sqrt(1 - 1/r^2))
     r = np.array([1.25, 4.0, 8.0, 100.0, 256.0])
     p = preset(PRESETS["cylinder"])
-    row, a, b = norms._polar_arcs(r, p)
+    row, a, b, _ = norms._polar_arcs(r, p)
     inner = p(norms._meridian(r[row], 0.5 * (a + b))) == 5.0
     measure = 2.0 * np.sin(0.5 * (a + b)) * np.sin(0.5 * (b - a))  # cos a - cos b
     got = np.bincount(row[inner], weights=measure[inner], minlength=r.size)
@@ -691,8 +716,9 @@ def test_thin_shrink_cusp_arcs_are_labelled_throughout():
     # polar grid; each arc's label must hold across its interior
     p = preset(PRESETS["shrink_cusp"])
     r = np.linspace(1.27, 1.30, 3001)
-    row, a, b = norms._polar_arcs(r, p)
+    row, a, b, piece = norms._polar_arcs(r, p)
     label = p(norms._meridian(r[row], 0.5 * (a + b)))
+    assert np.array_equal(np.array(p.values())[piece], label)
     for t in np.linspace(0.05, 0.95, 8):
         assert (p(norms._meridian(r[row], a + t * (b - a))) == label).all()
 
@@ -781,6 +807,15 @@ SNAPSHOT_NORMS = {
         {"region": {"type": "truncated_shrink_cusp", "sigma": 0.5, "length": 4}, "value": 4.5},
         {"region": {"type": "diff", "keep": {"type": "cylinder_segment", "half_length": 6},
                     "remove": {"type": "ball", "radius": 2}}, "value": 5.5}], "default": 4}),
+    # nine distinct values: the modular's terms are summed by the pairwise reduce
+    "norm-pieces-many": ({"name": "inverse_quadratic"}, {"pieces": [
+        *({"region": {"type": "ball", "center": [x1, 0, 0], "radius": 1}, "value": v}
+          for x1, v in ((-5.5, 6), (-3, 7), (3, 8), (5.5, 9))),
+        {"region": {"type": "truncated_power_cusp", "gamma": 0.5, "length": 1.5}, "value": 5},
+        {"region": {"type": "truncated_shrink_cusp", "sigma": 0.5, "length": 1}, "value": 4.5},
+        {"region": {"type": "ball", "radius": 0.5}, "value": 3},
+        {"region": {"type": "cylinder_segment", "half_length": 7.5}, "value": 5.5}],
+        "default": 4}),
 }
 
 
@@ -863,13 +898,17 @@ def _tube_exponent(*values: float) -> ExponentField:
                          values[2])
 
 
-@pytest.mark.parametrize("first, second, shared", [
-    ((5.0, 4.0, 3.0), (6.0, 2.0, 1.5), True),    # all distinct in both
-    ((5.0, 4.0, 4.0), (3.0, 2.0, 2.0), True),    # tube = default in both
-    ((5.0, 4.0, 3.0), (5.0, 4.0, 4.0), False),   # tube = default in the second only
-    ((5.0, 4.0, 4.0), (5.0, 4.0, 3.0), False),   # and the other way round
-    ((4.0, 5.0, 4.0), (5.0, 4.0, 4.0), False),   # ball = default against tube = default
-], ids=["distinct", "tube-default", "merge", "split", "other-pair"])
+EQUAL_VALUE_PAIRS = {  # two three-value exponents and whether they share a rule
+    "distinct": ((5.0, 4.0, 3.0), (6.0, 2.0, 1.5), True),    # all distinct in both
+    "tube-default": ((5.0, 4.0, 4.0), (3.0, 2.0, 2.0), True),  # tube = default in both
+    "merge": ((5.0, 4.0, 3.0), (5.0, 4.0, 4.0), False),  # tube = default in the second only
+    "split": ((5.0, 4.0, 4.0), (5.0, 4.0, 3.0), False),  # and the other way round
+    "other-pair": ((4.0, 5.0, 4.0), (5.0, 4.0, 4.0), False),  # ball = default, tube = default
+}
+
+
+@pytest.mark.parametrize("first, second, shared", EQUAL_VALUE_PAIRS.values(),
+                         ids=list(EQUAL_VALUE_PAIRS))
 def test_a_radial_set_is_reused_only_for_the_same_equal_value_pattern(
         first, second, shared, monkeypatch):
     cut = make_cutoff(16.0)
@@ -887,13 +926,54 @@ def test_a_radial_set_is_reused_only_for_the_same_equal_value_pattern(
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def _assert_pieces_read_p(nodes, p: ExponentField):
+    """Each node's piece index reads p's value there, bit for bit, on both rules."""
+    for s in (nodes, nodes.coarse):
+        assert np.array_equal(np.array(p.values())[s.piece], p(s.points))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_radial_nodes_read_each_conjugate_off_their_piece_index(name, monkeypatch):
+    # the 2- and 3-conjugates share one rule per shell and read their own values
+    monkeypatch.setattr(norms, "_radial_memo", None)
+    p = preset(PRESETS[name])
+    for R in README_GRID:
+        cut = make_cutoff(R)
+        nodes = _build_nodes(cut.support(), RADIAL, cut.size("laplacian"), p.conjugate(2))
+        assert _build_nodes(cut.support(), RADIAL, cut.size("gradient"), p.conjugate(3)) is nodes
+        for k in (2, 3):
+            _assert_pieces_read_p(nodes, p.conjugate(k))
+
+
+@pytest.mark.parametrize("name", sorted(EQUAL_VALUE_PAIRS))
+def test_a_shared_radial_set_reads_each_exponent_off_its_piece_index(name, monkeypatch):
+    monkeypatch.setattr(norms, "_radial_memo", None)
+    cut = make_cutoff(16.0)
+    for values in EQUAL_VALUE_PAIRS[name][:2]:
+        p = _tube_exponent(*values)
+        _assert_pieces_read_p(_build_nodes(cut.support(), RADIAL, cut.size("gradient"), p), p)
+
+
+@pytest.mark.parametrize("name", ["norm-pieces-bounded", "norm-pieces-many"])
+def test_a_piece_table_is_read_off_the_piece_index(name):
+    field, exponent = SNAPSHOT_NORMS[name]
+    p = exponent_from_dict(exponent, True)
+    nodes = _build_nodes(None, RADIAL, field_from_dict(field), p)
+    assert np.unique(nodes.piece).size == len(p.values())  # every piece meets the nodes
+    _assert_pieces_read_p(nodes, p)
+
+
+def test_monte_carlo_nodes_carry_no_piece_index():
+    assert _build_nodes(Annulus(8.0, 16.0), MC).piece is None
+
+
 def test_memoized_radial_arrays_are_read_only(monkeypatch):
     monkeypatch.setattr(norms, "_radial_memo", None)
     cut = make_cutoff(16.0)
     nodes = _build_nodes(cut.support(), RADIAL, cut.size("laplacian"), preset(PRESETS["cylinder"]))
     assert norms._radial_memo[1] is nodes
     for s in (nodes, nodes.coarse):
-        for array in (s.points, s.weights, s.inside, s.in_domain[1]):
+        for array in (s.points, s.weights, s.inside, s.piece, s.in_domain[1]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
