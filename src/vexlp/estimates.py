@@ -21,6 +21,17 @@ the 3-conjugate for beta).  ``TERMS`` holds this pairing, and
 evaluate these exponents in exact rational arithmetic; the empirical side fits log-log
 slopes of the measured quantities and compares with the certified bound
 plus a tolerance (the truth may decay faster than the bound).
+
+The same arithmetic decides the paper's hypotheses u in L^p(.) and P in
+L^p(.)/2 for a field that declares its `Decay`: sup over |x| = R of |f|
+is O(R^-a), so on a piece of exponent p_j and growth d_j the modular of
+|f|^(p_j / k) over the shells converges when a p_j / k > d_j (k = 1 for
+u, 2 for P), and on a piece where p = +inf it is bounded when a >= 0
+(Diening, Harjulehto, Hasto and Ruzicka, LNM 2017, ch. 2).  The margin
+a p_j / k - d_j is also necessary on a piece where |f| is at least of
+order R^-a on a cone of positive solid angle; elsewhere the declared
+rate is only an upper bound (`decaying_solenoidal(2)` decays like R^-4
+along the x1 axis).
 """
 
 from __future__ import annotations
@@ -237,6 +248,56 @@ def predicted_exponent(spec: PresetSpec, term: str) -> ExponentCertificate:
 
 
 # ---------------------------------------------------------------------------
+# membership certificates
+
+
+@dataclass(frozen=True)
+class Decay:
+    """A field's declared decay (module notes): sup over |x| = R of |f| is
+    O(R^-rate), and at least of that order on a cone in each ``attained``
+    piece; rate +inf for a field that vanishes or decays faster than any power."""
+
+    rate: Fraction | float
+    attained: tuple[str, ...] = ("inner", "outer")
+
+
+@dataclass(frozen=True)
+class MembershipMargin:
+    piece: str               # "inner" | "outer"
+    margin: Fraction | float  # a p / k - d; +-inf where p or a is +inf
+    necessary: bool           # the decay is attained on the piece
+
+
+@dataclass(frozen=True)
+class Membership:
+    """Whether a field lies in L^p(.)/k: decided by its certificate, with each
+    piece's margin, or by its scan where the field declares no decay."""
+
+    source: str   # "certificate" | "scan"
+    verdict: str  # member | not-member | undecided; a scan's convergent | diverging | undecided
+    margins: Optional[tuple[MembershipMargin, ...]] = None
+    scan: Optional[ScanResult] = None
+
+
+def membership_certificate(spec: PresetSpec, rate: Decay, k: int) -> Membership:
+    """Whether a field of declared decay ``rate`` lies in L^p(.)/k for the
+    preset layout, in exact rationals (module notes): `member` when every
+    margin is positive, `not-member` when a necessary margin is not, and
+    `undecided` otherwise."""
+    a, margins = rate.rate, []
+    for piece, p, d in spec.pieces():
+        if a == math.inf or p == math.inf:  # vanishing, or bounded where p = +inf
+            margin = math.inf if a >= 0 else -math.inf
+        else:
+            margin = a * p / k - d
+        margins.append(MembershipMargin(piece, margin, piece in rate.attained))
+    verdict = ("member" if all(m.margin > 0 for m in margins) else
+               "not-member" if any(m.necessary and m.margin <= 0 for m in margins) else
+               "undecided")
+    return Membership("certificate", verdict, tuple(margins))
+
+
+# ---------------------------------------------------------------------------
 # energy identity
 
 
@@ -294,11 +355,18 @@ class PipelineRow:
     error: float
 
 
+_VIOLATED = ("not-member", "diverging")
+_UNDECIDED_WHY = {
+    "certificate": "a margin is not positive, but only where the declared decay is an upper bound",
+    "scan": "the increments fall, but not under the 0.9 envelope",
+}
+
+
 @dataclass(frozen=True)
 class PipelineReport:
     spec: PresetSpec
-    velocity_scan: ScanResult
-    pressure_scan: ScanResult
+    velocity: Membership
+    pressure: Membership
     rows: tuple[PipelineRow, ...]
     alpha_certificate: ExponentCertificate
     beta_certificate: ExponentCertificate
@@ -322,26 +390,31 @@ def liouville_pipeline(
     quad: Quadrature = Quadrature(),
     validate: bool = True,
     slope_margin: float = SLOPE_MARGIN,
+    velocity_decay: Optional[Decay] = None,
+    pressure_decay: Optional[Decay] = None,
 ) -> PipelineReport:
     """Run the whole decay verification for one field/preset pair.
 
-    Scans global integrability of the velocity (and of the pressure
+    Decides global integrability of the velocity (and of the pressure
     against the half exponent), measures the shell terms and cutoff norms
     over the radius grid, fits slopes, and compares them against the exact
     certificates.  The conclusion reports one of three tiers; it never
-    claims more than hypothesis arithmetic plus observed decay.  The two
-    scans run on Monte Carlo whatever the scheme of ``quad``, at a quarter
-    of its budget (at least 20,000) and the seeds ``quad.seed`` + 5 and + 6.
+    claims more than hypothesis arithmetic plus observed decay.  A
+    hypothesis whose field declares its `Decay` is read off its
+    `membership_certificate`; without one, a `membership_scan` runs on
+    Monte Carlo whatever the scheme of ``quad``, at a quarter of its budget
+    (at least 20,000) and the seed ``quad.seed`` + 5 for the velocity, + 6
+    for the pressure.
     """
     if len(r_grid) < 4:
         raise ValueError("the pipeline needs at least four radii")
     radii = [float(r) for r in r_grid]
     p_field = preset(spec, validate=validate)
     cuts = [make_cutoff(R) for R in radii]  # every radius checked before a scan takes it
-    scan_u = membership_scan(u, p_field, radii, Quadrature(n=max(quad.n // 4, 20_000), seed=quad.seed + 5))
-    scan_p = membership_scan(
-        P, p_field.divided_by(2), radii, Quadrature(n=max(quad.n // 4, 20_000), seed=quad.seed + 6)
-    )
+    scan_n = max(quad.n // 4, 20_000)
+    velocity, pressure = (
+        _membership(spec, f, decay, k, p_field, radii, Quadrature(n=scan_n, seed=quad.seed + i))
+        for f, decay, k, i in ((u, velocity_decay, 1, 5), (P, pressure_decay, 2, 6)))
     conjugates = [(kind, p_field.conjugate(k)) for kind, _, k in TERMS.values()]
 
     rows = []
@@ -364,15 +437,18 @@ def liouville_pipeline(
         for name in ("alpha", "beta1", "beta2", "lap_norm", "grad_norm")
     }
 
-    undecided = [name for name, scan in (("velocity", scan_u), ("pressure", scan_p))
-                 if scan.verdict == "undecided"]
-    if scan_u.verdict == "diverging" or scan_p.verdict == "diverging":
+    hypotheses = {"velocity": velocity, "pressure": pressure}
+    undecided = {}  # source -> the hypotheses it left undecided
+    for name, m in hypotheses.items():
+        if m.verdict == "undecided":
+            undecided.setdefault(m.source, []).append(name)
+    if any(m.verdict in _VIOLATED for m in hypotheses.values()):
         conclusion = "hypotheses-violated"
         note = "global integrability fails, so the decay bounds do not apply"
     elif undecided:
         conclusion = "inconclusive"
-        note = (f"membership scan undecided for the {' and '.join(undecided)}: the "
-                "increments fall, but not under the 0.9 envelope")
+        note = "; ".join(f"membership {source} undecided for the {' and '.join(names)}: "
+                         f"{_UNDECIDED_WHY[source]}" for source, names in undecided.items())
     else:
         ok = True
         for name, cert in (("alpha", cert_a), ("beta1", cert_b)):
@@ -390,5 +466,14 @@ def liouville_pipeline(
             conclusion = "inconclusive"
             note = "observed decay does not match the certificate"
     return PipelineReport(
-        spec, scan_u, scan_p, tuple(rows), cert_a, cert_b, fits, conclusion, note
+        spec, velocity, pressure, tuple(rows), cert_a, cert_b, fits, conclusion, note
     )
+
+
+def _membership(spec, f, decay, k, p_field, radii, scan_quad) -> Membership:
+    """f in L^p(.)/k by its certificate, or by a scan on scan_quad where f
+    declares no decay."""
+    if decay is not None:
+        return membership_certificate(spec, decay, k)
+    scan = membership_scan(f, p_field.divided_by(k) if k > 1 else p_field, radii, scan_quad)
+    return Membership("scan", scan.verdict, scan=scan)

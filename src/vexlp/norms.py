@@ -16,7 +16,8 @@ envelope (works for any samplable region, piecewise integrands included)
 or a radial rule over origin-centered balls and shells (a ball of radius 8
 without a domain), the product of three rules: Gauss-Legendre radii per
 cell, with cells split at the integrand's ``kinks`` (the radii where it is
-not smooth) and at the octave radii r1/2, ..., r1/16 of the span [r0, r1],
+not smooth), at the exponent pieces' `Region.radial_breaks`, and at the
+octave radii r1/2, ..., r1/16 of the span [r0, r1],
 so a shell [R/2, R] is one cell and a ball five cells geometric toward the
 origin, Gauss-Legendre cosines on each arc of the meridian on which the
 exponent is constant, and uniform azimuths.  The arcs end where the sphere
@@ -267,7 +268,9 @@ def _build_nodes(
         raise QuadratureDomainError(
             f"the radial rule needs an origin-centered ball or shell; got {type(dom).__name__}")
     fine = (_RADIAL_ORDER, 1, 1) if isinstance(f, RadialProfile) else _FIELD_ORDERS
-    kinks, p = getattr(f, "kinks", ()), p if p is not None else constant_field(1.0)
+    p = p if p is not None else constant_field(1.0)
+    breaks = (k for region, _ in p.pieces for k in region.radial_breaks())
+    kinks = (*getattr(f, "kinks", ()), *breaks)
     vals = p.values()  # the arcs see only which agree
     key = (span, fine, kinks, [region for region, _ in p.pieces], [vals.index(v) for v in vals])
 

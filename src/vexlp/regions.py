@@ -9,7 +9,9 @@ bound (``half_length`` or ``length``) defaults to inf, the unbounded set;
 a finite bound clips it to a finite volume.  Each solid of revolution about
 the x1 axis also gives, in closed form or as a Newton root certified on a
 window of floats (bisected to adjacent floats near tangency), the polar
-angles where a sphere about the origin may cross its boundary.
+angles where a sphere about the origin may cross its boundary, and the
+radii where those crossings appear, vanish or pass a corner of the
+boundary (`radial_breaks`): a radial integrand over the pieces kinks there.
 
 Membership treats boundary points as members (closed sets) so repeated
 evaluation is deterministic.  Sampling (the members of one stratified draw)
@@ -162,6 +164,11 @@ class Region(ABC):
         """Per radius in r, the angles where |x| = r may cross the boundary, NaN-padded."""
         raise QuadratureDomainError("the radial rule needs exponent pieces that are "
                                     "solids of revolution about the x1 axis")
+
+    def radial_breaks(self) -> tuple[float, ...]:
+        """The radii where a sphere about the origin begins or stops crossing
+        the boundary, or crosses it at a corner (module notes)."""
+        return ()
 
     def analytic_volume(self) -> float:
         """`_closed_volume`, or UnboundedRegionError where it overflows a float."""
@@ -338,6 +345,10 @@ class Ball(Region):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.arccos((r**2 + c**2 - self.radius**2) / (2.0 * r * c))[:, None]
 
+    def radial_breaks(self):
+        c = math.hypot(*self.center)
+        return tuple(r for r in (abs(c - self.radius), c + self.radius) if r > 0)
+
     def _extent(self):
         c1 = self.center[0]
         off = math.hypot(self.center[1], self.center[2])
@@ -373,6 +384,9 @@ class Annulus(Region):
     def polar_breaks(self, r):
         return np.empty((r.size, 0))
 
+    def radial_breaks(self):
+        return self.r_inner, self.r_outer
+
 
 @dataclass(frozen=True)
 class Cylinder(Region):
@@ -402,6 +416,10 @@ class Cylinder(Region):
         with np.errstate(divide="ignore", invalid="ignore"):
             ends = np.column_stack([np.arcsin(1.0 / r), np.arccos(self.half_length / r)])
         return np.hstack([ends, math.pi - ends])
+
+    def radial_breaks(self):
+        """The unit radius, where the side meets the sphere at x1 = 0, and the ends'."""
+        return _end_breaks(self.half_length, 1.0, (1.0,))
 
 
 def _check_cusp(name: str, value: float, length: float):
@@ -438,6 +456,10 @@ class PowerCusp(Region):
     def polar_breaks(self, r):
         return _cusp_breaks(r, 2.0 * self.gamma, self.length)
 
+    def radial_breaks(self):
+        """The end's alone: the side's radius grows with x1."""
+        return _end_breaks(self.length, self.length**self.gamma, ())
+
 
 @dataclass(frozen=True)
 class ShrinkCusp(Region):
@@ -473,6 +495,19 @@ class ShrinkCusp(Region):
 
     def polar_breaks(self, r):
         return _cusp_breaks(r, -self.sigma, self.length)
+
+    def radial_breaks(self):
+        """The side's least radius, at x1 = s0 where s^2 + s^-sigma is least (if
+        the cusp reaches it), and the end's."""
+        s0 = (0.5 * self.sigma) ** (1.0 / (2.0 + self.sigma))
+        side = (math.sqrt(s0 * s0 + s0**-self.sigma),) if s0 < self.length else ()
+        return _end_breaks(self.length, self.length ** (-0.5 * self.sigma), side)
+
+
+def _end_breaks(x1: float, rho: float, side: tuple) -> tuple[float, ...]:
+    """``side``, and for a finite axial bound x1 the radii where the sphere
+    meets the end disc of radius rho there: x1 at the axis, hypot(x1, rho) at the rim."""
+    return side if math.isinf(x1) else (*side, x1, math.hypot(x1, rho))
 
 
 def _cusp_contains(pts: np.ndarray, power: float, length: float) -> np.ndarray:
@@ -554,6 +589,9 @@ class Complement(Region):
     def polar_breaks(self, r):
         return self.inner.polar_breaks(r)
 
+    def radial_breaks(self):
+        return self.inner.radial_breaks()
+
 
 @dataclass(frozen=True)
 class Intersect(Region):
@@ -569,6 +607,9 @@ class Intersect(Region):
 
     def polar_breaks(self, r):
         return np.hstack([self.first.polar_breaks(r), self.second.polar_breaks(r)])
+
+    def radial_breaks(self):
+        return (*self.first.radial_breaks(), *self.second.radial_breaks())
 
     def _extent(self):
         e1, e2 = self.first._extent(), self.second._extent()

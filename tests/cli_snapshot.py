@@ -64,6 +64,9 @@ from vexlp.cli import main  # noqa: E402
 # kind of the `decay` benchmark workload, and `norm-pieces-many` a radial norm
 # whose nodes meet nine distinct exponent values, so its modular sums nine
 # terms by numpy's pairwise reduce (fewer than eight are summed in order).
+# `liouville-rate-0.78` is a velocity in the space whose membership scan
+# could not tell (its increments fall by about 0.92 a shell); its
+# certificate's outer margin is 4 * 0.78 - 3 = 3/25.
 EXTRA = {
     "certify-shrink-cusp": ["certify", "--preset", "shrink_cusp", "--sigma", "1/2", "--outer", "4"],
     "certify-cylinder-beta": ["certify", "--preset", "cylinder", "--inner", "5", "--outer", "4",
@@ -113,6 +116,10 @@ EXTRA = {
         "--field", '{"name":"gradient_counterexample"}', "--pressure", '{"name":"counterexample"}',
         "--grid-start", "8", "--grid-factor", "2", "--grid-count", "6",
         "--samples", "200000", "--seed", "7"],
+    "liouville-rate-0.78": [
+        "liouville", "--preset", "cylinder", "--inner", "5", "--outer", "4",
+        "--field", '{"name":"decaying_solenoidal","rate":0.78}', "--grid-start", "8",
+        "--grid-factor", "2", "--grid-count", "6"],
     "decay-mc": [
         "decay", "--preset", "cylinder", "--inner", "5", "--outer", "4", "--grid-start", "8",
         "--grid-factor", "2", "--grid-count", "6", "--quad", "mc", "--samples", "1000000",

@@ -9,6 +9,7 @@ import platform
 import re
 import signal
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vexlp import __version__
+from vexlp import __version__, cli, norms
 from vexlp.cli import COMMANDS, RunConfig, main, region_from_dict
 from vexlp.errors import ConfigError
 from vexlp.regions import Cylinder, PowerCusp, ShrinkCusp
@@ -208,19 +209,59 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert (a / "liouville.json").read_bytes() == (b / "liouville.json").read_bytes()
 
 
-def test_liouville_json_explains_its_scans(tmp_path):
+def test_liouville_json_explains_its_scans(tmp_path, monkeypatch):
+    # a grammar field that declared no decay is scanned, while the zero
+    # pressure is read off its certificate, so only the velocity scan runs
+    keys, build, _ = cli.FIELD_TYPES["decaying_solenoidal"]
+    monkeypatch.setitem(cli.FIELD_TYPES, "decaying_solenoidal", (keys, build, None))
     argv = ["liouville", "--preset", "cylinder", "--inner", "5", "--outer", "4",
             "--field", '{"name":"decaying_solenoidal","rate":0.78}', "--grid-start", "8",
             "--grid-factor", "2", "--grid-count", "6", "--out", str(tmp_path)]
     assert main(argv) == 0
     report = json.loads((tmp_path / "liouville.json").read_text())
     assert report["conclusion"] == "inconclusive"
-    assert report["membership"] == {"velocity": "undecided", "pressure": "convergent"}
+    assert report["note"].startswith("membership scan undecided for the velocity:")
+    assert report["membership"]["velocity"] == {
+        "source": "scan", "verdict": "undecided", "margins": None}
+    assert report["membership"]["pressure"]["source"] == "certificate"
+    assert report["membership"]["pressure"]["verdict"] == "member"
+    assert list(report["scans"]) == ["velocity"]
     velocity = report["scans"]["velocity"]
     assert velocity["scale"] == 1.0
     assert len(velocity["increments"]) == len(velocity["errors"]) == 6
     assert len(velocity["ratios"]) == 3 and all(0.9 < r < 1.0 for r in velocity["ratios"])
-    assert report["scans"]["pressure"]["increments"] == [0.0] * 6
+
+
+SLOW_RATE_PRESETS = {
+    "cylinder": ["--preset", "cylinder", "--inner", "5", "--outer", "4"],
+    "power_cusp": ["--preset", "power_cusp", "--gamma", "1/2", "--inner", "5", "--outer", "4"],
+    "shrink_cusp": ["--preset", "shrink_cusp", "--sigma", "1/2", "--outer", "4"],
+}
+
+
+@pytest.mark.parametrize("rate", [0.70, 0.76, 0.78, 0.80])
+@pytest.mark.parametrize("preset", sorted(SLOW_RATE_PRESETS))
+def test_the_velocity_certificate_splits_slow_rates_at_three_quarters(preset, rate, tmp_path):
+    # |u| ~ |x|^-rate on a cone outside every inner piece, against the outer
+    # exponent 4 and the outer growth 3: u lies in L^p(.) iff 4 rate > 3,
+    # which the scans could not tell at 0.78 (its increments fall by 0.92)
+    argv = ["liouville", *SLOW_RATE_PRESETS[preset], "--field",
+            json.dumps({"name": "decaying_solenoidal", "rate": rate}), "--grid-start", "8",
+            "--grid-factor", "2", "--grid-count", "6", "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    report = json.loads((tmp_path / "liouville.json").read_text())
+    velocity = report["membership"]["velocity"]
+    assert velocity["source"] == "certificate" and report["scans"] == {}
+    assert velocity["margins"]["outer"] == {
+        "margin": str(4 * Fraction(str(rate)) - 3), "necessary": True}
+    assert not velocity["margins"]["inner"]["necessary"]
+    if rate < 0.75:
+        assert velocity["verdict"] == "not-member"
+        assert report["conclusion"] == "hypotheses-violated"
+    else:
+        assert velocity["verdict"] == "member"
+        assert report["conclusion"] != "hypotheses-violated"
 
 
 def test_every_command_has_a_golden_case():
@@ -602,6 +643,28 @@ def _outputs(argv, out: Path) -> list:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv + ["--out", str(out)]) == 0
     return [(out / f"{argv[0]}.{ext}").read_bytes() for ext in ("csv", "json")]
+
+
+def test_the_readme_liouville_job_draws_no_random_numbers(tmp_path, monkeypatch):
+    # both hypotheses are read off their certificates and every other stage
+    # runs on the radial rule, so a job that cannot seed a generator writes
+    # the bytes it writes when it can; the golden case likewise
+    argv = ["liouville", "--preset", "cylinder", "--inner", "5", "--outer", "4",  # the README's
+            "--field", '{"name":"decaying_solenoidal","rate":2}',
+            "--grid-start", "8", "--grid-factor", "2", "--grid-count", "6"]
+    want = _outputs(argv, tmp_path / "seeding")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the job seeded a random generator")
+
+    monkeypatch.setattr(norms, "_mc_memo", None)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    assert _outputs(argv, tmp_path / "not-seeding") == want
+    out = tmp_path / "golden-case"
+    _outputs(CASES["liouville"], out)
+    cells = _csv_cells((out / "liouville.csv").read_text())
+    golden = _csv_cells((GOLDEN / "liouville" / "liouville.csv").read_text())
+    assert not _golden_mismatches("liouville", "liouville.csv", golden, cells)
 
 
 def test_back_to_back_jobs_write_the_same_bytes(tmp_path, monkeypatch):

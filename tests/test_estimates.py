@@ -1,11 +1,16 @@
 """Shell energy terms, decay fits, certificates and the pipeline."""
 
+import json
 import math
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
+from test_acceptance import PRESET_MATRIX
 
+from vexlp import estimates
+from vexlp.cli import (
+    FIELD_TYPES, PRESSURE_TYPES, declared_decay, field_from_dict, pressure_from_dict)
 from vexlp.cutoff import RadialCutoff
 from vexlp.errors import ExponentRangeError, PresetConstraintError
 from vexlp.estimates import (
@@ -14,15 +19,18 @@ from vexlp.estimates import (
     beta_terms,
     cutoff_norm_decay,
     cutoff_norm_decays,
+    Decay,
     energy_identity_check,
     fit_decay,
     liouville_pipeline,
+    membership_certificate,
     predicted_exponent,
 )
 from vexlp.exponents import PresetSpec, constant_field, preset
 from vexlp.fields import (
     decaying_solenoidal,
     gradient_counterexample,
+    membership_scan,
     zero_scalar,
     zero_vector,
 )
@@ -338,7 +346,7 @@ def test_pipeline_counterexample_violates_hypotheses():
     u, P = gradient_counterexample()
     rep = liouville_pipeline(CYL, u, P, [8, 16, 32, 64], Quadrature(n=60_000, seed=10))
     assert rep.conclusion == "hypotheses-violated"
-    assert rep.velocity_scan.verdict == "diverging"
+    assert (rep.velocity.source, rep.velocity.verdict) == ("scan", "diverging")
     assert rep.fits["alpha"].slope > 2.0  # the shell term grows
 
 
@@ -376,10 +384,117 @@ def test_pipeline_slow_decay_is_never_called_a_violation(name, rate, verdict, co
     # scan's 0.9 envelope, which leaves the run inconclusive, not violated
     rep = liouville_pipeline(SLOW_DECAY_PRESETS[name], decaying_solenoidal(rate), zero_scalar(),
                              [8 * 2**k for k in range(6)], Quadrature(scheme="radial", seed=7))
-    assert (rep.velocity_scan.verdict, rep.conclusion) == (verdict, conclusion)
-    assert rep.pressure_scan.verdict == "convergent"
+    assert (rep.velocity.verdict, rep.conclusion) == (verdict, conclusion)
+    assert rep.pressure.verdict == "convergent"
     if verdict == "undecided":
         assert "velocity" in rep.note and "pressure" not in rep.note
+
+
+# ---------------------------------------------------------------------------
+# membership certificates
+
+
+def _margins(cert):
+    return {m.piece: (m.margin, m.necessary) for m in cert.margins}
+
+
+def test_membership_margins_are_exact():
+    # a p / k - d per piece: the tube grows like R, the outside like R^3
+    cert = membership_certificate(CYL, Decay(Fraction(2), ("outer",)), 1)
+    assert _margins(cert) == {"inner": (9, False), "outer": (5, True)}
+    assert cert.verdict == "member"
+    slow = membership_certificate(CYL, Decay(Fraction("0.78"), ("outer",)), 1)
+    assert _margins(slow)["outer"] == (Fraction(3, 25), True)
+    pressure = membership_certificate(CYL, Decay(Fraction(-2)), 2)
+    assert _margins(pressure) == {"inner": (-6, True), "outer": (-7, True)}
+    assert pressure.verdict == "not-member"
+
+
+def test_an_infinite_exponent_piece_needs_a_bounded_field():
+    shrink = PresetSpec.make("shrink_cusp", outer=4, sigma="1/2")
+    for rate, margin in ((Fraction(0), math.inf), (Fraction(2), math.inf), (Fraction(-1), -math.inf)):
+        assert _margins(membership_certificate(shrink, Decay(rate), 1))["inner"] == (margin, True)
+    vanishing = membership_certificate(shrink, Decay(math.inf), 2)
+    assert _margins(vanishing) == {"inner": (math.inf, True), "outer": (math.inf, True)}
+    assert vanishing.verdict == "member"
+
+
+# validation off: the widening cusp's margin is 4/5 * 16/5 - 14/5 = -6/25
+THIN_CUSP = PresetSpec.make("power_cusp", outer=4, inner="16/5", gamma="9/10")
+
+
+def test_a_failing_margin_decides_only_where_the_decay_is_attained():
+    # a negative margin where the decay is only an upper bound proves nothing
+    cert = membership_certificate(THIN_CUSP, Decay(Fraction(4, 5), ("outer",)), 1)
+    assert _margins(cert) == {"inner": (Fraction(-6, 25), False), "outer": (Fraction(1, 5), True)}
+    assert cert.verdict == "undecided"
+    assert membership_certificate(THIN_CUSP, Decay(Fraction(4, 5)), 1).verdict == "not-member"
+
+
+def test_pipeline_reads_declared_decays_and_runs_no_scan(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan ran")
+
+    monkeypatch.setattr(estimates, "membership_scan", no_scan)
+    u, P = gradient_counterexample()
+    rep = liouville_pipeline(CYL, u, P, [8, 16, 32, 64], RADIAL,
+                             velocity_decay=Decay(Fraction(-1)), pressure_decay=Decay(Fraction(-2)))
+    assert rep.conclusion == "hypotheses-violated"
+    assert (rep.velocity.source, rep.velocity.verdict) == ("certificate", "not-member")
+    assert rep.velocity.scan is None and rep.pressure.scan is None
+
+
+def test_pipeline_scans_only_the_hypothesis_without_a_declared_decay():
+    rep = liouville_pipeline(CYL, decaying_solenoidal(2.0), zero_scalar(), [8, 16, 32, 64],
+                             Quadrature(n=40_000, seed=12), pressure_decay=Decay(math.inf))
+    assert (rep.velocity.source, rep.velocity.verdict) == ("scan", "convergent")
+    assert (rep.pressure.source, rep.pressure.verdict) == ("certificate", "member")
+    assert rep.pressure.scan is None and rep.conclusion == "decay-confirmed"
+
+
+def test_an_undecided_certificate_leaves_the_pipeline_inconclusive():
+    rep = liouville_pipeline(THIN_CUSP, decaying_solenoidal(0.8), zero_scalar(), [8, 16, 32, 64],
+                             RADIAL, validate=False, velocity_decay=Decay(Fraction(4, 5), ("outer",)),
+                             pressure_decay=Decay(math.inf))
+    assert rep.conclusion == "inconclusive"
+    assert rep.note.startswith("membership certificate undecided for the velocity:")
+
+
+# every grammar field and pressure, with a rate on either side of 3/4 and a
+# constant that is not zero and one that is
+DECLARED_SPECS = [
+    *(({"name": name}, FIELD_TYPES, 1) for name in
+      ("zero", "gradient_counterexample", "gaussian", "inverse_quadratic")),
+    ({"name": "decaying_solenoidal", "rate": 2}, FIELD_TYPES, 1),
+    ({"name": "decaying_solenoidal", "rate": 0.5}, FIELD_TYPES, 1),
+    ({"name": "constant", "value": 1}, FIELD_TYPES, 1),
+    ({"name": "constant", "value": 0}, FIELD_TYPES, 1),
+    *(({"name": name}, PRESSURE_TYPES, 2) for name in
+      ("zero", "counterexample", "gradient_counterexample", "constant")),
+    ({"name": "constant", "value": 1}, PRESSURE_TYPES, 2),
+]
+_CONTRADICTS = {"convergent": "not-member", "diverging": "member"}
+
+
+def test_every_grammar_entry_declares_its_decay():
+    for types in (FIELD_TYPES, PRESSURE_TYPES):
+        assert {d["name"] for d, t, _ in DECLARED_SPECS if t is types} == set(types)
+        assert all(declared_decay(types, d) is not None for d, t, _ in DECLARED_SPECS if t is types)
+
+
+@pytest.mark.parametrize("spec, types, k", DECLARED_SPECS,
+                         ids=[f"{'field' if k == 1 else 'pressure'}-{json.dumps(d)}"
+                              for d, _, k in DECLARED_SPECS])
+def test_the_certificate_never_contradicts_a_decisive_scan(spec, types, k):
+    # acceptance criterion 10's radii and budget; an undecided scan says nothing
+    f = field_from_dict(spec) if types is FIELD_TYPES else pressure_from_dict(spec)
+    decay = declared_decay(types, spec)
+    for j, preset_spec in enumerate(PRESET_MATRIX):
+        p = preset(preset_spec)
+        scan = membership_scan(f, p.divided_by(k) if k > 1 else p, [4, 8, 16, 32, 64],
+                               Quadrature(n=30_000, seed=70 + j))
+        verdict = membership_certificate(preset_spec, decay, k).verdict
+        assert verdict != _CONTRADICTS.get(scan.verdict), (preset_spec, scan.verdict, verdict)
 
 
 def test_pipeline_requires_grid():

@@ -853,6 +853,19 @@ def test_snapshot_norm_bars_cover_the_doubled_orders(name, monkeypatch):
     assert abs(luxemburg_norm(f, p, None, RADIAL).value - res.value) <= res.abs_error
 
 
+@pytest.mark.parametrize("name", ["norm-pieces-bounded", "norm-pieces-many"])
+def test_bounded_pieces_converge_like_the_tube(name, monkeypatch):
+    # cells end at every piece's radial breaks, so doubling the radii moves
+    # these norms by 4.7e-7 and 2.6e-7, near the tube's 7.4e-7 (`norm-pieces`);
+    # without the breaks they moved by 8.9e-5 and 9.2e-5
+    field, exponent = SNAPSHOT_NORMS[name]
+    f, p = field_from_dict(field), exponent_from_dict(exponent, True)
+    tight = Quadrature(scheme="radial", rel_tol=1e-10)
+    value = luxemburg_norm(f, p, None, tight).value
+    monkeypatch.setattr(norms, "_FIELD_ORDERS", (48, *norms._FIELD_ORDERS[1:]))
+    assert abs(luxemburg_norm(f, p, None, tight).value - value) < 1e-6
+
+
 def test_field_rule_takes_24_radii_per_octave():
     # a shell [R/2, R] is one cell; a ball [0, R] is cut at R/16, ..., R/2
     for domain, octaves in ((Annulus(32.0, 64.0), [32, 64]),

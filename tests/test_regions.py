@@ -499,6 +499,7 @@ ONE_SURFACE = {
     **{f"shrink-cusp-{s}": ShrinkCusp(s) for s in SHAPES},
     "ball-behind": Ball((-3.0, 0.0, 0.0), 2.0),
     "ball-ahead": Ball((40.0, 0.0, 0.0), 30.0),
+    "ball-about-the-origin": Ball((1.0, 0.0, 0.0), 3.0),
 }
 BREAK_REGIONS = {
     **ONE_SURFACE,
@@ -530,6 +531,32 @@ def test_polar_breaks_are_where_membership_changes(name):
         if name in ONE_SURFACE:
             odd = np.array([np.count_nonzero(row == b) % 2 == 1 for b in cuts[1:-1]], dtype=bool)
             assert (odd == (inside[2][:-1] != inside[0][1:])).all(), radius
+
+
+def _flips(region, radius: float):
+    """How often membership flips along the meridian of one radius; None
+    where two breaks are one float (an arc thinner than an ulp of its angle)."""
+    row = region.polar_breaks(np.array([radius]))[0]
+    row = row[np.isfinite(row)]
+    if np.unique(row).size < row.size:
+        return None
+    cuts = np.unique(np.concatenate([[0.0, math.pi], row]))
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    inside = region.contains(_meridian(np.full_like(mid, radius), mid))
+    return int(np.count_nonzero(inside[1:] != inside[:-1]))
+
+
+@pytest.mark.parametrize("name", sorted(BREAK_REGIONS))
+def test_radial_breaks_bound_the_radii_where_the_crossings_change(name):
+    # between neighbouring radial breaks a sphere crosses the boundary the
+    # same number of times, so the crossing angles move smoothly with r
+    region = BREAK_REGIONS[name]
+    r = np.exp(np.random.default_rng(12).uniform(math.log(0.5), math.log(512.0), 400))
+    cell = np.searchsorted(sorted(region.radial_breaks()), r)
+    flips = {}
+    for radius, c in zip(r, cell):
+        flips.setdefault(c, set()).add(_flips(region, radius))
+    assert all(len(counts - {None}) <= 1 for counts in flips.values()), flips
 
 
 def test_polar_breaks_refuse_a_ball_off_the_axis():
