@@ -28,6 +28,7 @@ from .estimates import (
     fit_decay,
     liouville_pipeline,
     predicted_exponent,
+    shell_terms,
 )
 from .exponents import (
     ExponentField,

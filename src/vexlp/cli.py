@@ -399,12 +399,9 @@ def run_energy(cfg: RunConfig):
 def run_alpha_beta(cfg: RunConfig):
     u = velocity_from_dict(cfg.fieldspec)
     P = pressure_from_dict(cfg.pressure)
-    quad = cfg.quad()
     rows, majorant_ok = [], True
-    for i, R in enumerate(cfg.grid()):
-        q_i = quad.with_seed(quad.seed + 31 * i)
-        a, a_err = estimates.alpha_term(R, u, q_i)
-        flux = estimates.beta_terms(R, u, P, q_i)
+    for R, cut, q_i in estimates.shells(cfg.grid(), cfg.quad()):
+        a, a_err, flux = estimates.shell_terms(R, u, P, q_i, cut)
         majorant_ok &= flux.majorant_ok
         rows.append([R, a, flux.beta1, flux.beta2, flux.beta, max(a_err, *flux.errors)])
     line = "alpha-beta: majorant " + ("holds" if majorant_ok else "violated")

@@ -81,6 +81,13 @@ class RadialCutoff:
         val = np.where(inside, d2 + 2.0 * d1 / safe_rho, 0.0)
         return float(val[0]) if single else val
 
+    def derivatives(self, x) -> tuple[np.ndarray, np.ndarray | float]:
+        """(grad(x), laplacian(x)), bit for bit, from one `_shell` pass."""
+        pts, single, inside, d1, d2, safe_rho = self._shell(x)
+        grad = pts * (np.where(inside, d1, 0.0) / safe_rho)[:, None]
+        lap = np.where(inside, d2 + 2.0 * d1 / safe_rho, 0.0)
+        return (grad[0], float(lap[0])) if single else (grad, lap)
+
     def size(self, kind: str) -> "RadialProfile":
         """|Laplacian| (kind "laplacian") or |grad| (kind "gradient") as a
         function of (n, 3) points; it depends on |x| alone and names the

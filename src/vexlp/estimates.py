@@ -12,14 +12,18 @@ and a flux term
 
 both supported on the shell R/2 <= |x| <= R, with the pointwise majorant
 |beta| <= beta1/2 + beta2 where beta1 integrates |grad||u|^3 and beta2
-integrates |grad||P||u|.  The norm bound for each term pays the cutoff
-scaling R^-k (k = 2 for alpha, 1 for beta) against the shell volume
-growth R^d of each exponent piece, giving per-piece decay exponents
--k + d/q for the relevant conjugate bound q (the 2-conjugate for alpha,
-the 3-conjugate for beta).  ``TERMS`` holds this pairing, and
-`PresetSpec.pieces` each piece's exponent and growth.  Certificates
-evaluate these exponents in exact rational arithmetic; the empirical side fits log-log
-slopes of the measured quantities and compares with the certified bound
+integrates |grad||P||u|.  `shell_terms` integrates alpha, beta1, beta2
+and beta as four rows of one integrand, so u, P and both cutoff
+derivatives are evaluated once per node set.
+
+The norm bound for each term pays the cutoff scaling R^-k (k = 2 for
+alpha, 1 for beta) against the shell volume growth R^d of each exponent
+piece, giving per-piece decay exponents -k + d/q for the relevant
+conjugate bound q (the 2-conjugate for alpha, the 3-conjugate for beta).
+``TERMS`` holds this pairing, and `PresetSpec.pieces` each piece's
+exponent and growth.  Certificates evaluate these exponents in exact
+rational arithmetic; the empirical side fits log-log slopes of the
+measured quantities and compares with the certified bound
 plus a tolerance (the truth may decay faster than the bound).
 
 The same arithmetic decides the paper's hypotheses u in L^p(.) and P in
@@ -47,7 +51,8 @@ from .cutoff import RadialCutoff, make_cutoff
 from .errors import DecayFitError
 from .exponents import ExponentField, PresetSpec, _conjugate_value, preset
 from .exponents import admissible_upper_bound  # noqa: F401  (re-exported)
-from .fields import ScalarField3, ScanResult, VectorField3, membership_scan, ns_residual
+from .fields import (ScalarField3, ScanResult, VectorField3, membership_scan, ns_residual,
+                     zero_scalar)
 from .norms import (
     Quadrature,
     integrate_many,
@@ -103,23 +108,6 @@ def fit_decay(radii: Sequence[float], values: Sequence[float]) -> DecayFit:
 # shell integrals
 
 
-def alpha_term(
-    R: float,
-    u: VectorField3,
-    quad: Quadrature = Quadrature(),
-    cutoff: Optional[RadialCutoff] = None,
-) -> tuple[float, float]:
-    """Laplacian-weighted shell energy at scale R."""
-    cut = cutoff or make_cutoff(R)
-
-    def integrand(pts):
-        vel = u(pts)
-        return [cut.laplacian(pts) * 0.5 * np.einsum("ij,ij->i", vel, vel)]
-
-    (value,), (error,) = integrate_many(integrand, cut.support(), quad)
-    return value, error
-
-
 @dataclass(frozen=True)
 class FluxReport:
     beta1: float
@@ -129,32 +117,51 @@ class FluxReport:
     majorant_ok: bool
 
 
-def beta_terms(
+def shells(radii: Sequence[float], quad: Quadrature) -> list[tuple]:
+    """(R, cutoff, quadrature) per radius of a shell loop, the cutoffs checked
+    up front and the i-th quadrature seeded quad.seed + 31 i."""
+    return [(R, make_cutoff(R), quad.with_seed(quad.seed + 31 * i)) for i, R in enumerate(radii)]
+
+
+def shell_terms(
     R: float,
     u: VectorField3,
     P: ScalarField3,
     quad: Quadrature = Quadrature(),
     cutoff: Optional[RadialCutoff] = None,
-) -> FluxReport:
-    """Flux term and its two majorants from one evaluation of u, P and the
-    cutoff gradient on each node set."""
+) -> tuple[float, float, FluxReport]:
+    """alpha with its error, and the flux term with its two majorants, from
+    one integrand: u, P and both cutoff derivatives once on each node set."""
     cut = cutoff or make_cutoff(R)
 
     def integrands(pts):
-        vel, pressure, grad = u(pts), P(pts), cut.grad(pts)
+        vel, pressure = u(pts), P(pts)
+        grad, lap = cut.derivatives(pts)
         speed = row_norm(vel)
         grad_size = row_norm(grad)
         head = 0.5 * speed**2 + pressure
-        return [  # beta1, beta2, beta
+        return [  # alpha, beta1, beta2, beta
+            lap * 0.5 * np.einsum("ij,ij->i", vel, vel),
             grad_size * speed**3,
             grad_size * np.abs(pressure) * speed,
             np.einsum("ij,ij->i", grad, vel) * head,
         ]
 
-    values, errors = integrate_many(integrands, cut.support(), quad)
-    b1, b2, b = values
+    (a, b1, b2, b), (a_err, *errors) = integrate_many(integrands, cut.support(), quad)
     tol = 3.0 * sum(errors) + 1e-12 * max(abs(b1), abs(b2), 1.0)
-    return FluxReport(b1, b2, b, tuple(errors), abs(b) <= 0.5 * b1 + b2 + tol)
+    return a, a_err, FluxReport(b1, b2, b, tuple(errors), abs(b) <= 0.5 * b1 + b2 + tol)
+
+
+def alpha_term(R: float, u: VectorField3, quad: Quadrature = Quadrature(),
+               cutoff: Optional[RadialCutoff] = None) -> tuple[float, float]:
+    """Laplacian-weighted shell energy at scale R and its error (`shell_terms`)."""
+    return shell_terms(R, u, zero_scalar(), quad, cutoff)[:2]
+
+
+def beta_terms(R: float, u: VectorField3, P: ScalarField3, quad: Quadrature = Quadrature(),
+               cutoff: Optional[RadialCutoff] = None) -> FluxReport:
+    """Flux term and its two majorants (`shell_terms`)."""
+    return shell_terms(R, u, P, quad, cutoff)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +338,7 @@ def energy_identity_check(
         return [cut(pts) * np.einsum("nij,nij->n", jac, jac)]
 
     (lhs,), _ = integrate_many(energy_density, Ball(radius=R), quad)
-    a, _ = alpha_term(R, u, quad, cutoff=cut)
-    flux = beta_terms(R, u, P, quad, cutoff=cut)
+    a, _, flux = shell_terms(R, u, P, quad, cut)
     rhs = a + flux.beta
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     verdict = None if residual_sup > _RESIDUAL_TOL else (gap <= gap_tol)
@@ -410,7 +416,7 @@ def liouville_pipeline(
         raise ValueError("the pipeline needs at least four radii")
     radii = [float(r) for r in r_grid]
     p_field = preset(spec, validate=validate)
-    cuts = [make_cutoff(R) for R in radii]  # every radius checked before a scan takes it
+    grid = shells(radii, quad)  # every radius checked before a scan takes it
     scan_n = max(quad.n // 4, 20_000)
     velocity, pressure = (
         _membership(spec, f, decay, k, p_field, radii, Quadrature(n=scan_n, seed=quad.seed + i))
@@ -418,10 +424,8 @@ def liouville_pipeline(
     conjugates = [(kind, p_field.conjugate(k)) for kind, _, k in TERMS.values()]
 
     rows = []
-    for i, (R, cut) in enumerate(zip(radii, cuts)):
-        q_i = quad.with_seed(quad.seed + 31 * i)
-        a, a_err = alpha_term(R, u, q_i, cutoff=cut)
-        flux = beta_terms(R, u, P, q_i, cutoff=cut)
+    for R, cut, q_i in grid:
+        a, a_err, flux = shell_terms(R, u, P, q_i, cut)
         lap, grad = (luxemburg_norm(cut.size(kind), field, cut.support(), q_i)
                      for kind, field in conjugates)
         rows.append(

@@ -275,6 +275,7 @@ def _build_nodes(
     key = (span, fine, kinks, [region for region, _ in p.pieces], [vals.index(v) for v in vals])
 
     def build() -> _NodeSet:  # the arcs found once for the radii of both rules
+        dom.analytic_volume()  # raises where the volume, which the weights sum to, overflows
         rules = [fine, tuple(max(k // 2, 1) for k in fine)]
         radii = [_gauss_radii(*span, kinks, n_r) for n_r, _, _ in rules]
         r, wr = (np.concatenate(parts) for parts in zip(*radii))

@@ -9,6 +9,7 @@ import platform
 import re
 import signal
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -667,6 +668,38 @@ def test_the_readme_liouville_job_draws_no_random_numbers(tmp_path, monkeypatch)
     assert not _golden_mismatches("liouville", "liouville.csv", golden, cells)
 
 
+def test_the_readme_liouville_job_evaluates_each_field_once_per_node_set(tmp_path, monkeypatch):
+    # one integrand per shell: u and P once on the fine and once on the
+    # coarse rule of each of the 6 shells, and each radial rule built once
+    from vexlp import estimates, fields
+
+    counts, keys = {"u": 0, "P": 0, "integrate_many": 0}, []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    recall_one = norms._recall
+
+    def recall(slot, key, build):  # records each key it builds
+        return recall_one(slot, key, lambda: keys.append(key) or build())
+
+    monkeypatch.setattr(norms, "_radial_memo", None)
+    monkeypatch.setattr(norms, "_recall", recall)
+    monkeypatch.setattr(fields.VectorField3, "__call__", counted("u", fields.VectorField3.__call__))
+    monkeypatch.setattr(fields.ScalarField3, "__call__", counted("P", fields.ScalarField3.__call__))
+    monkeypatch.setattr(estimates, "integrate_many",
+                        counted("integrate_many", estimates.integrate_many))
+    argv = ["liouville", "--preset", "cylinder", "--inner", "5", "--outer", "4",  # the README's
+            "--field", '{"name":"decaying_solenoidal","rate":2}',
+            "--grid-start", "8", "--grid-factor", "2", "--grid-count", "6"]
+    _outputs(argv, tmp_path)
+    assert counts == {"u": 12, "P": 12, "integrate_many": 6}
+    assert len(keys) == 12 and all(k not in keys[:i] for i, k in enumerate(keys))
+
+
 def test_back_to_back_jobs_write_the_same_bytes(tmp_path, monkeypatch):
     # node sets are kept between jobs in one process: a cold run, a warm
     # one, and one after a run with another seed must agree to the byte
@@ -884,6 +917,21 @@ ERROR_PATHS = {
            ("volume-annulus-1e104", "Annulus", '{"type":"annulus","inner":1,"outer":1e104}'),
            ("volume-power-cusp-1e160", "PowerCusp", POWER_CUSP_1E160))},
 }
+
+
+@pytest.mark.parametrize("command", ["liouville", "alpha-beta", "decay"])
+def test_a_radial_rule_past_the_float_range_is_an_error(command, tmp_path, capsys):
+    # at radius 1e150 the cutoff's square is finite but the shell's volume,
+    # and with it the radial rule's weights, is not: a named error, no NaN
+    # rows and no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, *CYLINDER_FLAGS, "--field",
+                     '{"name":"decaying_solenoidal","rate":2}', "--grid-start", "1e150",
+                     "--grid-factor", "2", "--grid-count", "4", "--out", str(tmp_path)]) == 1
+    assert not caught
+    assert capsys.readouterr().err == "error: Annulus volume overflows a float\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_a_shell_variance_past_the_float_range_is_no_error(tmp_path):

@@ -148,3 +148,21 @@ def test_size_profile_values_and_kinks(kind):
     near = np.array([[star * (1.0 - 1e-9), 0.0, 0.0], [star * (1.0 + 1e-9), 0.0, 0.0]])
     below, above = c.laplacian(near)
     assert below < 0.0 < above
+
+
+@pytest.mark.parametrize("R", [1.5, 16.0, 1e100])
+def test_derivatives_equal_grad_and_laplacian_bit_for_bit(R):
+    # at the origin, both shell edges, just inside and outside them, inside
+    # the plateau, mid-shell and far outside, in every direction drawn
+    c = make_cutoff(R)
+    radii = np.array([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.75, np.nextafter(1.0, 0.0),
+                      1.0, np.nextafter(1.0, 2.0), 3.0]) * R
+    dirs = np.random.default_rng(5).normal(size=(radii.size, 3))
+    pts = radii[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    grad, lap = c.derivatives(pts)
+    assert grad.tobytes() == c.grad(pts).tobytes()
+    assert lap.tobytes() == c.laplacian(pts).tobytes()
+    for x in pts:  # one point (3,) gives a (3,) gradient and a float
+        g, lap_x = c.derivatives(x)
+        assert g.tobytes() == c.grad(x).tobytes() and g.shape == (3,)
+        assert type(lap_x) is float and lap_x == c.laplacian(x)

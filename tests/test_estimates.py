@@ -5,13 +5,14 @@ import math
 from dataclasses import fields, replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from test_acceptance import PRESET_MATRIX
 
 from vexlp import estimates
 from vexlp.cli import (
     FIELD_TYPES, PRESSURE_TYPES, declared_decay, field_from_dict, pressure_from_dict)
-from vexlp.cutoff import RadialCutoff
+from vexlp.cutoff import RadialCutoff, make_cutoff
 from vexlp.errors import ExponentRangeError, PresetConstraintError
 from vexlp.estimates import (
     admissible_upper_bound,
@@ -25,6 +26,7 @@ from vexlp.estimates import (
     liouville_pipeline,
     membership_certificate,
     predicted_exponent,
+    shell_terms,
 )
 from vexlp.exponents import PresetSpec, constant_field, preset
 from vexlp.fields import (
@@ -34,7 +36,8 @@ from vexlp.fields import (
     zero_scalar,
     zero_vector,
 )
-from vexlp.norms import Quadrature
+from vexlp.norms import Quadrature, integrate_many
+from vexlp.regions import row_norm
 
 RADIAL = Quadrature(scheme="radial")
 CYL = PresetSpec.make("cylinder", outer=4, inner=5)
@@ -104,7 +107,7 @@ def test_beta_majorant_without_pressure():
     (Quadrature(n=20_000, seed=2), 1), (RADIAL, 2),  # the radial rule: fine and coarse
 ], ids=["mc", "radial"])
 def test_beta_evaluates_each_field_once_per_node_set(quad, calls, monkeypatch):
-    counts = {"u": 0, "P": 0, "grad": 0}
+    counts = {"u": 0, "P": 0, "derivatives": 0, "grad": 0, "laplacian": 0}
 
     def counted(name, fn):
         def wrapped(*args):
@@ -114,9 +117,45 @@ def test_beta_evaluates_each_field_once_per_node_set(quad, calls, monkeypatch):
 
     u, P = gradient_counterexample()
     u, P = replace(u, fn=counted("u", u.fn)), replace(P, fn=counted("P", P.fn))
-    monkeypatch.setattr(RadialCutoff, "grad", counted("grad", RadialCutoff.grad))
+    for name in ("derivatives", "grad", "laplacian"):
+        monkeypatch.setattr(RadialCutoff, name, counted(name, getattr(RadialCutoff, name)))
     assert beta_terms(8.0, u, P, quad).majorant_ok
-    assert counts == {"u": calls, "P": calls, "grad": calls}
+    # both cutoff derivatives come from one radial pass per node set
+    assert counts == {"u": calls, "P": calls, "derivatives": calls, "grad": 0, "laplacian": 0}
+
+
+def _separate_shell_terms(R, u, P, quad):
+    """alpha and the flux rows as two integrals, each evaluating u on its own."""
+    cut = make_cutoff(R)
+
+    def alpha(pts):
+        vel = u(pts)
+        return [cut.laplacian(pts) * 0.5 * np.einsum("ij,ij->i", vel, vel)]
+
+    def flux(pts):
+        vel, pressure, grad = u(pts), P(pts), cut.grad(pts)
+        speed, grad_size = row_norm(vel), row_norm(grad)
+        head = 0.5 * speed**2 + pressure
+        return [grad_size * speed**3, grad_size * np.abs(pressure) * speed,
+                np.einsum("ij,ij->i", grad, vel) * head]
+
+    (a,), (a_err,) = integrate_many(alpha, cut.support(), quad)
+    values, errors = integrate_many(flux, cut.support(), quad)
+    return [a, *values], [a_err, *errors]
+
+
+@pytest.mark.parametrize("quad", [Quadrature(n=20_000, seed=2), RADIAL], ids=["mc", "radial"])
+@pytest.mark.parametrize("make_fields", [
+    gradient_counterexample, lambda: (decaying_solenoidal(2.0), zero_scalar())],
+    ids=["counterexample", "decaying"])
+def test_shell_terms_equal_the_separate_integrals_bit_for_bit(quad, make_fields):
+    u, P = make_fields()
+    values, errors = _separate_shell_terms(16.0, u, P, quad)
+    a, a_err, flux = shell_terms(16.0, u, P, quad)
+    assert [a, flux.beta1, flux.beta2, flux.beta] == values
+    assert [a_err, *flux.errors] == errors
+    assert alpha_term(16.0, u, quad) == (a, a_err)
+    assert beta_terms(16.0, u, P, quad) == flux
 
 
 def test_beta_majorant_holds_on_grid():
