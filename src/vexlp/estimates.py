@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -54,9 +54,11 @@ from .exponents import admissible_upper_bound  # noqa: F401  (re-exported)
 from .fields import (ScalarField3, ScanResult, VectorField3, membership_scan, ns_residual,
                      zero_scalar)
 from .norms import (
+    NormResult,
     Quadrature,
     integrate_many,
     luxemburg_norm,
+    radial_grid,
 )
 from .regions import Ball, row_norm
 
@@ -117,10 +119,10 @@ class FluxReport:
     majorant_ok: bool
 
 
-def shells(radii: Sequence[float], quad: Quadrature) -> list[tuple]:
+def shells(radii: Sequence[float], quad: Quadrature, step: int = 31) -> list[tuple]:
     """(R, cutoff, quadrature) per radius of a shell loop, the cutoffs checked
-    up front and the i-th quadrature seeded quad.seed + 31 i."""
-    return [(R, make_cutoff(R), quad.with_seed(quad.seed + 31 * i)) for i, R in enumerate(radii)]
+    up front and the i-th quadrature seeded quad.seed + step i."""
+    return [(R, make_cutoff(R), quad.with_seed(quad.seed + step * i)) for i, R in enumerate(radii)]
 
 
 def shell_terms(
@@ -193,25 +195,27 @@ def cutoff_norm_decays(
     quad: Quadrature = Quadrature(),
 ) -> list[NormDecayReport]:
     """`cutoff_norm_decay` for each (kind, conjugate field) pair, one report
-    per pair.  The norms run a radius at a time, every pair at the seed of
-    that radius, so Monte Carlo norms of one shell share its node set."""
+    per pair, from `cutoff_norms` with the i-th radius seeded quad.seed + 101 i."""
     for kind, _ in pairs:
         if kind not in {d for d, _, _ in TERMS.values()}:
             raise ValueError(f"kind must be 'laplacian' or 'gradient', got {kind!r}")
     if len(r_grid) < 4:
         raise ValueError("decay grids need at least four radii")
     radii = [float(r) for r in r_grid]
-    results = []  # per radius, one NormResult per pair
-    for i, R in enumerate(radii):
-        cut = make_cutoff(R)
-        q_i = quad.with_seed(quad.seed + 101 * i)
-        results.append([luxemburg_norm(cut.size(kind), field, cut.support(), q_i)
-                        for kind, field in pairs])
-    return [
-        NormDecayReport(kind, fit_decay(radii, [row[j].value for row in results]),
-                        tuple(row[j].abs_error for row in results))
-        for j, (kind, _) in enumerate(pairs)
-    ]
+    columns = zip(*cutoff_norms(pairs, shells(radii, quad, 101)))  # per pair, a norm a radius
+    return [NormDecayReport(kind, fit_decay(radii, [n.value for n in col]),
+                            tuple(n.abs_error for n in col))
+            for (kind, _), col in zip(pairs, columns)]
+
+
+def cutoff_norms(pairs: Sequence[tuple], grid: Sequence[tuple]) -> Iterator[list[NormResult]]:
+    """Per shell of a `shells` grid, the norm of each (kind, conjugate field)
+    pair's cutoff derivative, yielded a shell at a time so a Monte Carlo shell
+    is drawn once; every shell's radial rule is built in one `radial_grid` pass."""
+    if pairs and grid[0][2].scheme == "radial":
+        radial_grid([cut.size(pairs[0][0]) for _, cut, _ in grid], pairs[0][1])
+    for _, cut, q in grid:
+        yield [luxemburg_norm(cut.size(kind), field, cut.support(), q) for kind, field in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +428,8 @@ def liouville_pipeline(
     conjugates = [(kind, p_field.conjugate(k)) for kind, _, k in TERMS.values()]
 
     rows = []
-    for R, cut, q_i in grid:
+    for (R, cut, q_i), (lap, grad) in zip(grid, cutoff_norms(conjugates, grid)):
         a, a_err, flux = shell_terms(R, u, P, q_i, cut)
-        lap, grad = (luxemburg_norm(cut.size(kind), field, cut.support(), q_i)
-                     for kind, field in conjugates)
         rows.append(
             PipelineRow(
                 R, a, flux.beta1, flux.beta2, flux.beta, lap.value, grad.value,
@@ -454,7 +456,11 @@ def liouville_pipeline(
         note = "; ".join(f"membership {source} undecided for the {' and '.join(names)}: "
                          f"{_UNDECIDED_WHY[source]}" for source, names in undecided.items())
     else:
-        ok = True
+        # a term without a fit shows no decay, unless u vanishes (rate +inf, or a zero scan)
+        vanishes = (velocity_decay.rate == math.inf if velocity_decay is not None
+                    else not any(velocity.scan.increments))
+        missing = [name for name in ("alpha", "beta1") if fits[name] is None and not vanishes]
+        ok = not missing
         for name, cert in (("alpha", cert_a), ("beta1", cert_b)):
             fit = fits[name]
             if fit is not None and fit.slope > float(cert.max_exponent()) + slope_margin:
@@ -468,7 +474,8 @@ def liouville_pipeline(
             )
         else:
             conclusion = "inconclusive"
-            note = "observed decay does not match the certificate"
+            note = (f"no {' or '.join(missing)} decay fit: too few values above the zero floor"
+                    if missing else "observed decay does not match the certificate")
     return PipelineReport(
         spec, velocity, pressure, tuple(rows), cert_a, cert_b, fits, conclusion, note
     )

@@ -12,27 +12,25 @@ every bit of numpy's array sum (`_modular_at`).  Where p = +inf the norm
 degenerates to the sup of |f| there (`_frozen`, `_finish`).
 
 Quadrature is either stratified rejection Monte Carlo over a region
-envelope (works for any samplable region, piecewise integrands included)
-or a radial rule over origin-centered balls and shells (a ball of radius 8
-without a domain), the product of three rules: Gauss-Legendre radii per
-cell, with cells split at the integrand's ``kinks`` (the radii where it is
-not smooth), at the exponent pieces' `Region.radial_breaks`, and at the
-octave radii r1/2, ..., r1/16 of the span [r0, r1],
-so a shell [R/2, R] is one cell and a ball five cells geometric toward the
-origin, Gauss-Legendre cosines on each arc of the meridian on which the
-exponent is constant, and uniform azimuths.  The arcs end where the sphere
-meets a piece's boundary (`Region.polar_breaks`), so every exponent piece
-must be a solid of revolution about the x1 axis, and is integrated as
-exactly as the bulk whatever its share of the shell; each node keeps its
-arc's label as an index into `ExponentField.values`, so p is read off the
-rule's nodes, never evaluated there.  A radial profile (a
-cutoff derivative's size, `cutoff.RadialProfile`) needs one cosine and one
-azimuth per arc; any other integrand gets 24 radii per cell and 24 of
-each.  The rule is deterministic; its error is the gap to the same rule at
-half the order (for a norm, between the two roots).  The last node set of
-each scheme is kept in a one-slot memo of its own (`_recall`): a Monte Carlo
-set by its (domain, quad), a radial rule by what it reads, so a shell's
-integrals share one rule, and so do its two cutoff norms, whose kinks agree.
+envelope (any samplable region, piecewise integrands included) or a radial
+rule over an origin-centered ball or shell (a ball of radius 8 without a
+domain), the product of three rules.  Radii are Gauss-Legendre per cell,
+cut at the integrand's ``kinks`` (where it is not smooth), at the exponent
+pieces' `Region.radial_breaks` and at the octave radii r1/2^k for k < 5
+and on down to r = 1/2: a shell [R/2, R] is one cell, a ball of radius 8
+five.  Cosines are Gauss-Legendre on each arc of the meridian where p is
+constant, ending where the sphere meets a piece's boundary
+(`Region.polar_breaks`), so every piece must be a solid of revolution about
+the x1 axis and is integrated as exactly as the bulk; each node keeps its
+arc's index into `ExponentField.values`, so p is never evaluated on the
+rule.  Azimuths are uniform.  A radial profile (a cutoff derivative's size,
+`cutoff.RadialProfile`) takes one cosine and one azimuth per arc, any
+other integrand 24 radii per cell and 24 of each.  The rule's error is the
+gap to the same rule at half the order (for a norm, between the two
+roots).  The last node set of each scheme is kept in a one-slot memo
+(`_recall`): a Monte Carlo set by its (domain, quad), a radial rule by what
+it reads, so a shell's integrals share one rule and so do its two cutoff
+norms; the rules of a whole radius grid come from one pass (`radial_grid`).
 
 Fields enter as plain callables mapping (n, 3) point arrays to scalars or
 vectors; vector values are reduced by the Euclidean magnitude.
@@ -156,6 +154,8 @@ class _NodeSet:
 # shell's radial rule never frees the Monte Carlo draw of a scan.
 _mc_memo: Optional[tuple[tuple[Region, Quadrature], _NodeSet]] = None
 _radial_memo: Optional[tuple[tuple, _NodeSet]] = None
+# radial rules that `radial_grid` built ahead, by key, until a radial miss takes its own
+_prebuilt: dict[tuple, _NodeSet] = {}
 
 
 def _recall(slot: str, key, build: Callable[[], _NodeSet]) -> _NodeSet:
@@ -207,8 +207,8 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gauss_radii(r0: float, r1: float, kinks, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre radii and weights on [r0, r1], ``order`` per cell
-    between the kinks and the octave radii r1/2, ..., r1/16 that lie inside."""
-    cuts = {*kinks, *(r1 / 2**k for k in range(1, 5))}
+    between the kinks and the octave radii inside (module notes)."""
+    cuts = {*kinks, *(r1 / 2**k for k in range(1, max(5, math.frexp(r1)[1] + 1)))}
     edges = np.array([r0, *sorted(k for k in cuts if r0 < k < r1), r1])
     x, w = _gauss_legendre(order)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
@@ -236,10 +236,10 @@ def _polar_arcs(r: np.ndarray, p: ExponentField) -> tuple[np.ndarray, ...]:
     return row[first], start[first], end[np.append(first[1:], row.size) - 1], piece
 
 
-def _arc_nodes(r, wr, row, a, b, piece, n_mu: int, n_phi: int) -> _NodeSet:
+def _arc_nodes(r, wr, row, a, b, piece, n_mu: int, n_phi: int) -> tuple[np.ndarray, ...]:
     """n_mu Gauss-Legendre cosines on each arc [a, b] of the meridian of
-    radius r[row], times n_phi uniform azimuths, nested in that order;
-    weights w_r w_mu (2 pi / n_phi) r^2, and each node its arc's piece."""
+    radius r[row], times n_phi uniform azimuths, nested in that order, as
+    points, weights w_r w_mu (2 pi / n_phi) r^2 and each node its arc's piece."""
     # the arc's mid-cosine and half-width in cosine, the latter as a
     # product of sines, without the cancellation of tiny arcs
     mid = 0.5 * (np.cos(a) + np.cos(b))[:, None, None]
@@ -251,8 +251,48 @@ def _arc_nodes(r, wr, row, a, b, piece, n_mu: int, n_phi: int) -> _NodeSet:
     rr, s = r[row][:, None, None], np.sqrt(np.maximum(1.0 - mu**2, 0.0))
     xyz = np.broadcast_arrays(rr * mu, rr * s * np.cos(phi), rr * s * np.sin(phi))
     weights = np.broadcast_to(wr[row][:, None, None] * w_mu * w_phi * rr**2, xyz[0].shape)
-    return _NodeSet(np.stack(xyz, axis=-1).reshape(-1, 3), weights.ravel(),
-                    np.ones(weights.size, dtype=bool), piece=np.repeat(piece, n_mu * n_phi))
+    return np.stack(xyz, axis=-1).reshape(-1, 3), weights.ravel(), np.repeat(piece, n_mu * n_phi)
+
+
+def _radial_key(dom: Region, f, p: ExponentField) -> tuple:
+    """The radial rule's key: span, orders, cell kinks, p's piece regions and
+    which of p's values agree (all its arcs see); raises where dom has no rule."""
+    if (span := _radial_span(dom)) is None:
+        raise QuadratureDomainError(
+            f"the radial rule needs an origin-centered ball or shell; got {type(dom).__name__}")
+    dom.analytic_volume()  # raises where the volume, which the weights sum to, overflows
+    fine = (_RADIAL_ORDER, 1, 1) if isinstance(f, RadialProfile) else _FIELD_ORDERS
+    breaks = (k for region, _ in p.pieces for k in region.radial_breaks())
+    vals = p.values()  # the arcs see only which agree
+    return (span, fine, (*getattr(f, "kinks", ()), *breaks),
+            tuple(region for region, _ in p.pieces), tuple(map(vals.index, vals)))
+
+
+def _radial_rules(keys: Sequence[tuple], p: ExponentField) -> list[_NodeSet]:
+    """The radial rule of each key (all of one orders and p), with its half-order
+    rule as ``coarse``, in one pass: one set of arcs, one of nodes per angular
+    order, each rule a slice of them, bit for bit the same whatever shares it."""
+    rules = [keys[0][1], tuple(max(k // 2, 1) for k in keys[0][1])]
+    radii = [_gauss_radii(*key[0], key[2], n_r) for n_r, _, _ in rules for key in keys]
+    r, wr = (np.concatenate(parts) for parts in zip(*radii))
+    row, a, b, piece = _polar_arcs(r, p)
+    starts = np.searchsorted(row, np.cumsum([0] + [x.size for x, _ in radii])).tolist()
+    n, sets = len(keys), []  # starts: each span's fine rule's first arc, then each coarse one's
+    for lo, hi in [(0, 2 * n)] if rules[0][1:] == rules[1][1:] else [(0, n), (n, 2 * n)]:
+        angular, i, j = rules[lo // n][1:], starts[lo], starts[hi]
+        arrays = _arc_nodes(r, wr, row[i:j], a[i:j], b[i:j], piece[i:j], *angular)
+        splits = [math.prod(angular) * (s - i) for s in starts[lo + 1:hi]]
+        sets += [_NodeSet(pts, w, np.ones(w.size, dtype=bool), piece=pc)
+                 for pts, w, pc in zip(*(np.split(x, splits) for x in arrays))]
+    return [replace(nodes, coarse=coarse) for nodes, coarse in zip(sets[:n], sets[n:])]
+
+
+def radial_grid(profiles: Sequence[RadialProfile], p: ExponentField) -> None:
+    """Build the radial rule of each cutoff profile on its shell against p in
+    one pass (`_radial_rules`), each kept until a radial miss takes it."""
+    _prebuilt.clear()  # the last grid's leftovers go first
+    keys = [_radial_key(f.cutoff.support(), f, p) for f in profiles]
+    _prebuilt.update(zip(keys, _radial_rules(keys, p)))
 
 
 def _build_nodes(
@@ -260,32 +300,14 @@ def _build_nodes(
 ) -> _NodeSet:
     """The frozen nodes of a quadrature over a domain, the last of each scheme
     kept (`_recall`); under the radial scheme, the radial rule for f against p
-    with its half-order rule as ``coarse``."""
+    with its half-order rule as ``coarse``, taken from `radial_grid` if built there."""
     dom = domain if domain is not None else _WHOLE_SPACE
     if quad.scheme == "mc":
         return _recall("_mc_memo", (dom, quad), lambda: _mc_nodes(dom, quad))
-    if (span := _radial_span(dom)) is None:
-        raise QuadratureDomainError(
-            f"the radial rule needs an origin-centered ball or shell; got {type(dom).__name__}")
-    fine = (_RADIAL_ORDER, 1, 1) if isinstance(f, RadialProfile) else _FIELD_ORDERS
     p = p if p is not None else constant_field(1.0)
-    breaks = (k for region, _ in p.pieces for k in region.radial_breaks())
-    kinks = (*getattr(f, "kinks", ()), *breaks)
-    vals = p.values()  # the arcs see only which agree
-    key = (span, fine, kinks, [region for region, _ in p.pieces], [vals.index(v) for v in vals])
-
-    def build() -> _NodeSet:  # the arcs found once for the radii of both rules
-        dom.analytic_volume()  # raises where the volume, which the weights sum to, overflows
-        rules = [fine, tuple(max(k // 2, 1) for k in fine)]
-        radii = [_gauss_radii(*span, kinks, n_r) for n_r, _, _ in rules]
-        r, wr = (np.concatenate(parts) for parts in zip(*radii))
-        row, a, b, piece = _polar_arcs(r, p)
-        is_fine = row < radii[0][0].size
-        nodes, coarse = (_arc_nodes(r, wr, row[m], a[m], b[m], piece[m], *orders[1:])
-                         for m, orders in zip((is_fine, ~is_fine), rules))
-        nodes.coarse = coarse
-        return nodes
-    return _recall("_radial_memo", key, build)
+    key = _radial_key(dom, f, p)
+    return _recall("_radial_memo", key,
+                   lambda: _prebuilt.pop(key, None) or _radial_rules([key], p)[0])
 
 
 def _magnitude(f, pts: np.ndarray) -> np.ndarray:

@@ -67,6 +67,9 @@ from vexlp.cli import main  # noqa: E402
 # `liouville-rate-0.78` is a velocity in the space whose membership scan
 # could not tell (its increments fall by about 0.92 a shell); its
 # certificate's outer margin is 4 * 0.78 - 3 = 3/25.
+# The two `*-shrink-cusp-1.7` runs take radii that are not power-of-two
+# rescalings of one another, and their first shell, [1, 2], holds the cusp
+# side's radial break at r = 1.284.
 EXTRA = {
     "certify-shrink-cusp": ["certify", "--preset", "shrink_cusp", "--sigma", "1/2", "--outer", "4"],
     "certify-cylinder-beta": ["certify", "--preset", "cylinder", "--inner", "5", "--outer", "4",
@@ -127,6 +130,13 @@ EXTRA = {
     "decay-shrink-cusp": [
         "decay", "--preset", "shrink_cusp", "--sigma", "1/2", "--outer", "4",
         "--grid-start", "8", "--grid-factor", "2", "--grid-count", "6"],
+    "decay-shrink-cusp-1.7": [
+        "decay", "--preset", "shrink_cusp", "--sigma", "1/2", "--outer", "4",
+        "--grid-start", "2", "--grid-factor", "1.7", "--grid-count", "6"],
+    "liouville-shrink-cusp-1.7": [
+        "liouville", "--preset", "shrink_cusp", "--sigma", "1/2", "--outer", "4",
+        "--field", '{"name":"decaying_solenoidal","rate":2}',
+        "--grid-start", "2", "--grid-factor", "1.7", "--grid-count", "6"],
     "volume-mc-cylinder-segment": [
         "volume", "--region", '{"type":"cylinder_segment","half_length":10}',
         "--method", "monte_carlo", "--samples", "100000", "--seed", "3"],

@@ -670,10 +670,11 @@ def test_the_readme_liouville_job_draws_no_random_numbers(tmp_path, monkeypatch)
 
 def test_the_readme_liouville_job_evaluates_each_field_once_per_node_set(tmp_path, monkeypatch):
     # one integrand per shell: u and P once on the fine and once on the
-    # coarse rule of each of the 6 shells, and each radial rule built once
+    # coarse rule of each of the 6 shells, and each distinct radial rule
+    # built once: the 6 cutoff-norm rules in one grid pass, then 6 shell-terms rules
     from vexlp import estimates, fields
 
-    counts, keys = {"u": 0, "P": 0, "integrate_many": 0}, []
+    counts, passes = {"u": 0, "P": 0, "integrate_many": 0}, []
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
@@ -681,13 +682,10 @@ def test_the_readme_liouville_job_evaluates_each_field_once_per_node_set(tmp_pat
             return fn(*args, **kwargs)
         return wrapped
 
-    recall_one = norms._recall
-
-    def recall(slot, key, build):  # records each key it builds
-        return recall_one(slot, key, lambda: keys.append(key) or build())
-
+    rules = norms._radial_rules
+    monkeypatch.setattr(norms, "_radial_rules",
+                        lambda keys, p: passes.append(keys) or rules(keys, p))
     monkeypatch.setattr(norms, "_radial_memo", None)
-    monkeypatch.setattr(norms, "_recall", recall)
     monkeypatch.setattr(fields.VectorField3, "__call__", counted("u", fields.VectorField3.__call__))
     monkeypatch.setattr(fields.ScalarField3, "__call__", counted("P", fields.ScalarField3.__call__))
     monkeypatch.setattr(estimates, "integrate_many",
@@ -697,7 +695,33 @@ def test_the_readme_liouville_job_evaluates_each_field_once_per_node_set(tmp_pat
             "--grid-start", "8", "--grid-factor", "2", "--grid-count", "6"]
     _outputs(argv, tmp_path)
     assert counts == {"u": 12, "P": 12, "integrate_many": 6}
-    assert len(keys) == 12 and all(k not in keys[:i] for i, k in enumerate(keys))
+    built = [key for keys in passes for key in keys]
+    assert [len(keys) for keys in passes] == [6] + [1] * 6
+    assert len(set(built)) == len(built) == 12
+
+
+def test_the_readme_decay_job_cuts_every_arc_in_one_pass(tmp_path, monkeypatch):
+    # both cutoff norms of all 6 shells read one grid pass: one _polar_arcs call
+    calls, polar_arcs = [], norms._polar_arcs
+    monkeypatch.setattr(norms, "_polar_arcs", lambda r, p: calls.append(r.size) or polar_arcs(r, p))
+    monkeypatch.setattr(norms, "_radial_memo", None)
+    argv = ["decay", "--preset", "cylinder", "--inner", "5", "--outer", "4",  # the README's
+            "--grid-start", "8", "--grid-factor", "2", "--grid-count", "6"]
+    _outputs(argv, tmp_path)
+    assert calls == [6 * 2 * (32 + 16)]  # 6 shells of 2 cells, 32 radii a cell, 16 coarse
+
+
+def test_liouville_without_shell_term_fits_is_inconclusive(tmp_path):
+    # at R = 1e100 |u|^2 ~ R^-4 underflows, so alpha, beta1, beta2 and beta
+    # read 0 on every row and no fit has three values above the zero floor
+    argv = ["liouville", "--preset", "cylinder", "--inner", "5", "--outer", "4",
+            "--field", '{"name":"decaying_solenoidal","rate":2}',
+            "--grid-start", "1e100", "--grid-factor", "2", "--grid-count", "4"]
+    _outputs(argv, tmp_path)
+    report = json.loads((tmp_path / "liouville.json").read_text())
+    assert report["fits"]["alpha"] is None and report["fits"]["beta1"] is None
+    assert report["conclusion"] == "inconclusive"
+    assert report["note"].startswith("no alpha or beta1 decay fit")
 
 
 def test_back_to_back_jobs_write_the_same_bytes(tmp_path, monkeypatch):

@@ -867,9 +867,10 @@ def test_bounded_pieces_converge_like_the_tube(name, monkeypatch):
 
 
 def test_field_rule_takes_24_radii_per_octave():
-    # a shell [R/2, R] is one cell; a ball [0, R] is cut at R/16, ..., R/2
+    # a shell [R/2, R] is one cell; a ball [0, R] is cut at R/2^k for k < 5
+    # and on down to r = 1/2
     for domain, octaves in ((Annulus(32.0, 64.0), [32, 64]),
-                            (Ball(radius=64.0), [0, 4, 8, 16, 32, 64])):
+                            (Ball(radius=64.0), [0, 0.5, 1, 2, 4, 8, 16, 32, 64])):
         nodes = _build_nodes(domain, RADIAL, gaussian_scalar())
         cells = len(octaves) - 1
         assert (nodes.weights.size, nodes.coarse.weights.size) == (cells * 24**3, cells * 12**3)
@@ -903,6 +904,48 @@ def test_a_shell_builds_one_rule_for_its_cutoff_norms_and_one_for_its_integrals(
     alpha_term(64.0, u, RADIAL, cutoff=cut)
     beta_terms(64.0, u, zero_scalar(), RADIAL, cutoff=cut)
     assert len(sets) == 4 and sets[0] is sets[1] and sets[2] is sets[3] and sets[1] is not sets[2]
+
+
+# (first radius, factor) of six-shell grids; the first shells of the last,
+# [0.6, 1.2] and [0.78, 1.56], hold the cylinder's radial break r = 1
+GRID_PASSES = {
+    "2-from-8": (8.0, 2.0),
+    "1.7-from-3": (3.0, 1.7),
+    "1.7-from-2": (2.0, 1.7),
+    "1.3-from-1.2": (1.2, 1.3),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GRID_PASSES))
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_each_shell_of_a_grid_pass_is_its_standalone_rule(name, grid, monkeypatch):
+    start, factor = GRID_PASSES[grid]
+    cuts = [make_cutoff(start * factor**i) for i in range(6)]
+    for kind, k in (("laplacian", 2), ("gradient", 3)):
+        p = preset(PRESETS[name]).conjugate(k)
+        monkeypatch.setattr(norms, "_prebuilt", {})
+        norms.radial_grid([cut.size(kind) for cut in cuts], p)
+        passed = list(norms._prebuilt.values())
+        norms._prebuilt.clear()
+        for cut, got in zip(cuts, passed):
+            monkeypatch.setattr(norms, "_radial_memo", None)
+            want = _build_nodes(cut.support(), RADIAL, cut.size(kind), p)
+            for g, w in ((got, want), (got.coarse, want.coarse)):
+                for attr in ("points", "weights", "inside", "piece"):
+                    assert np.array_equal(getattr(g, attr), getattr(w, attr)), attr
+
+
+def test_a_radial_miss_takes_the_rule_a_grid_pass_built(monkeypatch):
+    cuts = [make_cutoff(R) for R in README_GRID]
+    p = preset(PRESETS["cylinder"]).conjugate(2)
+    monkeypatch.setattr(norms, "_prebuilt", {})
+    monkeypatch.setattr(norms, "_radial_memo", None)
+    norms.radial_grid([cut.size("gradient") for cut in cuts], p)
+    passed = list(norms._prebuilt.values())
+    for cut, rule in zip(cuts, passed):
+        assert _build_nodes(cut.support(), RADIAL, cut.size("laplacian"), p) is rule
+        assert norms._radial_memo[1] is rule and rule.points.flags.writeable is False
+    assert not norms._prebuilt  # each taken, none held twice
 
 
 def _tube_exponent(*values: float) -> ExponentField:
