@@ -38,6 +38,7 @@ from .exponents import (
     two_piece_field,
 )
 from .fields import (
+    Decay,
     ScalarField3,
     VectorField3,
     decaying_solenoidal,

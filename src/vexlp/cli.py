@@ -115,38 +115,21 @@ REGION_TYPES = {
                                            region_from_dict(d["remove"]))),
 }
 
-# a field entry adds a third part, the decay it declares for its spec
-# (`estimates.Decay`); rate +inf for a field that vanishes or decays faster
-# than any power, attained on every piece unless the entry names some
-_VANISHES = estimates.Decay(math.inf)
-
-
-def _constant_decay(d: dict, default: float) -> estimates.Decay:
-    return _VANISHES if _number(d, "value", default) == 0 else estimates.Decay(0)
-
-
+# every built field carries the `fields.Decay` its builder declares
 FIELD_TYPES = {
-    "zero": ("", lambda d: fields.zero_vector(), lambda d: _VANISHES),
-    "gradient_counterexample": ("", lambda d: fields.gradient_counterexample()[0],
-                                lambda d: estimates.Decay(-1)),
-    "decaying_solenoidal": ("rate", lambda d: fields.decaying_solenoidal(_number(d, "rate")),
-                            # the rate as the exact rational its decimal names
-                            lambda d: estimates.Decay(Fraction(str(d["rate"])), ("outer",))),
-    "gaussian": ("", lambda d: fields.gaussian_scalar(), lambda d: _VANISHES),
-    "inverse_quadratic": ("", lambda d: fields.inverse_quadratic_scalar(),
-                          lambda d: estimates.Decay(2)),
-    "constant": ("value", lambda d: fields.constant_scalar(_number(d, "value", 1.0)),
-                 lambda d: _constant_decay(d, 1.0)),
+    "zero": ("", lambda d: fields.zero_vector()),
+    "gradient_counterexample": ("", lambda d: fields.gradient_counterexample()[0]),
+    "decaying_solenoidal": ("rate", lambda d: fields.decaying_solenoidal(_number(d, "rate"))),
+    "gaussian": ("", lambda d: fields.gaussian_scalar()),
+    "inverse_quadratic": ("", lambda d: fields.inverse_quadratic_scalar()),
+    "constant": ("value", lambda d: fields.constant_scalar(_number(d, "value", 1.0))),
 }
 
 PRESSURE_TYPES = {
-    "zero": ("", lambda d: fields.zero_scalar(), lambda d: _VANISHES),
-    "counterexample": ("", lambda d: fields.gradient_counterexample()[1],
-                       lambda d: estimates.Decay(-2)),
-    "gradient_counterexample": ("", lambda d: fields.gradient_counterexample()[1],
-                                lambda d: estimates.Decay(-2)),
-    "constant": ("value", lambda d: fields.constant_scalar(_number(d, "value", 0.0)),
-                 lambda d: _constant_decay(d, 0.0)),
+    "zero": ("", lambda d: fields.zero_scalar()),
+    "counterexample": ("", lambda d: fields.gradient_counterexample()[1]),
+    "gradient_counterexample": ("", lambda d: fields.gradient_counterexample()[1]),
+    "constant": ("value", lambda d: fields.constant_scalar(_number(d, "value", 0.0))),
 }
 
 
@@ -156,7 +139,7 @@ def _build(types: dict, d, key: str, what: str):
     name = _spec(d, what).get(key)
     if not isinstance(name, str) or name not in types:
         raise ConfigError(f"unknown {what} {key} {name!r}")
-    keys, builder = types[name][:2]
+    keys, builder = types[name]
     try:
         return builder(_spec(d, what, {key, *keys.split()}))
     except KeyError as exc:
@@ -175,12 +158,6 @@ def field_from_dict(d: dict):
 
 def pressure_from_dict(d: Optional[dict]):
     return _build(PRESSURE_TYPES, d or {"name": "zero"}, "name", "pressure")
-
-
-def declared_decay(types: dict, d: dict) -> Optional[estimates.Decay]:
-    """The decay the grammar entry of a built field spec declares, if any."""
-    declare = types[d["name"]][2]
-    return declare(d) if declare else None
 
 
 def velocity_from_dict(d: dict) -> fields.VectorField3:
@@ -460,30 +437,21 @@ def run_lemmas(cfg: RunConfig):
 def run_liouville(cfg: RunConfig):
     spec = preset_spec_from_dict(cfg.exponent)
     u = velocity_from_dict(cfg.fieldspec)
-    pressure = cfg.pressure or {"name": "zero"}
-    P = pressure_from_dict(pressure)
+    P = pressure_from_dict(cfg.pressure)
     margin = cfg.tolerance("slope_margin", estimates.SLOPE_MARGIN)
     report = estimates.liouville_pipeline(
-        spec, u, P, cfg.grid(fit=True), cfg.quad(), validate=cfg.validate,
-        slope_margin=margin, velocity_decay=declared_decay(FIELD_TYPES, cfg.fieldspec),
-        pressure_decay=declared_decay(PRESSURE_TYPES, pressure),
-    )
+        spec, u, P, cfg.grid(fit=True), cfg.quad(), validate=cfg.validate, slope_margin=margin)
     rows = [list(astuple(r)) for r in report.rows]  # a row's fields are the CSV columns
     hypotheses = {"velocity": report.velocity, "pressure": report.pressure}
     payload = {
         "conclusion": report.conclusion,
         "note": report.note,
         "membership": {
-            name: {"source": m.source, "verdict": m.verdict,
+            name: {"verdict": m.verdict,
                    "margins": None if m.margins is None else {
                        e.piece: {"margin": e.margin, "necessary": e.necessary}
                        for e in m.margins}}
             for name, m in hypotheses.items()
-        },
-        "scans": {
-            name: {"scale": m.scan.scale, "increments": m.scan.increments,
-                   "errors": m.scan.errors, "ratios": m.scan.ratios}
-            for name, m in hypotheses.items() if m.scan is not None
         },
         "fits": {
             k: None if f is None else {"slope": f.slope, "intercept": f.intercept}

@@ -23,7 +23,8 @@ class AnalyticUnavailableError(ToolkitError):
 
 
 class DecayFitError(ToolkitError, ValueError):
-    """Raised when fewer than three norms of a decay fit are above the zero floor."""
+    """Raised when fewer than three norms of a decay fit are above the zero floor,
+    or when floating point cannot tell the logarithms of its radii apart."""
 
 
 class InvalidRadiusError(ToolkitError):

@@ -27,7 +27,7 @@ measured quantities and compares with the certified bound
 plus a tolerance (the truth may decay faster than the bound).
 
 The same arithmetic decides the paper's hypotheses u in L^p(.) and P in
-L^p(.)/2 for a field that declares its `Decay`: sup over |x| = R of |f|
+L^p(.)/2 from the `Decay` a field carries: sup over |x| = R of |f|
 is O(R^-a), so on a piece of exponent p_j and growth d_j the modular of
 |f|^(p_j / k) over the shells converges when a p_j / k > d_j (k = 1 for
 u, 2 for P), and on a piece where p = +inf it is bounded when a >= 0
@@ -35,7 +35,8 @@ u, 2 for P), and on a piece where p = +inf it is bounded when a >= 0
 a p_j / k - d_j is also necessary on a piece where |f| is at least of
 order R^-a on a cone of positive solid angle; elsewhere the declared
 rate is only an upper bound (`decaying_solenoidal(2)` decays like R^-4
-along the x1 axis).
+along the x1 axis).  A field that carries no decay leaves its hypothesis
+undecided; nothing here scans for one.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from .cutoff import RadialCutoff, make_cutoff
 from .errors import DecayFitError
 from .exponents import ExponentField, PresetSpec, _conjugate_value, preset
 from .exponents import admissible_upper_bound  # noqa: F401  (re-exported)
-from .fields import (ScalarField3, ScanResult, VectorField3, membership_scan, ns_residual,
-                     zero_scalar)
+from .fields import Decay, ScalarField3, VectorField3, ns_residual, zero_scalar
+from .fields import membership_scan  # noqa: F401  (re-exported; bench/tracing.py wraps it here)
 from .norms import (
     NormResult,
     Quadrature,
@@ -90,12 +91,15 @@ def fit_decay(radii: Sequence[float], values: Sequence[float]) -> DecayFit:
     ]
     if len(pairs) < 3:
         raise DecayFitError(
-            "decay fit needs at least three values above the zero floor; "
+            "a decay fit needs at least three values above the zero floor; "
             f"got {len(pairs)}"
         )
     rs = np.array([p[0] for p in pairs])
     vs = np.array([p[1] for p in pairs])
-    slope, intercept = np.polyfit(np.log(rs), np.log(vs), 1)
+    (slope, intercept), _, rank, _, _ = np.polyfit(np.log(rs), np.log(vs), 1, full=True)
+    if rank < 2:
+        raise DecayFitError(
+            f"a decay fit needs radii whose logarithms differ in floating point; got {rs.tolist()}")
     resid = np.log(vs) - (slope * np.log(rs) + intercept)
     return DecayFit(
         tuple(float(r) for r in rs),
@@ -263,16 +267,6 @@ def predicted_exponent(spec: PresetSpec, term: str) -> ExponentCertificate:
 
 
 @dataclass(frozen=True)
-class Decay:
-    """A field's declared decay (module notes): sup over |x| = R of |f| is
-    O(R^-rate), and at least of that order on a cone in each ``attained``
-    piece; rate +inf for a field that vanishes or decays faster than any power."""
-
-    rate: Fraction | float
-    attained: tuple[str, ...] = ("inner", "outer")
-
-
-@dataclass(frozen=True)
 class MembershipMargin:
     piece: str               # "inner" | "outer"
     margin: Fraction | float  # a p / k - d; +-inf where p or a is +inf
@@ -281,13 +275,11 @@ class MembershipMargin:
 
 @dataclass(frozen=True)
 class Membership:
-    """Whether a field lies in L^p(.)/k: decided by its certificate, with each
-    piece's margin, or by its scan where the field declares no decay."""
+    """Whether a field lies in L^p(.)/k, with each piece's margin; no margins
+    where the field declares no decay."""
 
-    source: str   # "certificate" | "scan"
-    verdict: str  # member | not-member | undecided; a scan's convergent | diverging | undecided
+    verdict: str  # member | not-member | undecided
     margins: Optional[tuple[MembershipMargin, ...]] = None
-    scan: Optional[ScanResult] = None
 
 
 def membership_certificate(spec: PresetSpec, rate: Decay, k: int) -> Membership:
@@ -305,7 +297,7 @@ def membership_certificate(spec: PresetSpec, rate: Decay, k: int) -> Membership:
     verdict = ("member" if all(m.margin > 0 for m in margins) else
                "not-member" if any(m.necessary and m.margin <= 0 for m in margins) else
                "undecided")
-    return Membership("certificate", verdict, tuple(margins))
+    return Membership(verdict, tuple(margins))
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +357,12 @@ class PipelineRow:
     error: float
 
 
-_VIOLATED = ("not-member", "diverging")
+# why a hypothesis is undecided, by whether its field declares a decay
 _UNDECIDED_WHY = {
-    "certificate": "a margin is not positive, but only where the declared decay is an upper bound",
-    "scan": "the increments fall, but not under the 0.9 envelope",
+    True: "membership certificate undecided for the {}: a margin is not positive, "
+          "but only where the declared decay is an upper bound",
+    False: "membership undecided for the {}: the field declares no decay; "
+           "give it one (`fields.Decay`)",
 }
 
 
@@ -385,13 +379,6 @@ class PipelineReport:
     note: str
 
 
-def _maybe_fit(radii, values) -> Optional[DecayFit]:
-    try:
-        return fit_decay(radii, [abs(v) for v in values])
-    except ValueError:
-        return None
-
-
 def liouville_pipeline(
     spec: PresetSpec,
     u: VectorField3,
@@ -400,8 +387,6 @@ def liouville_pipeline(
     quad: Quadrature = Quadrature(),
     validate: bool = True,
     slope_margin: float = SLOPE_MARGIN,
-    velocity_decay: Optional[Decay] = None,
-    pressure_decay: Optional[Decay] = None,
 ) -> PipelineReport:
     """Run the whole decay verification for one field/preset pair.
 
@@ -409,22 +394,18 @@ def liouville_pipeline(
     against the half exponent), measures the shell terms and cutoff norms
     over the radius grid, fits slopes, and compares them against the exact
     certificates.  The conclusion reports one of three tiers; it never
-    claims more than hypothesis arithmetic plus observed decay.  A
-    hypothesis whose field declares its `Decay` is read off its
-    `membership_certificate`; without one, a `membership_scan` runs on
-    Monte Carlo whatever the scheme of ``quad``, at a quarter of its budget
-    (at least 20,000) and the seed ``quad.seed`` + 5 for the velocity, + 6
-    for the pressure.
+    claims more than hypothesis arithmetic plus observed decay.  Each
+    hypothesis is read off the `membership_certificate` of the `Decay` its
+    field carries, and is undecided where the field carries none.
     """
     if len(r_grid) < 4:
         raise ValueError("the pipeline needs at least four radii")
     radii = [float(r) for r in r_grid]
     p_field = preset(spec, validate=validate)
-    grid = shells(radii, quad)  # every radius checked before a scan takes it
-    scan_n = max(quad.n // 4, 20_000)
+    grid = shells(radii, quad)
     velocity, pressure = (
-        _membership(spec, f, decay, k, p_field, radii, Quadrature(n=scan_n, seed=quad.seed + i))
-        for f, decay, k, i in ((u, velocity_decay, 1, 5), (P, pressure_decay, 2, 6)))
+        Membership("undecided") if f.decay is None else membership_certificate(spec, f.decay, k)
+        for f, k in ((u, 1), (P, 2)))
     conjugates = [(kind, p_field.conjugate(k)) for kind, _, k in TERMS.values()]
 
     rows = []
@@ -438,27 +419,28 @@ def liouville_pipeline(
         )
 
     cert_a, cert_b = (predicted_exponent(spec, term) for term in TERMS)
-    fits = {
-        name: _maybe_fit(radii, [getattr(r, name) for r in rows])
-        for name in ("alpha", "beta1", "beta2", "lap_norm", "grad_norm")
-    }
+    fits, failures = {}, {}  # a fit per column, and why a column has none
+    for name in ("alpha", "beta1", "beta2", "lap_norm", "grad_norm"):
+        try:
+            fits[name] = fit_decay(radii, [abs(getattr(r, name)) for r in rows])
+        except ValueError as exc:
+            fits[name], failures[name] = None, str(exc)
 
     hypotheses = {"velocity": velocity, "pressure": pressure}
-    undecided = {}  # source -> the hypotheses it left undecided
+    undecided = {}  # declares a decay -> the hypotheses left undecided
     for name, m in hypotheses.items():
         if m.verdict == "undecided":
-            undecided.setdefault(m.source, []).append(name)
-    if any(m.verdict in _VIOLATED for m in hypotheses.values()):
+            undecided.setdefault(m.margins is not None, []).append(name)
+    if any(m.verdict == "not-member" for m in hypotheses.values()):
         conclusion = "hypotheses-violated"
         note = "global integrability fails, so the decay bounds do not apply"
     elif undecided:
         conclusion = "inconclusive"
-        note = "; ".join(f"membership {source} undecided for the {' and '.join(names)}: "
-                         f"{_UNDECIDED_WHY[source]}" for source, names in undecided.items())
+        note = "; ".join(_UNDECIDED_WHY[declared].format(" and ".join(names))
+                         for declared, names in undecided.items())
     else:
-        # a term without a fit shows no decay, unless u vanishes (rate +inf, or a zero scan)
-        vanishes = (velocity_decay.rate == math.inf if velocity_decay is not None
-                    else not any(velocity.scan.increments))
+        # a term without a fit shows no decay, unless u (a member, so declared) vanishes
+        vanishes = u.decay.rate == math.inf
         missing = [name for name in ("alpha", "beta1") if fits[name] is None and not vanishes]
         ok = not missing
         for name, cert in (("alpha", cert_a), ("beta1", cert_b)):
@@ -474,17 +456,10 @@ def liouville_pipeline(
             )
         else:
             conclusion = "inconclusive"
-            note = (f"no {' or '.join(missing)} decay fit: too few values above the zero floor"
+            note = (f"no {' or '.join(missing)} decay fit, since "
+                    + "; ".join(dict.fromkeys(failures[name] for name in missing))
                     if missing else "observed decay does not match the certificate")
     return PipelineReport(
         spec, velocity, pressure, tuple(rows), cert_a, cert_b, fits, conclusion, note
     )
 
-
-def _membership(spec, f, decay, k, p_field, radii, scan_quad) -> Membership:
-    """f in L^p(.)/k by its certificate, or by a scan on scan_quad where f
-    declares no decay."""
-    if decay is not None:
-        return membership_certificate(spec, decay, k)
-    scan = membership_scan(f, p_field.divided_by(k) if k > 1 else p_field, radii, scan_quad)
-    return Membership("scan", scan.verdict, scan=scan)

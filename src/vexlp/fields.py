@@ -7,15 +7,18 @@ by taking the curl of a vector potential, so incompressibility holds in
 exact arithmetic rather than approximately.
 
 Analytic derivatives are optional everywhere; central finite differences
-fill the gaps.  ``membership_scan`` probes whether a field plausibly has
-finite modular over all of R^3 by watching truncated modulars over growing
-balls; the verdict is a trend heuristic, never a proof.
+fill the gaps.  Every built-in carries its `Decay`, which
+`estimates.membership_certificate` reads.  ``membership_scan`` probes
+whether a field plausibly has finite modular over all of R^3 by watching
+truncated modulars over growing balls; the verdict is a trend heuristic,
+never a proof, and the pipeline does not read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,9 +64,21 @@ def _derivative(analytic: Optional[Callable], fd: Callable, fn: Callable, x) -> 
 
 
 @dataclass(frozen=True)
+class Decay:
+    """A field's declared decay (`estimates` module notes): sup over |x| = R
+    of |f| is O(R^-rate), and at least of that order on a cone in each
+    ``attained`` piece; rate +inf for a field that vanishes or decays faster
+    than any power."""
+
+    rate: Fraction | float
+    attained: tuple[str, ...] = ("inner", "outer")
+
+
+@dataclass(frozen=True)
 class ScalarField3:
     fn: Callable[[Array], Array]
     analytic_gradient: Optional[Callable[[Array], Array]] = None
+    decay: Optional[Decay] = None
 
     def __call__(self, x):
         pts, single = as_points(x)
@@ -79,6 +94,7 @@ class VectorField3:
     fn: Callable[[Array], Array]
     analytic_jacobian: Optional[Callable[[Array], Array]] = None
     analytic_laplacian: Optional[Callable[[Array], Array]] = None
+    decay: Optional[Decay] = None
 
     def __call__(self, x):
         pts, single = as_points(x)
@@ -103,6 +119,7 @@ def zero_vector() -> VectorField3:
         fn=lambda pts: np.zeros_like(pts),
         analytic_jacobian=lambda pts: np.zeros((pts.shape[0], 3, 3)),
         analytic_laplacian=lambda pts: np.zeros_like(pts),
+        decay=Decay(math.inf),
     )
 
 
@@ -114,6 +131,7 @@ def constant_scalar(c: float) -> ScalarField3:
     return ScalarField3(
         fn=lambda pts: np.full(pts.shape[0], float(c)),
         analytic_gradient=lambda pts: np.zeros_like(pts),
+        decay=Decay(math.inf) if c == 0 else Decay(0),
     )
 
 
@@ -124,7 +142,7 @@ def gaussian_scalar() -> ScalarField3:
     def grad(pts):
         return -2.0 * pts * fn(pts)[:, None]
 
-    return ScalarField3(fn=fn, analytic_gradient=grad)
+    return ScalarField3(fn=fn, analytic_gradient=grad, decay=Decay(math.inf))
 
 
 def inverse_quadratic_scalar() -> ScalarField3:
@@ -134,7 +152,7 @@ def inverse_quadratic_scalar() -> ScalarField3:
     def grad(pts):
         return -2.0 * pts * (fn(pts) ** 2)[:, None]
 
-    return ScalarField3(fn=fn, analytic_gradient=grad)
+    return ScalarField3(fn=fn, analytic_gradient=grad, decay=Decay(2))
 
 
 def gradient_counterexample() -> tuple[VectorField3, ScalarField3]:
@@ -163,8 +181,8 @@ def gradient_counterexample() -> tuple[VectorField3, ScalarField3]:
     def p_grad(pts):
         return -np.stack([pts[:, 0], pts[:, 1], 4.0 * pts[:, 2]], axis=1)
 
-    u = VectorField3(fn=u_fn, analytic_jacobian=u_jac, analytic_laplacian=u_lap)
-    return u, ScalarField3(fn=p_fn, analytic_gradient=p_grad)
+    u = VectorField3(fn=u_fn, analytic_jacobian=u_jac, analytic_laplacian=u_lap, decay=Decay(-1))
+    return u, ScalarField3(fn=p_fn, analytic_gradient=p_grad, decay=Decay(-2))
 
 
 def decaying_solenoidal(rate: float) -> VectorField3:
@@ -172,10 +190,11 @@ def decaying_solenoidal(rate: float) -> VectorField3:
 
     Built as the curl of psi(|x|^2) * (-x2, x1, 0) with
     psi(s) = (1 + s)^(-rate/2), so incompressibility is exact and the
-    decay exponent is the parameter itself.
+    decay exponent is the parameter itself; the declared `Decay` is the
+    exact rational its decimal names, attained outside the inner piece only.
     """
-    if rate <= 0:
-        raise ValueError(f"decay rate must be positive, got {rate}")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"decay rate must be positive and finite, got {rate}")
     a = float(rate)
 
     def parts(pts, jacobian: bool):
@@ -216,7 +235,8 @@ def decaying_solenoidal(rate: float) -> VectorField3:
         J[:, 2, 2] = 4.0 * x3 * dpsi + 4.0 * x3 * rho2 * d2psi
         return J
 
-    return VectorField3(fn=u_fn, analytic_jacobian=u_jac)
+    decay = Decay(Fraction(str(rate)), ("outer",))
+    return VectorField3(fn=u_fn, analytic_jacobian=u_jac, decay=decay)
 
 
 def ns_residual(u: VectorField3, p: ScalarField3, x) -> Array:
@@ -237,11 +257,6 @@ class ScanResult:
     verdict: str  # "convergent" | "undecided" | "diverging"
     scale: float = 1.0  # the lambda whose f / lambda was scanned
     errors: tuple[float, ...] = ()  # each increment's quadrature error
-
-    @property
-    def ratios(self) -> list[float]:
-        """The last ratios of successive increments, as the verdict reads them."""
-        return _last_ratios(self.increments)
 
 
 def membership_scan(
@@ -297,10 +312,6 @@ def membership_scan(
                       tuple(float(e) for e in errors))
 
 
-def _last_ratios(increments) -> list[float]:
-    return [b / a for a, b in zip(increments[-4:], increments[-3:]) if a > 1e-300]
-
-
 def _trend_verdict(increments: list[float]) -> str:
     if any(math.isinf(v) for v in increments):
         return "diverging"
@@ -311,7 +322,7 @@ def _trend_verdict(increments: list[float]) -> str:
     slack = 1.0 + 1e-9
     if last[0] <= last[1] * slack and last[1] <= last[2] * slack and last[2] > 0:
         return "diverging"
-    ratios = _last_ratios(increments)
+    ratios = [b / a for a, b in zip(increments[-4:], increments[-3:]) if a > 1e-300]
     if not ratios or max(ratios) <= 0.9:  # under the envelope, or collapsed to zero
         return "convergent"
     return "undecided" if max(ratios) < 1.0 else "diverging"

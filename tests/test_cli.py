@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vexlp import __version__, cli, norms
+from vexlp import __version__, cli, estimates, fields, norms
 from vexlp.cli import COMMANDS, RunConfig, main, region_from_dict
 from vexlp.errors import ConfigError
 from vexlp.regions import Cylinder, PowerCusp, ShrinkCusp
@@ -210,27 +211,28 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert (a / "liouville.json").read_bytes() == (b / "liouville.json").read_bytes()
 
 
-def test_liouville_json_explains_its_scans(tmp_path, monkeypatch):
-    # a grammar field that declared no decay is scanned, while the zero
-    # pressure is read off its certificate, so only the velocity scan runs
-    keys, build, _ = cli.FIELD_TYPES["decaying_solenoidal"]
-    monkeypatch.setitem(cli.FIELD_TYPES, "decaying_solenoidal", (keys, build, None))
+def test_liouville_json_explains_an_undeclared_decay(tmp_path, monkeypatch):
+    # a velocity built without its decay leaves its hypothesis undecided, with
+    # no margins and no scan, while the zero pressure is read off its certificate
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan ran")
+
+    for module in (fields, estimates):
+        monkeypatch.setattr(module, "membership_scan", no_scan)
+    keys, build = cli.FIELD_TYPES["decaying_solenoidal"]
+    monkeypatch.setitem(cli.FIELD_TYPES, "decaying_solenoidal",
+                        (keys, lambda d: dataclasses.replace(build(d), decay=None)))
     argv = ["liouville", "--preset", "cylinder", "--inner", "5", "--outer", "4",
             "--field", '{"name":"decaying_solenoidal","rate":0.78}', "--grid-start", "8",
             "--grid-factor", "2", "--grid-count", "6", "--out", str(tmp_path)]
     assert main(argv) == 0
     report = json.loads((tmp_path / "liouville.json").read_text())
     assert report["conclusion"] == "inconclusive"
-    assert report["note"].startswith("membership scan undecided for the velocity:")
-    assert report["membership"]["velocity"] == {
-        "source": "scan", "verdict": "undecided", "margins": None}
-    assert report["membership"]["pressure"]["source"] == "certificate"
+    assert report["note"] == ("membership undecided for the velocity: the field declares "
+                              "no decay; give it one (`fields.Decay`)")
+    assert report["membership"]["velocity"] == {"verdict": "undecided", "margins": None}
     assert report["membership"]["pressure"]["verdict"] == "member"
-    assert list(report["scans"]) == ["velocity"]
-    velocity = report["scans"]["velocity"]
-    assert velocity["scale"] == 1.0
-    assert len(velocity["increments"]) == len(velocity["errors"]) == 6
-    assert len(velocity["ratios"]) == 3 and all(0.9 < r < 1.0 for r in velocity["ratios"])
+    assert "scans" not in report
 
 
 SLOW_RATE_PRESETS = {
@@ -253,7 +255,7 @@ def test_the_velocity_certificate_splits_slow_rates_at_three_quarters(preset, ra
         assert main(argv) == 0
     report = json.loads((tmp_path / "liouville.json").read_text())
     velocity = report["membership"]["velocity"]
-    assert velocity["source"] == "certificate" and report["scans"] == {}
+    assert set(velocity) == {"verdict", "margins"} and "scans" not in report
     assert velocity["margins"]["outer"] == {
         "margin": str(4 * Fraction(str(rate)) - 3), "necessary": True}
     assert not velocity["margins"]["inner"]["necessary"]
@@ -390,9 +392,8 @@ def test_decay_defaults_to_the_radial_rule(tmp_path, capsys):
      "--grid-start", "8", "--grid-factor", "2", "--grid-count", "4"],
 ], ids=["liouville", "alpha-beta"])
 def test_liouville_and_alpha_beta_default_to_the_radial_rule(argv, tmp_path, capsys):
-    # the shell terms and cutoff norms are deterministic by default and the
-    # scans' seed defaults to 0, so two seedless runs write the same bytes;
-    # Monte Carlo still needs a seed
+    # the shell terms and cutoff norms are deterministic by default, so two
+    # seedless runs write the same bytes; Monte Carlo still needs a seed
     first = _outputs(argv, tmp_path / "first")
     assert _outputs(argv, tmp_path / "second") == first
     assert main(argv + ["--quad", "mc", "--out", str(tmp_path / "mc")]) == 1
@@ -722,6 +723,33 @@ def test_liouville_without_shell_term_fits_is_inconclusive(tmp_path):
     assert report["fits"]["alpha"] is None and report["fits"]["beta1"] is None
     assert report["conclusion"] == "inconclusive"
     assert report["note"].startswith("no alpha or beta1 decay fit")
+
+
+# a strictly increasing grid whose radii are one ulp apart: floating point
+# cannot tell their logarithms apart, so no slope can be fitted
+ULP_GRID = ["--preset", "cylinder", "--inner", "5", "--outer", "4", "--grid-start", "8",
+            "--grid-factor", "1.0000000000000002", "--grid-count", "4"]
+
+
+def test_decay_on_a_grid_of_equal_logarithms_is_an_error(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RankWarning included
+        assert main(["decay", *ULP_GRID, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: a decay fit needs radii whose logarithms differ in floating point")
+
+
+def test_liouville_on_a_grid_of_equal_logarithms_is_inconclusive(tmp_path):
+    argv = ["liouville", *ULP_GRID, "--field", '{"name":"decaying_solenoidal","rate":2}']
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _outputs(argv, tmp_path)
+    report = json.loads((tmp_path / "liouville.json").read_text())
+    assert set(report["fits"].values()) == {None}
+    assert report["conclusion"] == "inconclusive"
+    assert report["note"].startswith("no alpha or beta1 decay fit, since a decay fit needs radii "
+                                     "whose logarithms differ in floating point")
+    assert "zero floor" not in report["note"]
 
 
 def test_back_to_back_jobs_write_the_same_bytes(tmp_path, monkeypatch):

@@ -10,8 +10,8 @@ import pytest
 from test_acceptance import PRESET_MATRIX
 
 from vexlp import estimates
-from vexlp.cli import (
-    FIELD_TYPES, PRESSURE_TYPES, declared_decay, field_from_dict, pressure_from_dict)
+from vexlp import fields as field_module
+from vexlp.cli import FIELD_TYPES, PRESSURE_TYPES, field_from_dict, pressure_from_dict
 from vexlp.cutoff import RadialCutoff, make_cutoff
 from vexlp.errors import ExponentRangeError, PresetConstraintError
 from vexlp.estimates import (
@@ -20,16 +20,18 @@ from vexlp.estimates import (
     beta_terms,
     cutoff_norm_decay,
     cutoff_norm_decays,
-    Decay,
     energy_identity_check,
     fit_decay,
     liouville_pipeline,
+    Membership,
     membership_certificate,
     predicted_exponent,
     shell_terms,
 )
 from vexlp.exponents import PresetSpec, constant_field, preset
 from vexlp.fields import (
+    Decay,
+    VectorField3,
     decaying_solenoidal,
     gradient_counterexample,
     membership_scan,
@@ -385,7 +387,7 @@ def test_pipeline_counterexample_violates_hypotheses():
     u, P = gradient_counterexample()
     rep = liouville_pipeline(CYL, u, P, [8, 16, 32, 64], Quadrature(n=60_000, seed=10))
     assert rep.conclusion == "hypotheses-violated"
-    assert (rep.velocity.source, rep.velocity.verdict) == ("scan", "diverging")
+    assert rep.velocity.verdict == "not-member"
     assert rep.fits["alpha"].slope > 2.0  # the shell term grows
 
 
@@ -414,19 +416,16 @@ SLOW_DECAY_PRESETS = {
 }
 
 
-@pytest.mark.parametrize("rate, verdict, conclusion", [
-    (0.78, "undecided", "inconclusive"), (0.80, "convergent", "decay-confirmed")])
+@pytest.mark.parametrize("rate", [0.78, 0.80])
 @pytest.mark.parametrize("name", sorted(SLOW_DECAY_PRESETS))
-def test_pipeline_slow_decay_is_never_called_a_violation(name, rate, verdict, conclusion):
+def test_pipeline_slow_decay_is_never_called_a_violation(name, rate):
     # with outer exponent 4 the field lies in L^p(.) for every rate above 3/4;
-    # at 0.78 the velocity increments fall by about 0.92 a shell, above the
-    # scan's 0.9 envelope, which leaves the run inconclusive, not violated
+    # its certificate tells so at 0.78 too, where the velocity increments of
+    # `membership_scan` fall by about 0.92 a shell and read undecided
     rep = liouville_pipeline(SLOW_DECAY_PRESETS[name], decaying_solenoidal(rate), zero_scalar(),
                              [8 * 2**k for k in range(6)], Quadrature(scheme="radial", seed=7))
-    assert (rep.velocity.verdict, rep.conclusion) == (verdict, conclusion)
-    assert rep.pressure.verdict == "convergent"
-    if verdict == "undecided":
-        assert "velocity" in rep.note and "pressure" not in rep.note
+    assert (rep.velocity.verdict, rep.pressure.verdict) == ("member", "member")
+    assert rep.conclusion == "decay-confirmed"
 
 
 # ---------------------------------------------------------------------------
@@ -470,31 +469,49 @@ def test_a_failing_margin_decides_only_where_the_decay_is_attained():
     assert membership_certificate(THIN_CUSP, Decay(Fraction(4, 5)), 1).verdict == "not-member"
 
 
-def test_pipeline_reads_declared_decays_and_runs_no_scan(monkeypatch):
+def _no_scan(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("a scan ran")
 
-    monkeypatch.setattr(estimates, "membership_scan", no_scan)
+    for module in (field_module, estimates):
+        monkeypatch.setattr(module, "membership_scan", no_scan)
+
+
+def test_pipeline_reads_declared_decays_and_runs_no_scan(monkeypatch):
+    _no_scan(monkeypatch)
     u, P = gradient_counterexample()
-    rep = liouville_pipeline(CYL, u, P, [8, 16, 32, 64], RADIAL,
-                             velocity_decay=Decay(Fraction(-1)), pressure_decay=Decay(Fraction(-2)))
+    rep = liouville_pipeline(CYL, u, P, [8, 16, 32, 64], RADIAL)
     assert rep.conclusion == "hypotheses-violated"
-    assert (rep.velocity.source, rep.velocity.verdict) == ("certificate", "not-member")
-    assert rep.velocity.scan is None and rep.pressure.scan is None
+    assert (rep.velocity.verdict, rep.pressure.verdict) == ("not-member", "not-member")
+    # a field built in Python declares its decay and gets its certificate
+    base = decaying_solenoidal(0.8)
+    u = VectorField3(base.fn, base.analytic_jacobian, decay=Decay(Fraction(4, 5), ("outer",)))
+    rep = liouville_pipeline(CYL, u, zero_scalar(), [8, 16, 32, 64], RADIAL)
+    assert rep.velocity == membership_certificate(CYL, u.decay, 1)
+    assert _margins(rep.velocity) == {"inner": (3, False), "outer": (Fraction(1, 5), True)}
+    assert rep.velocity.verdict == "member" and rep.conclusion == "decay-confirmed"
 
 
-def test_pipeline_scans_only_the_hypothesis_without_a_declared_decay():
-    rep = liouville_pipeline(CYL, decaying_solenoidal(2.0), zero_scalar(), [8, 16, 32, 64],
-                             Quadrature(n=40_000, seed=12), pressure_decay=Decay(math.inf))
-    assert (rep.velocity.source, rep.velocity.verdict) == ("scan", "convergent")
-    assert (rep.pressure.source, rep.pressure.verdict) == ("certificate", "member")
-    assert rep.pressure.scan is None and rep.conclusion == "decay-confirmed"
+def test_a_field_without_a_declared_decay_leaves_the_pipeline_inconclusive(monkeypatch):
+    # no scan stands in for the missing decay: the hypothesis reads undecided
+    _no_scan(monkeypatch)
+    base = decaying_solenoidal(0.8)
+    u = VectorField3(base.fn, base.analytic_jacobian)  # declares no decay
+    rep = liouville_pipeline(CYL, u, zero_scalar(), [8, 16, 32, 64], RADIAL)
+    assert (rep.velocity, rep.pressure.verdict) == (Membership("undecided"), "member")
+    assert rep.velocity.margins is None and rep.conclusion == "inconclusive"
+    assert rep.note == ("membership undecided for the velocity: the field declares no decay; "
+                        "give it one (`fields.Decay`)")
+    P = replace(zero_scalar(), decay=None)
+    rep = liouville_pipeline(CYL, u, P, [8, 16, 32, 64], RADIAL)
+    assert rep.note.startswith("membership undecided for the velocity and pressure:")
 
 
 def test_an_undecided_certificate_leaves_the_pipeline_inconclusive():
+    # decaying_solenoidal(0.8) declares rate 4/5, attained outside the inner piece only
     rep = liouville_pipeline(THIN_CUSP, decaying_solenoidal(0.8), zero_scalar(), [8, 16, 32, 64],
-                             RADIAL, validate=False, velocity_decay=Decay(Fraction(4, 5), ("outer",)),
-                             pressure_decay=Decay(math.inf))
+                             RADIAL, validate=False)
+    assert rep.velocity == membership_certificate(THIN_CUSP, Decay(Fraction(4, 5), ("outer",)), 1)
     assert rep.conclusion == "inconclusive"
     assert rep.note.startswith("membership certificate undecided for the velocity:")
 
@@ -515,10 +532,28 @@ DECLARED_SPECS = [
 _CONTRADICTS = {"convergent": "not-member", "diverging": "member"}
 
 
+# the decay each DECLARED_SPECS entry's built field carries, in order: rate
+# +inf where it vanishes or decays faster than any power, attained everywhere
+# unless the entry names a piece
+VANISHES = Decay(math.inf)
+DECLARED_DECAYS = [
+    VANISHES, Decay(-1), VANISHES, Decay(2), Decay(2, ("outer",)),
+    Decay(Fraction(1, 2), ("outer",)), Decay(0), VANISHES,
+    VANISHES, Decay(-2), Decay(-2), VANISHES, Decay(0),
+]
+
+
+def _built(spec, types):
+    return field_from_dict(spec) if types is FIELD_TYPES else pressure_from_dict(spec)
+
+
 def test_every_grammar_entry_declares_its_decay():
     for types in (FIELD_TYPES, PRESSURE_TYPES):
         assert {d["name"] for d, t, _ in DECLARED_SPECS if t is types} == set(types)
-        assert all(declared_decay(types, d) is not None for d, t, _ in DECLARED_SPECS if t is types)
+    assert [_built(d, t).decay for d, t, _ in DECLARED_SPECS] == DECLARED_DECAYS
+    # a rate is the exact rational its decimal names, not the nearest float
+    slow = field_from_dict({"name": "decaying_solenoidal", "rate": 0.78}).decay
+    assert slow == Decay(Fraction(39, 50), ("outer",)) and slow.rate != 0.78
 
 
 @pytest.mark.parametrize("spec, types, k", DECLARED_SPECS,
@@ -526,13 +561,12 @@ def test_every_grammar_entry_declares_its_decay():
                               for d, _, k in DECLARED_SPECS])
 def test_the_certificate_never_contradicts_a_decisive_scan(spec, types, k):
     # acceptance criterion 10's radii and budget; an undecided scan says nothing
-    f = field_from_dict(spec) if types is FIELD_TYPES else pressure_from_dict(spec)
-    decay = declared_decay(types, spec)
+    f = _built(spec, types)
     for j, preset_spec in enumerate(PRESET_MATRIX):
         p = preset(preset_spec)
         scan = membership_scan(f, p.divided_by(k) if k > 1 else p, [4, 8, 16, 32, 64],
                                Quadrature(n=30_000, seed=70 + j))
-        verdict = membership_certificate(preset_spec, decay, k).verdict
+        verdict = membership_certificate(preset_spec, f.decay, k).verdict
         assert verdict != _CONTRADICTS.get(scan.verdict), (preset_spec, scan.verdict, verdict)
 
 

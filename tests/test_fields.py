@@ -85,6 +85,13 @@ def test_decaying_solenoidal_decay_slope(rate):
     assert slope == pytest.approx(-rate, abs=0.1)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_decaying_solenoidal_needs_a_positive_finite_rate(rate):
+    # a NaN or infinite rate would build a field that evaluates to NaN
+    with pytest.raises(ValueError, match=f"positive and finite, got {rate}"):
+        decaying_solenoidal(rate)
+
+
 def test_shell_integrals_converge_for_integrable_power():
     # fourth power of a rate-1 field: shell contributions shrink geometrically
     u = decaying_solenoidal(1.0)
