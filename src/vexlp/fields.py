@@ -73,6 +73,12 @@ class Decay:
     rate: Fraction | float
     attained: tuple[str, ...] = ("inner", "outer")
 
+    def __post_init__(self):
+        if self.rate != self.rate:
+            raise ValueError("decay rate must not be NaN")
+        if isinstance(self.attained, str) or not set(self.attained) <= {"inner", "outer"}:
+            raise ValueError(f"attained must be a tuple of 'inner', 'outer'; got {self.attained!r}")
+
 
 @dataclass(frozen=True)
 class ScalarField3:

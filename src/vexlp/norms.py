@@ -27,8 +27,8 @@ rule.  Azimuths are uniform.  A radial profile (a cutoff derivative's size,
 `cutoff.RadialProfile`) takes one cosine and one azimuth per arc, any
 other integrand 24 radii per cell and 24 of each.  The rule's error is the
 gap to the same rule at half the order (for a norm, between the two
-roots).  The last node set of each scheme is kept in a one-slot memo
-(`_recall`): a Monte Carlo set by its (domain, quad), a radial rule by what
+roots).  The last node set, of either scheme, is kept in a one-slot memo
+(`_memo`): a Monte Carlo set by its (domain, quad), a radial rule by what
 it reads, so a shell's integrals share one rule and so do its two cutoff
 norms; the rules of a whole radius grid come from one pass (`radial_grid`).
 
@@ -150,27 +150,11 @@ class _NodeSet:
         return out
 
 
-# The last node set of each scheme as (key, set), or None; two slots, so a
-# shell's radial rule never frees the Monte Carlo draw of a scan.
-_mc_memo: Optional[tuple[tuple[Region, Quadrature], _NodeSet]] = None
-_radial_memo: Optional[tuple[tuple, _NodeSet]] = None
+# The last node set as (key, set), or None: a Monte Carlo set keyed by its
+# (domain, quad), a radial rule by `_radial_key`
+_memo: Optional[tuple[tuple, _NodeSet]] = None
 # radial rules that `radial_grid` built ahead, by key, until a radial miss takes its own
 _prebuilt: dict[tuple, _NodeSet] = {}
-
-
-def _recall(slot: str, key, build: Callable[[], _NodeSet]) -> _NodeSet:
-    """The set in the memo ``slot`` if its key is ``key``, else build()'s, kept
-    there read-only since every caller holds it; a miss frees the old first."""
-    memo = globals()[slot]
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    globals()[slot] = memo = None
-    nodes = build()
-    for s in filter(None, (nodes, nodes.coarse)):
-        for array in (a for a in (s.points, s.weights, s.inside, s.piece) if a is not None):
-            array.setflags(write=False)
-    globals()[slot] = (key, nodes)
-    return nodes
 
 
 def _mc_nodes(domain: Region, quad: Quadrature) -> _NodeSet:
@@ -298,16 +282,24 @@ def radial_grid(profiles: Sequence[RadialProfile], p: ExponentField) -> None:
 def _build_nodes(
     domain: Optional[Region], quad: Quadrature, f=None, p: Optional[ExponentField] = None
 ) -> _NodeSet:
-    """The frozen nodes of a quadrature over a domain, the last of each scheme
-    kept (`_recall`); under the radial scheme, the radial rule for f against p
-    with its half-order rule as ``coarse``, taken from `radial_grid` if built there."""
+    """The frozen nodes of a quadrature over a domain, the last set kept in
+    `_memo` read-only since every caller holds it (a miss frees the old first);
+    under the radial scheme, the radial rule for f against p with its
+    half-order rule as ``coarse``, taken from `radial_grid` if built there."""
+    global _memo
     dom = domain if domain is not None else _WHOLE_SPACE
-    if quad.scheme == "mc":
-        return _recall("_mc_memo", (dom, quad), lambda: _mc_nodes(dom, quad))
     p = p if p is not None else constant_field(1.0)
-    key = _radial_key(dom, f, p)
-    return _recall("_radial_memo", key,
-                   lambda: _prebuilt.pop(key, None) or _radial_rules([key], p)[0])
+    key = (dom, quad) if quad.scheme == "mc" else _radial_key(dom, f, p)
+    if _memo is not None and _memo[0] == key:
+        return _memo[1]
+    _memo = None
+    nodes = _mc_nodes(dom, quad) if quad.scheme == "mc" else (
+        _prebuilt.pop(key, None) or _radial_rules([key], p)[0])
+    for s in filter(None, (nodes, nodes.coarse)):
+        for array in (a for a in (s.points, s.weights, s.inside, s.piece) if a is not None):
+            array.setflags(write=False)
+    _memo = (key, nodes)
+    return nodes
 
 
 def _magnitude(f, pts: np.ndarray) -> np.ndarray:

@@ -7,11 +7,11 @@ in x1 (widening as x1^gamma or shrinking as x1^(-sigma/2)), and boolean
 combinations.  Each of the three axial families is one class whose axial
 bound (``half_length`` or ``length``) defaults to inf, the unbounded set;
 a finite bound clips it to a finite volume.  Each solid of revolution about
-the x1 axis also gives, in closed form or as a Newton root certified on a
-window of floats (bisected to adjacent floats near tangency), the polar
-angles where a sphere about the origin may cross its boundary, and the
-radii where those crossings appear, vanish or pass a corner of the
-boundary (`radial_breaks`): a radial integrand over the pieces kinks there.
+the x1 axis also gives, in closed form or as a root bisected to adjacent
+floats, the polar angles where a sphere about the origin may cross its
+boundary, and the radii where those crossings appear, vanish or pass a
+corner of the boundary (`radial_breaks`): a radial integrand over the
+pieces kinks there.
 
 Membership treats boundary points as members (closed sets) so repeated
 evaluation is deterministic.  Sampling (the members of one stratified draw)
@@ -46,8 +46,6 @@ from .errors import (
 _GEOMETRIC_LEVELS = 120  # strata toward a diverging cross-section at x1 = 0
 _UNIFORM_LEVELS = 16
 _CHUNK = 1 << 14  # rows a Monte Carlo stratum draws (and a volume tests) at a time
-_NEWTON_STEPS = 12  # a cusp root's Newton steps; 3-5 reach 8 ulps on README radii
-_ULPS = 64  # half-width, in floats, of the window that certifies a cusp root
 
 
 def as_points(x) -> tuple[np.ndarray, bool]:
@@ -534,44 +532,15 @@ def _cusp_breaks(r: np.ndarray, power: float, length: float) -> np.ndarray:
     """Where |x| = r meets x1 = length and x2^2 + x3^2 = x1^power: at the roots
     s = x1 of s^2 + s^power = r^2, one if power > 0, else one each side of the
     minimum s0 and x1 = 0, each at the well conditioned atan2(s^(power/2), s).
-    Each root is the float `_bisect_floats` returns: a safeguarded Newton run
-    from where s^2 or s^power alone is r^2, certified on the 2 _ULPS + 1 floats
-    about it (the excess leaves lo's side once there, and its rounding band, 4
-    ulp(r^2) over the slope, spans under _ULPS / 2 of them).  A row whose step
-    once shrinks less than 3x no longer holds the loop.  Rows that fail, near
-    tangency where that sign flips within a few ulps, bisect."""
+    Each root is the float `_bisect_floats` returns on its bracket."""
     r = r[:, None]
     s0 = np.full_like(r, (-0.5 * power) ** (1.0 / (2.0 - power)) if power < 0 else math.nan)
     lo, hi = (np.hstack([0.0 * r, s0]), np.hstack([s0, r])) if power < 0 else (0.0 * r, r)
     with np.errstate(all="ignore"):
-        def excess(s, r=r):
+        def excess(s):
             return s * s + s**power - r * r
-        positive, none = excess(lo) > 0.0, excess(s0) > 0.0  # none: all of x1 > 0 inside
-        s = np.hstack([r ** (2.0 / power), r]) if power < 0 else np.minimum(r, r ** (2.0 / power))
-        a, b, last, slow = lo, hi, math.inf, none  # the sign bracket, the last |step|
-        for _ in range(_NEWTON_STEPS):
-            sp = s**power
-            g = s * s + sp - r * r
-            inner = (g > 0.0) == positive
-            a, b = np.where(inner, s, a), np.where(inner, b, s)
-            t = s - (step := g / (2.0 * s + power * sp / s))
-            s = np.where((a <= t) & (t <= b), t, 0.5 * (a + b))
-            near = (abs(step) <= 8.0 * np.spacing(s)) | (b.view(np.int64) - a.view(np.int64) <= 8)
-            slow, last = slow | (3.0 * abs(step) >= last), abs(step)  # at a double root a step halves
-            if (near | slow).all():
-                break
-        bits = s.view(np.int64)[..., None] + np.arange(-_ULPS, _ULPS + 1)
-        np.clip(bits, lo.view(np.int64)[..., None], hi.view(np.int64)[..., None], out=bits)
-        window = bits.view(float)
-        side = (excess(window, r[..., None]) > 0.0) == positive[..., None]
-        first = side.argmin(axis=-1)
-        s = np.take_along_axis(window, first[..., None], axis=-1)[..., 0]
-        sure = side[..., 0] & ~side[..., -1] & (np.count_nonzero(side, axis=-1) == first)
-        slope = abs(2.0 * s + power * s**power / s) * np.spacing(s)
-        sure &= 4.0 * np.spacing(r * r) < 0.5 * _ULPS * slope
-        if (redo := np.flatnonzero(~(sure | none).all(axis=1))).size:
-            s[redo] = _bisect_floats(lambda x: excess(x, r[redo]), lo[redo], hi[redo])
-        s = np.where(none, math.nan, s)
+        none = excess(s0) > 0.0  # all of x1 > 0 inside: no root
+        s = np.where(none, math.nan, _bisect_floats(excess, lo, hi))
         flare = np.full_like(r, 0.5 * math.pi if power < 0 else math.nan)
         return np.hstack([np.arctan2(s ** (0.5 * power), s), flare, np.arccos(length / r)])
 

@@ -659,7 +659,7 @@ def test_the_readme_liouville_job_draws_no_random_numbers(tmp_path, monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("the job seeded a random generator")
 
-    monkeypatch.setattr(norms, "_mc_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
     assert _outputs(argv, tmp_path / "not-seeding") == want
     out = tmp_path / "golden-case"
@@ -686,7 +686,7 @@ def test_the_readme_liouville_job_evaluates_each_field_once_per_node_set(tmp_pat
     rules = norms._radial_rules
     monkeypatch.setattr(norms, "_radial_rules",
                         lambda keys, p: passes.append(keys) or rules(keys, p))
-    monkeypatch.setattr(norms, "_radial_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     monkeypatch.setattr(fields.VectorField3, "__call__", counted("u", fields.VectorField3.__call__))
     monkeypatch.setattr(fields.ScalarField3, "__call__", counted("P", fields.ScalarField3.__call__))
     monkeypatch.setattr(estimates, "integrate_many",
@@ -705,7 +705,7 @@ def test_the_readme_decay_job_cuts_every_arc_in_one_pass(tmp_path, monkeypatch):
     # both cutoff norms of all 6 shells read one grid pass: one _polar_arcs call
     calls, polar_arcs = [], norms._polar_arcs
     monkeypatch.setattr(norms, "_polar_arcs", lambda r, p: calls.append(r.size) or polar_arcs(r, p))
-    monkeypatch.setattr(norms, "_radial_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     argv = ["decay", "--preset", "cylinder", "--inner", "5", "--outer", "4",  # the README's
             "--grid-start", "8", "--grid-factor", "2", "--grid-count", "6"]
     _outputs(argv, tmp_path)
@@ -757,7 +757,7 @@ def test_back_to_back_jobs_write_the_same_bytes(tmp_path, monkeypatch):
     # one, and one after a run with another seed must agree to the byte
     from vexlp import norms
 
-    monkeypatch.setattr(norms, "_mc_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     cold = _outputs(README_LIOUVILLE + ["--seed", "7"], tmp_path / "cold")
     assert _outputs(README_LIOUVILLE + ["--seed", "7"], tmp_path / "warm") == cold
     _outputs(README_LIOUVILLE + ["--seed", "8"], tmp_path / "other")
@@ -781,10 +781,10 @@ def test_a_job_after_a_near_twin_writes_its_cold_bytes(change, tmp_path, monkeyp
     # the key only, so a key that dropped that part would reuse it
     from vexlp import norms
 
-    monkeypatch.setattr(norms, "_mc_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     _outputs(NORM_ON_A_BALL, tmp_path / "twin")
     warm = _outputs(NORM_ON_A_BALL + change, tmp_path / "after-twin")
-    monkeypatch.setattr(norms, "_mc_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     assert _outputs(NORM_ON_A_BALL + change, tmp_path / "cold") == warm
 
 

@@ -240,11 +240,11 @@ def test_decay_kinds_share_each_radius_node_set(monkeypatch):
     builds, draw = [], norms._mc_nodes
 
     def counted(domain, quad):
-        if norms._mc_memo is None or norms._mc_memo[0] != (domain, quad):
+        if norms._memo is None or norms._memo[0] != (domain, quad):
             builds.append(domain)
         return draw(domain, quad)
 
-    monkeypatch.setattr(norms, "_mc_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     monkeypatch.setattr(norms, "_mc_nodes", counted)
     p = preset(CYL)
     pairs = [("laplacian", p.conjugate(2)), ("gradient", p.conjugate(3))]
@@ -467,6 +467,18 @@ def test_a_failing_margin_decides_only_where_the_decay_is_attained():
     assert _margins(cert) == {"inner": (Fraction(-6, 25), False), "outer": (Fraction(1, 5), True)}
     assert cert.verdict == "undecided"
     assert membership_certificate(THIN_CUSP, Decay(Fraction(4, 5)), 1).verdict == "not-member"
+
+
+@pytest.mark.parametrize("rate, attained, match", [
+    (Fraction(1, 2), "out", "attained"),  # a bare string: matched by substring
+    (Fraction(1, 2), ("outter",), "attained"),  # no such piece
+    (math.nan, ("outer",), "NaN"),  # every margin NaN
+], ids=["string", "misspelt", "nan"])
+def test_a_decay_refuses_what_would_read_undecided_without_a_word(rate, attained, match):
+    # each read `undecided` on the cylinder 5/4, where the decay it means reads `not-member`
+    assert membership_certificate(CYL, Decay(Fraction(1, 2), ("outer",)), 1).verdict == "not-member"
+    with pytest.raises(ValueError, match=match):
+        Decay(rate, attained)
 
 
 def _no_scan(monkeypatch):

@@ -146,7 +146,7 @@ def test_node_set_does_not_depend_on_chunk_size(monkeypatch):
     sets = []
     for chunk in CHUNKS:
         monkeypatch.setattr(regions, "_CHUNK", chunk)
-        monkeypatch.setattr(norms, "_mc_memo", None)  # draw afresh
+        monkeypatch.setattr(norms, "_memo", None)  # draw afresh
         sets.append(_build_nodes(domain, quad))
     first = sets[0]
     assert first.points.flags.f_contiguous

@@ -580,7 +580,7 @@ def test_another_request_gets_a_fresh_set_equal_to_a_cold_build(domain, quad, mo
     first = _build_nodes(Annulus(8, 16), Quadrature(n=20_000, seed=2))
     warm = _build_nodes(domain, quad)
     assert warm is not first
-    monkeypatch.setattr(norms, "_mc_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     cold = _build_nodes(domain, quad)
     assert cold is not warm
     for name in ("points", "weights", "inside", "slices", "tail_bound"):
@@ -615,11 +615,11 @@ def test_results_do_not_depend_on_the_slot(monkeypatch):
         (value,), (error,) = norms.integrate_many(lambda pts: [f(pts)], shell, quad)
         return luxemburg_norm(f, p, shell, quad), value, error
 
-    monkeypatch.setattr(norms, "_mc_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     cold = both()
-    assert norms._mc_memo is not None
+    assert norms._memo is not None
     assert both() == cold
-    monkeypatch.setattr(norms, "_mc_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     assert both() == cold
 
 
@@ -660,7 +660,7 @@ def test_norm_and_integral_passes_keep_no_per_node_array(quad, monkeypatch):
     calls = (lambda: luxemburg_norm(f, p, shell, quad),
              lambda: modular(f, p, shell, quad),
              lambda: integrate_many(lambda pts: [f(pts), f(pts) ** 2], shell, quad))
-    monkeypatch.setattr(norms, "_radial_memo", None)  # restored after the test
+    monkeypatch.setattr(norms, "_memo", None)  # restored after the test
     for call in calls:  # the memo, its gather and first-use caches
         call()
     gc.collect()
@@ -668,7 +668,7 @@ def test_norm_and_integral_passes_keep_no_per_node_array(quad, monkeypatch):
     try:
         for call in calls:
             call()
-        norms._radial_memo = None  # the last radial set may stay alive: let it go
+        norms._memo = None  # the last set may stay alive: let it go
         gc.collect()
         left = tracemalloc.get_traced_memory()[0]
     finally:
@@ -897,7 +897,7 @@ def test_cutoff_profile_rule_gets_no_octave_cut(R):
 def test_a_shell_builds_one_rule_for_its_cutoff_norms_and_one_for_its_integrals(name, monkeypatch):
     sets, build = [], norms._build_nodes
     monkeypatch.setattr(norms, "_build_nodes", lambda *a, **k: sets.append(build(*a, **k)) or sets[-1])
-    monkeypatch.setattr(norms, "_radial_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     p, cut, u = preset(PRESETS[name]), make_cutoff(64.0), decaying_solenoidal(2.0)
     for kind, k in (("laplacian", 2), ("gradient", 3)):
         luxemburg_norm(cut.size(kind), p.conjugate(k), cut.support(), RADIAL)
@@ -928,7 +928,7 @@ def test_each_shell_of_a_grid_pass_is_its_standalone_rule(name, grid, monkeypatc
         passed = list(norms._prebuilt.values())
         norms._prebuilt.clear()
         for cut, got in zip(cuts, passed):
-            monkeypatch.setattr(norms, "_radial_memo", None)
+            monkeypatch.setattr(norms, "_memo", None)
             want = _build_nodes(cut.support(), RADIAL, cut.size(kind), p)
             for g, w in ((got, want), (got.coarse, want.coarse)):
                 for attr in ("points", "weights", "inside", "piece"):
@@ -939,12 +939,12 @@ def test_a_radial_miss_takes_the_rule_a_grid_pass_built(monkeypatch):
     cuts = [make_cutoff(R) for R in README_GRID]
     p = preset(PRESETS["cylinder"]).conjugate(2)
     monkeypatch.setattr(norms, "_prebuilt", {})
-    monkeypatch.setattr(norms, "_radial_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     norms.radial_grid([cut.size("gradient") for cut in cuts], p)
     passed = list(norms._prebuilt.values())
     for cut, rule in zip(cuts, passed):
         assert _build_nodes(cut.support(), RADIAL, cut.size("laplacian"), p) is rule
-        assert norms._radial_memo[1] is rule and rule.points.flags.writeable is False
+        assert norms._memo[1] is rule and rule.points.flags.writeable is False
     assert not norms._prebuilt  # each taken, none held twice
 
 
@@ -970,11 +970,11 @@ def test_a_radial_set_is_reused_only_for_the_same_equal_value_pattern(
     cut = make_cutoff(16.0)
     rule = lambda values: _build_nodes(  # noqa: E731
         cut.support(), RADIAL, cut.size("gradient"), _tube_exponent(*values))
-    monkeypatch.setattr(norms, "_radial_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     before = rule(first)
     warm = rule(second)
     assert (warm is before) == shared
-    monkeypatch.setattr(norms, "_radial_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     cold = rule(second)
     assert cold is not warm
     for got, want in ((warm, cold), (warm.coarse, cold.coarse)):
@@ -991,7 +991,7 @@ def _assert_pieces_read_p(nodes, p: ExponentField):
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_radial_nodes_read_each_conjugate_off_their_piece_index(name, monkeypatch):
     # the 2- and 3-conjugates share one rule per shell and read their own values
-    monkeypatch.setattr(norms, "_radial_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     p = preset(PRESETS[name])
     for R in README_GRID:
         cut = make_cutoff(R)
@@ -1003,7 +1003,7 @@ def test_radial_nodes_read_each_conjugate_off_their_piece_index(name, monkeypatc
 
 @pytest.mark.parametrize("name", sorted(EQUAL_VALUE_PAIRS))
 def test_a_shared_radial_set_reads_each_exponent_off_its_piece_index(name, monkeypatch):
-    monkeypatch.setattr(norms, "_radial_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     cut = make_cutoff(16.0)
     for values in EQUAL_VALUE_PAIRS[name][:2]:
         p = _tube_exponent(*values)
@@ -1024,10 +1024,10 @@ def test_monte_carlo_nodes_carry_no_piece_index():
 
 
 def test_memoized_radial_arrays_are_read_only(monkeypatch):
-    monkeypatch.setattr(norms, "_radial_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     cut = make_cutoff(16.0)
     nodes = _build_nodes(cut.support(), RADIAL, cut.size("laplacian"), preset(PRESETS["cylinder"]))
-    assert norms._radial_memo[1] is nodes
+    assert norms._memo[1] is nodes
     for s in (nodes, nodes.coarse):
         for array in (s.points, s.weights, s.inside, s.piece, s.in_domain[1]):
             with pytest.raises(ValueError, match="read-only"):
@@ -1043,14 +1043,16 @@ def test_a_radial_miss_releases_the_previous_set_before_building(monkeypatch):
             alive_during_build.append(old() is not None)
             return super().polar_breaks(r)
 
-    monkeypatch.setattr(norms, "_radial_memo", None)
+    monkeypatch.setattr(norms, "_memo", None)
     cut = make_cutoff(16.0)
     first = _build_nodes(cut.support(), RADIAL, cut.size("gradient"), two_piece_field(Cylinder(), 5, 4))
     first.on_domain(lambda pts: [pts[:, 0]])  # fills its in-domain gather
-    watched = [weakref.ref(obj) for s in (first, first.coarse)
+    drawn = _build_nodes(Annulus(8, 16), Quadrature(n=20_000, seed=2))  # and a draw after it
+    drawn.on_domain(lambda pts: [pts[:, 0]])
+    watched = [weakref.ref(obj) for s in (first, first.coarse, drawn)
                for obj in (s, s.points, s.weights, s.inside, s.in_domain[1])]
     old = lambda: next((ref() for ref in watched if ref() is not None), None)  # noqa: E731
-    del first
+    del first, drawn
     _build_nodes(cut.support(), RADIAL, cut.size("gradient"), two_piece_field(Probe(), 5, 4))
     gc.collect()
     assert alive_during_build == [False] and old() is None

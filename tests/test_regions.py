@@ -18,7 +18,7 @@ from vexlp.cutoff import make_cutoff
 from vexlp.errors import (
     AnalyticUnavailableError, QuadratureDomainError, SamplingBudgetError, UnboundedRegionError)
 from vexlp.exponents import PresetSpec, preset
-from vexlp.norms import Quadrature, _build_nodes, _meridian
+from vexlp.norms import _meridian
 from vexlp.regions import (
     _CHUNK,
     Annulus,
@@ -585,18 +585,6 @@ def bisected_breaks(r, power, length):
         return np.hstack([np.arctan2(s ** (0.5 * power), s), flare, np.arccos(length / r)])
 
 
-def fallback_rows(monkeypatch) -> list[int]:
-    """Counts, call by call, the rows that `_cusp_breaks` hands to the full bisection."""
-    counts, bisect = [], regions._bisect_floats
-
-    def counted(excess, lo, hi):
-        counts.append(lo.shape[0])
-        return bisect(excess, lo, hi)
-
-    monkeypatch.setattr(regions, "_bisect_floats", counted)
-    return counts
-
-
 # 2 gamma and -sigma: grids over both families, every two-decimal shape of
 # the benchmark's preset bands (gamma in [0.45, 0.55], sigma in [0.4, 0.6])
 # and SHAPES
@@ -608,7 +596,7 @@ CUSP_POWERS = sorted({
 
 
 @pytest.mark.parametrize("power", CUSP_POWERS)
-def test_cusp_breaks_equal_the_full_bisection(power, monkeypatch):
+def test_cusp_breaks_equal_the_full_bisection(power):
     rng = np.random.default_rng(int(1000 * abs(power)))
     r = [np.exp(rng.uniform(math.log(1e-3), math.log(1e4), 600))]
     if power < 0:  # the shrinking cusp: above its tangency radius, and below it (no root)
@@ -618,31 +606,31 @@ def test_cusp_breaks_equal_the_full_bisection(power, monkeypatch):
               tangent * (1.0 + np.geomspace(1e-16, 1e-3, 300)),
               tangent * np.linspace(0.5, 1.0, 60, endpoint=False)]
     r = np.concatenate(r)
-    fallback = fallback_rows(monkeypatch)
     for length in (math.inf, 5.0):
         got, want = regions._cusp_breaks(r, power, length), bisected_breaks(r, power, length)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), power
     if power < 0:
         assert np.isnan(got[-60:, :-2]).all()
-        assert sum(fallback) > 0  # near tangency
 
 
-@pytest.mark.parametrize("spec", [
-    *(PresetSpec.make("power_cusp", gamma=g, inner=5, outer=4) for g in ("0.45", "0.5", "0.55")),
-    *(PresetSpec.make("shrink_cusp", sigma=s, outer=4)
-      for s in ("0.4", "0.45", "0.5", "0.55", "0.6")),
-], ids=lambda spec: f"{spec.kind}-{spec.gamma or spec.sigma}")
-def test_cusp_breaks_need_no_bisection_on_the_readme_decay_radii(spec, monkeypatch):
-    # the README decay grid, R = 8 * 2^k, each radius's rule and its
-    # half-order rule, which both kinds share: every root is certified,
-    # none bisected
-    p = preset(spec, validate=False)
-    monkeypatch.setattr(norms, "_radial_memo", None)
-    fallback, calls, breaks = fallback_rows(monkeypatch), [], regions._cusp_breaks
+@pytest.mark.parametrize("spec", [PresetSpec.make("power_cusp", gamma="0.5", inner=5, outer=4),
+                                  PresetSpec.make("shrink_cusp", sigma="0.5", outer=4)],
+                         ids=lambda spec: spec.kind)
+def test_cusp_breaks_temporaries_do_not_grow_with_the_grid(spec, monkeypatch):
+    # the one call of the README decay grid's rule pass, R = 8 * 2^k: 576
+    # radii (the fine and the half-order rule of 6 shells) in a few
+    # (576, 2) arrays, not a window of floats per root (1.9-3.7 MB)
+    p, calls, breaks = preset(spec, validate=False), [], regions._cusp_breaks
     monkeypatch.setattr(regions, "_cusp_breaks", lambda *args: calls.append(args) or breaks(*args))
-    for radius in 8.0 * 2.0 ** np.arange(6):
-        cut = make_cutoff(radius)
-        for kind in ("laplacian", "gradient"):
-            _build_nodes(cut.support(), Quadrature("radial"), cut.size(kind), p)
-    assert len(calls) == 6 and fallback == []
+    monkeypatch.setattr(norms, "_prebuilt", {})
+    norms.radial_grid([make_cutoff(8.0 * 2.0**k).size("laplacian") for k in range(6)], p)
+    [(r, power, length)] = calls
+    assert r.size == 576
+    tracemalloc.start()
+    try:
+        breaks(r, power, length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
