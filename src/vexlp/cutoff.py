@@ -60,30 +60,21 @@ class RadialCutoff:
         val = 1.0 - transition(self._t(rho))
         return float(val[0]) if single else val
 
-    def _shell(self, x):
-        """Points as (n, 3), whether one point was given, the open shell
-        R/2 < |x| < R as a mask, the first and second radial derivatives
-        of the cutoff, and |x| with 0 replaced by 1."""
+    def grad(self, x) -> np.ndarray:
+        return self.derivatives(x)[0]
+
+    def laplacian(self, x) -> np.ndarray | float:
+        return self.derivatives(x)[1]
+
+    def derivatives(self, x) -> tuple[np.ndarray, np.ndarray | float]:
+        """(grad(x), laplacian(x)) from the first and second radial
+        derivatives d1, d2 on the open shell R/2 < |x| < R, zero off it."""
         pts, rho, single = self._radial(x)
         inside = (rho > self.radius / 2.0) & (rho < self.radius)
         t = self._t(rho)
         d1 = -(2.0 / self.radius) * transition_d1(t)
         d2 = -(4.0 / self.radius**2) * transition_d2(t)
-        return pts, single, inside, d1, d2, np.where(rho > 0, rho, 1.0)
-
-    def grad(self, x) -> np.ndarray:
-        pts, single, inside, d1, _, safe_rho = self._shell(x)
-        out = pts * (np.where(inside, d1, 0.0) / safe_rho)[:, None]
-        return out[0] if single else out
-
-    def laplacian(self, x) -> np.ndarray | float:
-        _, single, inside, d1, d2, safe_rho = self._shell(x)
-        val = np.where(inside, d2 + 2.0 * d1 / safe_rho, 0.0)
-        return float(val[0]) if single else val
-
-    def derivatives(self, x) -> tuple[np.ndarray, np.ndarray | float]:
-        """(grad(x), laplacian(x)), bit for bit, from one `_shell` pass."""
-        pts, single, inside, d1, d2, safe_rho = self._shell(x)
+        safe_rho = np.where(rho > 0, rho, 1.0)
         grad = pts * (np.where(inside, d1, 0.0) / safe_rho)[:, None]
         lap = np.where(inside, d2 + 2.0 * d1 / safe_rho, 0.0)
         return (grad[0], float(lap[0])) if single else (grad, lap)

@@ -2,9 +2,7 @@
 
 An `ExponentField` is an ordered table of (region, value) pairs plus a
 default value for points covered by no listed region; every value is a
-constant in [1, +inf].  Essential bounds over a listed piece region are
-read off the table, and over any other region they are the extremes of
-the values found on points sampled in it, so that region must be bounded.
+constant in [1, +inf].
 
 Three ready-made two-piece layouts mirror the hypotheses the decay
 estimates need: a high exponent inside the infinite unit tube, a high
@@ -53,12 +51,6 @@ def _divided_value(v: float, s: float) -> float:
 
 
 @dataclass(frozen=True)
-class BoundsReport:
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True)
 class ExponentField:
     """Piecewise-constant exponent (module notes): the first matching region wins."""
 
@@ -91,18 +83,6 @@ class ExponentField:
     @property
     def has_infinite_piece(self) -> bool:
         return any(math.isinf(v) for v in self.values())
-
-    def essential_bounds(
-        self, region: Region, seed: int = 0, n: int = 4096
-    ) -> BoundsReport:
-        """Essential inf/sup of the exponent over a region (module notes);
-        ``region.sample`` raises UnboundedRegionError where it cannot sample."""
-        for piece_region, v in self.pieces:
-            if region == piece_region:
-                return BoundsReport(v, v)
-        vals = self(region.sample(n, seed))
-        # python floats: lemma1_check raises volumes to these bounds
-        return BoundsReport(float(vals.min()), float(vals.max()))
 
     def conjugate(self, k: int) -> "ExponentField":
         """Pointwise k-conjugate p -> p/(p - k); +inf maps to 1."""

@@ -52,6 +52,7 @@ from .errors import (
     ExponentRangeError,
     ExponentRelationError,
     QuadratureDomainError,
+    SamplingBudgetError,
     UnboundedRegionError,
 )
 from .exponents import ExponentField, constant_field
@@ -351,13 +352,18 @@ class _Compact(NamedTuple):
     weights: np.ndarray
 
 
+def _exponent_on(nodes: _NodeSet, p: ExponentField) -> np.ndarray:
+    """p on the in-domain nodes, read off a radial rule's piece indices."""
+    return (np.asarray(p(nodes.in_domain[1]), dtype=float) if nodes.piece is None
+            else np.array(p.values(), dtype=float)[nodes.piece])  # radial nodes are all inside
+
+
 def _compact(nodes: _NodeSet, f, p: ExponentField) -> tuple[_Compact, float]:
-    """f and p (read off a radial rule's piece indices) on the in-domain nodes
-    as a `_Compact`, and the largest |f| on the nodes where p = +inf (0 if none)."""
+    """f and p (`_exponent_on`) on the in-domain nodes as a `_Compact`, and
+    the largest |f| on the nodes where p = +inf (0 if none)."""
     idx, pts = nodes.in_domain
     mag = _magnitude(f, pts)
-    pv = (np.asarray(p(pts), dtype=float) if nodes.piece is None  # radial nodes are all inside
-          else np.array(p.values(), dtype=float)[nodes.piece])
+    pv = _exponent_on(nodes, p)
     finite = np.isfinite(pv)
     keep = finite & (mag > 0.0)
     at = np.flatnonzero(keep) if idx is None else idx[keep]
@@ -654,16 +660,19 @@ def restriction_identity_check(
 def lemma1_check(
     p: ExponentField, region: Region, quad: Quadrature = Quadrature()
 ) -> CheckReport:
-    """Norm of the constant 1 vs. 2 * max(|O|^(1/p-), |O|^(1/p+))."""
+    """Norm of the constant 1 vs. 2 * max(|O|^(1/p-), |O|^(1/p+)), with p-
+    and p+ the least and greatest p on the norm's in-domain nodes."""
     lhs = luxemburg_norm(constant_one, p, region, quad)
-    bounds = p.essential_bounds(region, seed=quad.seed)
+    nodes = _build_nodes(region, quad, constant_one, p)
+    if not (pv := _exponent_on(nodes, p)).size:
+        raise SamplingBudgetError(f"{type(region).__name__} holds none of its {nodes.inside.size} "
+                                  "nodes: the region is empty or too thin for its envelope")
+    lower, upper = float(pv.min()), float(pv.max())  # Python floats: volumes are raised to them
     try:
         vol = region.analytic_volume()
     except (AnalyticUnavailableError, UnboundedRegionError):
         vol = region.volume("monte_carlo", n=quad.n, seed=quad.seed + 7).value
-    inv_lo = 1.0 / bounds.lower
-    inv_hi = 0.0 if math.isinf(bounds.upper) else 1.0 / bounds.upper
-    rhs = 2.0 * max(vol**inv_lo, vol**inv_hi)
+    rhs = 2.0 * max(vol ** (1.0 / lower), vol ** (1.0 / upper))  # 1/inf is 0.0
     tol = 3.0 * lhs.abs_error + 1e-9 * rhs
     return CheckReport(lhs.value, rhs, max(0.0, lhs.value - rhs), tol,
                        bool(lhs.value <= rhs + tol))

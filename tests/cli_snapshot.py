@@ -69,7 +69,8 @@ from vexlp.cli import main  # noqa: E402
 # certificate's outer margin is 4 * 0.78 - 3 = 3/25.
 # The two `*-shrink-cusp-1.7` runs take radii that are not power-of-two
 # rescalings of one another, and their first shell, [1, 2], holds the cusp
-# side's radial break at r = 1.284.
+# side's radial break at r = 1.284.  `lemmas-radial` is the README `lemmas`
+# run on the radial rule, where no check draws.
 EXTRA = {
     "certify-shrink-cusp": ["certify", "--preset", "shrink_cusp", "--sigma", "1/2", "--outer", "4"],
     "certify-cylinder-beta": ["certify", "--preset", "cylinder", "--inner", "5", "--outer", "4",
@@ -160,6 +161,9 @@ EXTRA = {
         "volume", "--region", '{"type":"diff","keep":{"type":"annulus","inner":32,"outer":64},'
         '"remove":{"type":"cylinder"}}',
         "--method", "monte_carlo", "--samples", "100000", "--seed", "3"],
+    "lemmas-radial": [
+        "lemmas", "--preset", "cylinder", "--inner", "5", "--outer", "4", "--region",
+        '{"type":"annulus","inner":2,"outer":4}', "--quad", "radial"],
     "lemmas-diff": [
         "lemmas", "--preset", "cylinder", "--inner", "5", "--outer", "4", "--region",
         '{"type":"diff","keep":{"type":"ball","radius":4},"remove":{"type":"cylinder"}}',

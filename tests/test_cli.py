@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vexlp import __version__, cli, estimates, fields, norms
+from vexlp import __version__, cli, estimates, fields, norms, regions
 from vexlp.cli import COMMANDS, RunConfig, main, region_from_dict
 from vexlp.errors import ConfigError
 from vexlp.regions import Cylinder, PowerCusp, ShrinkCusp
@@ -833,9 +833,14 @@ def test_lemmas_on_a_velocity_field(tmp_path):
     assert json.loads((tmp_path / "lemmas.json").read_text())["checks"]["holder"]["passed"]
 
 
-def test_radial_lemmas_read_no_seed(tmp_path):
-    # under the radial rule lemma2 takes its sup of |f| from the rule's own
-    # nodes, so no check draws, and lhs <= sup * norm(1) on shared nodes
+def test_radial_lemmas_read_no_seed(tmp_path, monkeypatch):
+    # under the radial rule lemma 1 reads p's bounds and lemma 2 its sup of
+    # |f| off the rule's own nodes, so no check draws (a run with envelope
+    # sampling refused writes its bytes), and lhs <= sup * norm(1) on shared nodes
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check drew over an envelope")
+
+    monkeypatch.setattr(regions.Envelope, "strata", refuse)
     argv = ["lemmas", "--preset", "cylinder", "--inner", "5", "--outer", "4", "--region",
             '{"type":"annulus","inner":2,"outer":4}', "--quad", "radial"]
     for seed in (1, 2):
@@ -1004,6 +1009,18 @@ def test_error_paths_exit_1_with_their_message(case, tmp_path, capsys):
     out = ["--out", str(tmp_path / "out")] if argv else []  # flags need a subcommand
     assert main(argv + out) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lemmas_over_an_empty_region_is_a_named_error(tmp_path, capsys):
+    # lemma 1 reads p's bounds off its norm's in-domain nodes; where there
+    # are none it names the error, with no traceback and no output
+    region = ('{"type":"intersect","first":{"type":"ball","radius":1},'
+              '"second":{"type":"annulus","inner":2,"outer":3}}')
+    argv = ["lemmas", *CYLINDER_FLAGS, "--region", region, "--samples", "5000", "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Intersect holds none of its") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

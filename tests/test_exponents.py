@@ -1,13 +1,13 @@
-"""Exponent field evaluation, bounds, conjugates and preset validation."""
+"""Exponent field evaluation, conjugates and preset validation."""
 
 import math
 
 import numpy as np
 import pytest
 
-from vexlp.errors import ExponentRangeError, PresetConstraintError, UnboundedRegionError
+from vexlp.errors import ExponentRangeError, PresetConstraintError
 from vexlp.exponents import ExponentField, PresetSpec, constant_field, preset, two_piece_field
-from vexlp.regions import Annulus, Ball, Complement, Cylinder, PowerCusp
+from vexlp.regions import Ball, Cylinder
 
 
 def pt(*coords):
@@ -37,30 +37,6 @@ def test_an_integer_default_keeps_a_fractional_piece_value():
     p = ExponentField(((Cylinder(), 5.5),), 4)
     np.testing.assert_array_equal(p(np.array([[0, 0.1, 0.1], [0, 3, 0]])), p.values())
     assert p(np.array([[0, 0.1, 0.1]])).dtype == float
-
-
-def test_essential_bounds_exact_cases():
-    p = preset(CYL)
-    rep = p.essential_bounds(Annulus(4, 8))
-    assert (rep.lower, rep.upper) == (4.0, 5.0)
-
-    rep = constant_field(3.0).essential_bounds(Ball(radius=5))
-    assert (rep.lower, rep.upper) == (3.0, 3.0)
-
-    # the inner region of the preset is recognized structurally
-    rep = preset(CUSP).essential_bounds(PowerCusp(0.5))
-    assert (rep.lower, rep.upper) == (5.0, 5.0)
-
-
-def test_essential_bounds_piece_equality_fast_path():
-    # a region structurally equal to a listed piece reports that piece's bounds
-    rep = preset(CYL).essential_bounds(Cylinder())
-    assert (rep.lower, rep.upper) == (5.0, 5.0)
-
-
-def test_essential_bounds_need_a_samplable_region():
-    with pytest.raises(UnboundedRegionError, match="no finite sampling envelope"):
-        preset(CYL).essential_bounds(Complement(Ball(radius=1)))
 
 
 def test_conjugate_values():

@@ -12,7 +12,12 @@ import pytest
 from vexlp import norms
 from vexlp.cli import exponent_from_dict, field_from_dict
 from vexlp.cutoff import make_cutoff
-from vexlp.errors import ExponentRangeError, ExponentRelationError, QuadratureDomainError
+from vexlp.errors import (
+    ExponentRangeError,
+    ExponentRelationError,
+    QuadratureDomainError,
+    UnboundedRegionError,
+)
 from vexlp.estimates import alpha_term, beta_terms
 from vexlp.exponents import ExponentField, PresetSpec, constant_field, preset, two_piece_field
 from vexlp.fields import (
@@ -45,6 +50,7 @@ from vexlp.norms import (
 from vexlp.regions import (
     Annulus,
     Ball,
+    Complement,
     Cylinder,
     Diff,
     Intersect,
@@ -343,6 +349,37 @@ def test_lemma1_preset_over_annulus():
     cyl_field = preset(PresetSpec.make("cylinder", outer=4, inner=5))
     rep = lemma1_check(cyl_field, Annulus(2, 4), Quadrature(n=100_000, seed=5))
     assert rep.passed
+
+
+# p's least and greatest value over a region: a two-piece preset over a
+# shell crossing both pieces, a constant, a piece whose ball (volume 3.4e-5)
+# a 4,096-point draw over the shell misses (rhs 2 |O|^(1/6) =
+# 1.7030144355725443, not 2 |O|^(1/4)), and an inner ball whose first
+# matching piece sets p = 6 inside a region equal to the piece of 5 (rhs
+# 1.966921627731905, not 2 |O|^(1/5))
+LEMMA1_BOUNDS = {
+    "cylinder-shell": (preset(PresetSpec.make("cylinder", outer=4, inner=5)), Annulus(4, 8), 4, 5),
+    "constant": (constant_field(3.0), Ball(radius=5), 3, 3),
+    "thin-piece": (two_piece_field(Ball((0.55, 0, 0), 0.02), 6, 4), Annulus(0.5, 0.6), 4, 6),
+    "overlapping-pieces": (ExponentField(((Ball(radius=0.5), 6), (Ball(radius=0.6), 5)), 4),
+                           Ball(radius=0.6), 5, 6),
+}
+
+
+@pytest.mark.parametrize("case", LEMMA1_BOUNDS)
+@pytest.mark.parametrize("quad", [Quadrature("radial"), Quadrature()], ids=["radial", "mc"])
+def test_lemma1_reads_p_bounds_off_its_norms_nodes(quad, case):
+    p, region, lower, upper = LEMMA1_BOUNDS[case]
+    vol = region.analytic_volume()
+    rep = lemma1_check(p, region, quad)
+    assert rep.passed
+    assert rep.rhs == 2.0 * max(vol ** (1.0 / lower), vol ** (1.0 / upper))
+
+
+def test_lemma1_needs_a_samplable_region():
+    with pytest.raises(UnboundedRegionError, match="no finite sampling envelope"):
+        lemma1_check(preset(PresetSpec.make("cylinder", outer=4, inner=5)),
+                     Complement(Ball(radius=1)), MC)
 
 
 def test_lemma2_constant_equality():
