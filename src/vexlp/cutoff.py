@@ -50,14 +50,9 @@ class RadialCutoff:
     def _t(self, rho: np.ndarray) -> np.ndarray:
         return np.clip((2.0 * rho - self.radius) / self.radius, 0.0, 1.0)
 
-    def _radial(self, x) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Points as (n, 3), their norms, and whether one point (3,) was given."""
-        pts, single = as_points(x)
-        return pts, row_norm(pts), single
-
     def __call__(self, x) -> np.ndarray | float:
-        _, rho, single = self._radial(x)
-        val = 1.0 - transition(self._t(rho))
+        pts, single = as_points(x)
+        val = 1.0 - transition(self._t(row_norm(pts)))
         return float(val[0]) if single else val
 
     def grad(self, x) -> np.ndarray:
@@ -67,17 +62,19 @@ class RadialCutoff:
         return self.derivatives(x)[1]
 
     def derivatives(self, x) -> tuple[np.ndarray, np.ndarray | float]:
-        """(grad(x), laplacian(x)) from the first and second radial
-        derivatives d1, d2 on the open shell R/2 < |x| < R, zero off it."""
-        pts, rho, single = self._radial(x)
-        inside = (rho > self.radius / 2.0) & (rho < self.radius)
-        t = self._t(rho)
-        d1 = -(2.0 / self.radius) * transition_d1(t)
-        d2 = -(4.0 / self.radius**2) * transition_d2(t)
-        safe_rho = np.where(rho > 0, rho, 1.0)
-        grad = pts * (np.where(inside, d1, 0.0) / safe_rho)[:, None]
-        lap = np.where(inside, d2 + 2.0 * d1 / safe_rho, 0.0)
+        """(grad(x), laplacian(x)) from `radial` on |x|: grad is x d1 / |x|."""
+        pts, single = as_points(x)
+        d1, lap = self.radial(rho := row_norm(pts))
+        grad = pts * (d1 / np.where(rho > 0, rho, 1.0))[:, None]
         return (grad[0], float(lap[0])) if single else (grad, lap)
+
+    def radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d1 and the Laplacian d2 + 2 d1 / r on 1-D radii, zero off R/2 < r < R."""
+        inside = (r > self.radius / 2.0) & (r < self.radius)
+        t = self._t(r)
+        d1 = np.where(inside, -(2.0 / self.radius) * transition_d1(t), 0.0)
+        d2 = -(4.0 / self.radius**2) * transition_d2(t)
+        return d1, np.where(inside, d2 + 2.0 * d1 / np.where(r > 0, r, 1.0), 0.0)
 
     def size(self, kind: str) -> "RadialProfile":
         """|Laplacian| (kind "laplacian") or |grad| (kind "gradient") as a
@@ -108,6 +105,9 @@ class RadialProfile:
         if self.kind == "laplacian":
             return np.abs(self.cutoff.laplacian(pts))
         return row_norm(self.cutoff.grad(pts))
+
+    def radial(self, r: np.ndarray) -> np.ndarray:  # on 1-D radii: |Laplacian| or |grad| = |d1|
+        return np.abs(self.cutoff.radial(r)[self.kind == "laplacian"])
 
     @property
     def kinks(self) -> tuple[float, ...]:

@@ -13,8 +13,8 @@ and a flux term
 both supported on the shell R/2 <= |x| <= R, with the pointwise majorant
 |beta| <= beta1/2 + beta2 where beta1 integrates |grad||u|^3 and beta2
 integrates |grad||P||u|.  `shell_terms` integrates alpha, beta1, beta2
-and beta as four rows of one integrand, so u, P and both cutoff
-derivatives are evaluated once per node set.
+and beta as four rows of one integrand: u and P once per node set, and
+the cutoff derivatives, functions of |x|, once per radius of a radial rule.
 
 The norm bound for each term pays the cutoff scaling R^-k (k = 2 for
 alpha, 1 for beta) against the shell volume growth R^d of each exponent
@@ -137,23 +137,26 @@ def shell_terms(
     cutoff: Optional[RadialCutoff] = None,
 ) -> tuple[float, float, FluxReport]:
     """alpha with its error, and the flux term with its two majorants, from
-    one integrand: u, P and both cutoff derivatives once on each node set."""
+    one integrand: u and P once on each node set, times the cutoff's radial
+    derivatives, once per radius of a radial rule (`integrate_many`)."""
     cut = cutoff or make_cutoff(R)
+
+    def factors(r):  # |grad| = |d1|, and grad . u = (d1 / r) x . u
+        d1, lap = cut.radial(r)
+        return [lap, np.abs(d1), np.abs(d1), d1 / r]
 
     def integrands(pts):
         vel, pressure = u(pts), P(pts)
-        grad, lap = cut.derivatives(pts)
         speed = row_norm(vel)
-        grad_size = row_norm(grad)
         head = 0.5 * speed**2 + pressure
-        return [  # alpha, beta1, beta2, beta
-            lap * 0.5 * np.einsum("ij,ij->i", vel, vel),
-            grad_size * speed**3,
-            grad_size * np.abs(pressure) * speed,
-            np.einsum("ij,ij->i", grad, vel) * head,
+        return [  # alpha, beta1, beta2, beta, each over its factor
+            0.5 * np.einsum("ij,ij->i", vel, vel),
+            speed**3,
+            np.abs(pressure) * speed,
+            np.einsum("ij,ij->i", pts, vel) * head,
         ]
 
-    (a, b1, b2, b), (a_err, *errors) = integrate_many(integrands, cut.support(), quad)
+    (a, b1, b2, b), (a_err, *errors) = integrate_many(integrands, cut.support(), quad, factors)
     tol = 3.0 * sum(errors) + 1e-12 * max(abs(b1), abs(b2), 1.0)
     return a, a_err, FluxReport(b1, b2, b, tuple(errors), abs(b) <= 0.5 * b1 + b2 + tol)
 

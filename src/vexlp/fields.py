@@ -170,10 +170,12 @@ def gradient_counterexample() -> tuple[VectorField3, ScalarField3]:
     is what makes it the canonical hypothesis-violating input.
     """
 
-    def u_fn(pts):
-        return np.stack([pts[:, 0], pts[:, 1], -2.0 * pts[:, 2]], axis=1)
+    scale = np.array([1.0, 1.0, -2.0])  # u = x * scale, grad P = -x * scale^2
 
-    jac = np.diag([1.0, 1.0, -2.0])
+    def u_fn(pts):
+        return pts * scale
+
+    jac = np.diag(scale)
 
     def u_jac(pts):
         return np.broadcast_to(jac, (pts.shape[0], 3, 3)).copy()
@@ -185,7 +187,7 @@ def gradient_counterexample() -> tuple[VectorField3, ScalarField3]:
         return -0.5 * (pts[:, 0] ** 2 + pts[:, 1] ** 2 + 4.0 * pts[:, 2] ** 2)
 
     def p_grad(pts):
-        return -np.stack([pts[:, 0], pts[:, 1], 4.0 * pts[:, 2]], axis=1)
+        return pts * -scale**2
 
     u = VectorField3(fn=u_fn, analytic_jacobian=u_jac, analytic_laplacian=u_lap, decay=Decay(-1))
     return u, ScalarField3(fn=p_fn, analytic_gradient=p_grad, decay=Decay(-2))
@@ -214,15 +216,10 @@ def decaying_solenoidal(rate: float) -> VectorField3:
     def u_fn(pts):
         x1, x2, x3 = pts[:, 0], pts[:, 1], pts[:, 2]
         psi, dpsi = parts(pts, jacobian=False)
-        rho2 = x1**2 + x2**2
-        return np.stack(
-            [
-                -2.0 * x1 * x3 * dpsi,
-                -2.0 * x2 * x3 * dpsi,
-                2.0 * psi + 2.0 * rho2 * dpsi,
-            ],
-            axis=1,
-        )
+        out = np.empty((pts.shape[0], 3))
+        out[:, 0], out[:, 1] = -2.0 * x1 * x3 * dpsi, -2.0 * x2 * x3 * dpsi
+        out[:, 2] = 2.0 * psi + 2.0 * (x1**2 + x2**2) * dpsi
+        return out
 
     def u_jac(pts):
         x1, x2, x3 = pts[:, 0], pts[:, 1], pts[:, 2]

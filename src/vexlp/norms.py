@@ -23,14 +23,16 @@ constant, ending where the sphere meets a piece's boundary
 (`Region.polar_breaks`), so every piece must be a solid of revolution about
 the x1 axis and is integrated as exactly as the bulk; each node keeps its
 arc's index into `ExponentField.values`, so p is never evaluated on the
-rule.  Azimuths are uniform.  A radial profile (a cutoff derivative's size,
-`cutoff.RadialProfile`) takes one cosine and one azimuth per arc, any
-other integrand 24 radii per cell and 24 of each.  The rule's error is the
-gap to the same rule at half the order (for a norm, between the two
-roots).  The last node set, of either scheme, is kept in a one-slot memo
-(`_memo`): a Monte Carlo set by its (domain, quad), a radial rule by what
-it reads, so a shell's integrals share one rule and so do its two cutoff
-norms; the rules of a whole radius grid come from one pass (`radial_grid`).
+rule, and its radius's into the rule's radii, where radial profiles and
+`integrate_many`'s radial factors are evaluated.  Azimuths are uniform.  A
+radial profile (a cutoff derivative's size, `cutoff.RadialProfile`) takes
+one cosine and one azimuth per arc, any other integrand 24 radii per cell
+and 24 of each.  The rule's error is the gap to the same rule at half the
+order (for a norm, between the two roots).  The last node set, of either
+scheme, is kept in a one-slot memo (`_memo`): a Monte Carlo set by its
+(domain, quad), a radial rule by what it reads, so a shell's integrals
+share one rule and so do its two cutoff norms; the rules of a whole radius
+grid come from one pass (`radial_grid`).
 
 Fields enter as plain callables mapping (n, 3) point arrays to scalars or
 vectors; vector values are reduced by the Euclidean magnitude.
@@ -116,6 +118,8 @@ class _NodeSet:
     inside: np.ndarray          # (n,) bool
     slices: tuple[tuple[int, int], ...] = ()  # Monte Carlo strata
     piece: Optional[np.ndarray] = None        # radial: each node's index into p.values()
+    radii: Optional[np.ndarray] = None        # radial: the rule's radii
+    ring: Optional[np.ndarray] = None         # radial: each node's index into radii
     coarse: Optional["_NodeSet"] = None       # the same radial rule at half the order
     tail_bound: float = 0.0
 
@@ -136,15 +140,19 @@ class _NodeSet:
         pts.setflags(write=False)
         return idx, pts
 
-    def on_domain(self, fn) -> list[np.ndarray]:
+    def on_domain(self, fn, radial=None) -> list[np.ndarray]:
         """fn's values on the in-domain nodes, zero on the rest; fn maps
         (m, 3) points to a (k, m) stack of rows (a list of k arrays will do),
         and each row is written straight into its own length-n array.  (One
         (k, n) block instead fragments the heap: a README-size `liouville`
         cycle then peaked 4 MB higher in RSS with no more bytes live.)"""
         idx, pts = self.in_domain
+        rows = fn(pts)
+        if radial is not None:  # `integrate_many`'s factors, once per radius of a radial rule
+            rows = map(np.multiply, rows, radial(row_norm(pts)) if self.ring is None
+                       else (factor[self.ring] for factor in radial(self.radii)))
         out = []
-        for values in fn(pts):
+        for values in rows:
             row = np.zeros(self.inside.size)
             row[slice(None) if idx is None else idx] = values
             out.append(row)
@@ -221,10 +229,10 @@ def _polar_arcs(r: np.ndarray, p: ExponentField) -> tuple[np.ndarray, ...]:
     return row[first], start[first], end[np.append(first[1:], row.size) - 1], piece
 
 
-def _arc_nodes(r, wr, row, a, b, piece, n_mu: int, n_phi: int) -> tuple[np.ndarray, ...]:
+def _arc_nodes(r, wr, row, a, b, labels, n_mu: int, n_phi: int) -> tuple[np.ndarray, ...]:
     """n_mu Gauss-Legendre cosines on each arc [a, b] of the meridian of
     radius r[row], times n_phi uniform azimuths, nested in that order, as
-    points, weights w_r w_mu (2 pi / n_phi) r^2 and each node its arc's piece."""
+    points, weights w_r w_mu (2 pi / n_phi) r^2 and each node its arc's labels."""
     # the arc's mid-cosine and half-width in cosine, the latter as a
     # product of sines, without the cancellation of tiny arcs
     mid = 0.5 * (np.cos(a) + np.cos(b))[:, None, None]
@@ -234,9 +242,10 @@ def _arc_nodes(r, wr, row, a, b, piece, n_mu: int, n_phi: int) -> tuple[np.ndarr
     w_phi = 2.0 * math.pi / n_phi
     phi = (np.arange(n_phi) + 0.5) * w_phi
     rr, s = r[row][:, None, None], np.sqrt(np.maximum(1.0 - mu**2, 0.0))
-    xyz = np.broadcast_arrays(rr * mu, rr * s * np.cos(phi), rr * s * np.sin(phi))
-    weights = np.broadcast_to(wr[row][:, None, None] * w_mu * w_phi * rr**2, xyz[0].shape)
-    return np.stack(xyz, axis=-1).reshape(-1, 3), weights.ravel(), np.repeat(piece, n_mu * n_phi)
+    xyz = np.empty((row.size, n_mu, n_phi, 3))
+    xyz[..., 0], xyz[..., 1], xyz[..., 2] = rr * mu, rr * s * np.cos(phi), rr * s * np.sin(phi)
+    weights = np.broadcast_to(wr[row][:, None, None] * w_mu * w_phi * rr**2, xyz.shape[:3])
+    return xyz.reshape(-1, 3), weights.ravel(), *(np.repeat(x, n_mu * n_phi) for x in labels)
 
 
 def _radial_key(dom: Region, f, p: ExponentField) -> tuple:
@@ -261,14 +270,16 @@ def _radial_rules(keys: Sequence[tuple], p: ExponentField) -> list[_NodeSet]:
     radii = [_gauss_radii(*key[0], key[2], n_r) for n_r, _, _ in rules for key in keys]
     r, wr = (np.concatenate(parts) for parts in zip(*radii))
     row, a, b, piece = _polar_arcs(r, p)
-    starts = np.searchsorted(row, np.cumsum([0] + [x.size for x, _ in radii])).tolist()
-    n, sets = len(keys), []  # starts: each span's fine rule's first arc, then each coarse one's
+    ends = np.cumsum([0] + [x.size for x, _ in radii])  # the spans' radii: r split at ends
+    starts = np.searchsorted(row, ends).tolist()  # each span's first arc: fine rules, then coarse
+    ring = row - np.repeat(ends[:-1], np.diff(starts))  # each arc's index into its span's radii
+    n, sets, spans = len(keys), [], np.split(r, ends[1:-1])
     for lo, hi in [(0, 2 * n)] if rules[0][1:] == rules[1][1:] else [(0, n), (n, 2 * n)]:
         angular, i, j = rules[lo // n][1:], starts[lo], starts[hi]
-        arrays = _arc_nodes(r, wr, row[i:j], a[i:j], b[i:j], piece[i:j], *angular)
+        arrays = _arc_nodes(r, wr, row[i:j], a[i:j], b[i:j], (piece[i:j], ring[i:j]), *angular)
         splits = [math.prod(angular) * (s - i) for s in starts[lo + 1:hi]]
-        sets += [_NodeSet(pts, w, np.ones(w.size, dtype=bool), piece=pc)
-                 for pts, w, pc in zip(*(np.split(x, splits) for x in arrays))]
+        sets += [_NodeSet(pts, w, np.ones(w.size, dtype=bool), piece=pc, radii=rs, ring=rg)
+                 for pts, w, pc, rg, rs in zip(*(np.split(x, splits) for x in arrays), spans[lo:hi])]
     return [replace(nodes, coarse=coarse) for nodes, coarse in zip(sets[:n], sets[n:])]
 
 
@@ -297,7 +308,7 @@ def _build_nodes(
     nodes = _mc_nodes(dom, quad) if quad.scheme == "mc" else (
         _prebuilt.pop(key, None) or _radial_rules([key], p)[0])
     for s in filter(None, (nodes, nodes.coarse)):
-        for array in (a for a in (s.points, s.weights, s.inside, s.piece) if a is not None):
+        for array in (a for a in vars(s).values() if isinstance(a, np.ndarray)):
             array.setflags(write=False)
     _memo = (key, nodes)
     return nodes
@@ -362,7 +373,8 @@ def _compact(nodes: _NodeSet, f, p: ExponentField) -> tuple[_Compact, float]:
     """f and p (`_exponent_on`) on the in-domain nodes as a `_Compact`, and
     the largest |f| on the nodes where p = +inf (0 if none)."""
     idx, pts = nodes.in_domain
-    mag = _magnitude(f, pts)
+    on_radii = nodes.ring is not None and isinstance(f, RadialProfile)
+    mag = f.radial(nodes.radii)[nodes.ring] if on_radii else _magnitude(f, pts)
     pv = _exponent_on(nodes, p)
     finite = np.isfinite(pv)
     keep = finite & (mag > 0.0)
@@ -565,6 +577,7 @@ def integrate_many(
     fn: Callable[[np.ndarray], Sequence[np.ndarray]],
     domain: Optional[Region] = None,
     quad: Quadrature = Quadrature(),
+    radial: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]] = None,
 ) -> tuple[list[float], list[float]]:
     """Integrate each row of fn on one node set, with its error.
 
@@ -572,10 +585,12 @@ def integrate_many(
     arrays will do), so values the rows share are computed once per node
     set.  Sharing nodes keeps pointwise inequalities between the rows
     intact in the quadrature values, which the majorant checks rely on.
+    ``radial``, if given, maps 1-D radii to k factors of |x| that multiply
+    the rows, once per radius of a radial rule (`_NodeSet.on_domain`).
     """
     nodes = _build_nodes(domain, quad)
-    fine = nodes.on_domain(fn)
-    coarse = nodes.coarse.on_domain(fn) if nodes.coarse is not None else [None] * len(fine)
+    fine = nodes.on_domain(fn, radial)
+    coarse = nodes.coarse.on_domain(fn, radial) if nodes.coarse else [None] * len(fine)
     results = [_estimate(nodes, row, c) for row, c in zip(fine, coarse)]
     return [v for v, _ in results], [e for _, e in results]
 

@@ -109,7 +109,7 @@ def test_beta_majorant_without_pressure():
     (Quadrature(n=20_000, seed=2), 1), (RADIAL, 2),  # the radial rule: fine and coarse
 ], ids=["mc", "radial"])
 def test_beta_evaluates_each_field_once_per_node_set(quad, calls, monkeypatch):
-    counts = {"u": 0, "P": 0, "derivatives": 0, "grad": 0, "laplacian": 0}
+    counts = {"u": 0, "P": 0, "radial": 0, "derivatives": 0, "grad": 0, "laplacian": 0}
 
     def counted(name, fn):
         def wrapped(*args):
@@ -119,30 +119,35 @@ def test_beta_evaluates_each_field_once_per_node_set(quad, calls, monkeypatch):
 
     u, P = gradient_counterexample()
     u, P = replace(u, fn=counted("u", u.fn)), replace(P, fn=counted("P", P.fn))
-    for name in ("derivatives", "grad", "laplacian"):
+    for name in ("radial", "derivatives", "grad", "laplacian"):
         monkeypatch.setattr(RadialCutoff, name, counted(name, getattr(RadialCutoff, name)))
     assert beta_terms(8.0, u, P, quad).majorant_ok
     # both cutoff derivatives come from one radial pass per node set
-    assert counts == {"u": calls, "P": calls, "derivatives": calls, "grad": 0, "laplacian": 0}
+    assert counts == {"u": calls, "P": calls, "radial": calls,
+                      "derivatives": 0, "grad": 0, "laplacian": 0}
 
 
 def _separate_shell_terms(R, u, P, quad):
-    """alpha and the flux rows as two integrals, each evaluating u on its own."""
+    """alpha and the flux rows as two integrals, each evaluating u on its own
+    and reading the cutoff's radial derivatives off the rule's radii."""
     cut = make_cutoff(R)
 
     def alpha(pts):
         vel = u(pts)
-        return [cut.laplacian(pts) * 0.5 * np.einsum("ij,ij->i", vel, vel)]
+        return [0.5 * np.einsum("ij,ij->i", vel, vel)]
 
     def flux(pts):
-        vel, pressure, grad = u(pts), P(pts), cut.grad(pts)
-        speed, grad_size = row_norm(vel), row_norm(grad)
+        vel, pressure = u(pts), P(pts)
+        speed = row_norm(vel)
         head = 0.5 * speed**2 + pressure
-        return [grad_size * speed**3, grad_size * np.abs(pressure) * speed,
-                np.einsum("ij,ij->i", grad, vel) * head]
+        return [speed**3, np.abs(pressure) * speed, np.einsum("ij,ij->i", pts, vel) * head]
 
-    (a,), (a_err,) = integrate_many(alpha, cut.support(), quad)
-    values, errors = integrate_many(flux, cut.support(), quad)
+    def flux_factors(r):  # |grad| and the radial part of grad . u
+        d1 = cut.radial(r)[0]
+        return [np.abs(d1), np.abs(d1), d1 / r]
+
+    (a,), (a_err,) = integrate_many(alpha, cut.support(), quad, lambda r: [cut.radial(r)[1]])
+    values, errors = integrate_many(flux, cut.support(), quad, flux_factors)
     return [a, *values], [a_err, *errors]
 
 

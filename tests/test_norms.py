@@ -11,14 +11,14 @@ import pytest
 
 from vexlp import norms
 from vexlp.cli import exponent_from_dict, field_from_dict
-from vexlp.cutoff import make_cutoff
+from vexlp.cutoff import RadialCutoff, make_cutoff
 from vexlp.errors import (
     ExponentRangeError,
     ExponentRelationError,
     QuadratureDomainError,
     UnboundedRegionError,
 )
-from vexlp.estimates import alpha_term, beta_terms
+from vexlp.estimates import alpha_term, beta_terms, shell_terms
 from vexlp.exponents import ExponentField, PresetSpec, constant_field, preset, two_piece_field
 from vexlp.fields import (
     decaying_solenoidal,
@@ -57,6 +57,7 @@ from vexlp.regions import (
     PowerCusp,
     Region,
     ShrinkCusp,
+    row_norm,
 )
 
 MC = Quadrature(n=100_000, seed=0)
@@ -968,7 +969,7 @@ def test_each_shell_of_a_grid_pass_is_its_standalone_rule(name, grid, monkeypatc
             monkeypatch.setattr(norms, "_memo", None)
             want = _build_nodes(cut.support(), RADIAL, cut.size(kind), p)
             for g, w in ((got, want), (got.coarse, want.coarse)):
-                for attr in ("points", "weights", "inside", "piece"):
+                for attr in ("points", "weights", "inside", "piece", "radii", "ring"):
                     assert np.array_equal(getattr(g, attr), getattr(w, attr)), attr
 
 
@@ -1057,7 +1058,50 @@ def test_a_piece_table_is_read_off_the_piece_index(name):
 
 
 def test_monte_carlo_nodes_carry_no_piece_index():
-    assert _build_nodes(Annulus(8.0, 16.0), MC).piece is None
+    nodes = _build_nodes(Annulus(8.0, 16.0), MC)
+    assert nodes.piece is None and nodes.radii is None and nodes.ring is None
+
+
+def _assert_close_to_scale(got, want, rtol=1e-13):
+    """got equals want to rtol of want's largest size.  Near the shell's edges
+    d1 vanishes like (r - R/2)^2, so the rounding of |x| moves it by up to
+    8e-13 of its own size there, and by under 4e-15 of its peak anywhere."""
+    assert float(np.max(np.abs(got - want))) <= rtol * float(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_cutoff_values_per_radius_gathered_to_the_nodes_match_the_pointwise_ones(name):
+    # a node's |x| and its rule radius agree to rounding, and so do the
+    # cutoff's values on them, on the shell-terms rule and the profiles' rule
+    cut, p = make_cutoff(64.0), preset(PRESETS[name])
+    field = _build_nodes(cut.support(), RADIAL)
+    for kind in ("laplacian", "gradient"):
+        size = cut.size(kind)
+        for s in [set_ for rule in (field, _build_nodes(cut.support(), RADIAL, size, p))
+                  for set_ in (rule, rule.coarse)]:
+            assert np.array_equal(s.radii, np.unique(s.radii)) and s.ring.max() < s.radii.size
+            np.testing.assert_allclose(s.radii[s.ring], row_norm(s.points), rtol=1e-15)
+            d1, lap = (x[s.ring] for x in cut.radial(s.radii))
+            grad, want = cut.derivatives(s.points)
+            _assert_close_to_scale(lap, want)
+            _assert_close_to_scale(np.abs(d1), row_norm(grad))
+            _assert_close_to_scale(size.radial(s.radii)[s.ring], size(s.points))
+
+
+def test_the_cutoff_is_evaluated_once_per_radius_of_a_radial_rule(monkeypatch):
+    sizes, radial = [], RadialCutoff.radial
+    monkeypatch.setattr(RadialCutoff, "radial", lambda self, r: sizes.append(r.size) or radial(self, r))
+    monkeypatch.setattr(norms, "_memo", None)
+    cut, p = make_cutoff(64.0), preset(PRESETS["cylinder"])
+    shell_terms(64.0, *gradient_counterexample(), RADIAL, cut)
+    rules = [norms._memo[1]]
+    for kind, k in (("laplacian", 2), ("gradient", 3)):
+        luxemburg_norm(cut.size(kind), p.conjugate(k), cut.support(), RADIAL)
+    rules.append(norms._memo[1])
+    per_set = [s.radii.size for rule in rules for s in (rule, rule.coarse)]
+    assert sizes == per_set[:2] + per_set[2:] * 2  # fine, coarse; each norm's fine, coarse
+    nodes = [s.weights.size for rule in rules for s in (rule, rule.coarse)]
+    assert all(r < n for r, n in zip(per_set, nodes)), (per_set, nodes)
 
 
 def test_memoized_radial_arrays_are_read_only(monkeypatch):
@@ -1066,7 +1110,7 @@ def test_memoized_radial_arrays_are_read_only(monkeypatch):
     nodes = _build_nodes(cut.support(), RADIAL, cut.size("laplacian"), preset(PRESETS["cylinder"]))
     assert norms._memo[1] is nodes
     for s in (nodes, nodes.coarse):
-        for array in (s.points, s.weights, s.inside, s.piece, s.in_domain[1]):
+        for array in (s.points, s.weights, s.inside, s.piece, s.radii, s.ring, s.in_domain[1]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
