@@ -62,6 +62,7 @@ from .regions import (
     Annulus,
     Ball,
     Complement,
+    Cusp,
     Cylinder,
     Diff,
     Intersect,

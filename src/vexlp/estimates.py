@@ -326,7 +326,7 @@ def energy_identity_check(
     gap_tol: float = 1e-2,
 ) -> EnergyReport:
     """Check gradient-energy = alpha + beta, an identity of pointwise solutions:
-    the verdict is None where the residual on probe points passes _RESIDUAL_TOL."""
+    the verdict is None where the residual on probe points passes _RESIDUAL_TOL or is NaN."""
     quad = quad or Quadrature(scheme="radial")
     cut = make_cutoff(R)
     probe = Ball(radius=R).sample(256, 12345)
@@ -340,7 +340,7 @@ def energy_identity_check(
     a, _, flux = shell_terms(R, u, P, quad, cut)
     rhs = a + flux.beta
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    verdict = None if residual_sup > _RESIDUAL_TOL else (gap <= gap_tol)
+    verdict = None if not residual_sup <= _RESIDUAL_TOL else (gap <= gap_tol)
     return EnergyReport(R, lhs, a, flux.beta, gap, residual_sup, verdict)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exponents import ExponentField
 from .norms import Quadrature, luxemburg_norm, magnitude_power, modular
-from .regions import Annulus, Ball, Region, as_points
+from .regions import Annulus, Ball, Region, _check_square, as_points
 
 Array = np.ndarray
 
@@ -203,7 +203,7 @@ def decaying_solenoidal(rate: float) -> VectorField3:
     """
     if not 0 < rate < math.inf:
         raise ValueError(f"decay rate must be positive and finite, got {rate}")
-    a = float(rate)
+    _check_square("decay rate", a := float(rate))  # the Jacobian's (a/2)(a/2 + 1)
 
     def parts(pts, jacobian: bool):
         """psi and dpsi at s = |x|^2 for the velocity, dpsi and d2psi for its Jacobian."""

@@ -308,6 +308,8 @@ def _build_nodes(
     nodes = _mc_nodes(dom, quad) if quad.scheme == "mc" else (
         _prebuilt.pop(key, None) or _radial_rules([key], p)[0])
     for s in filter(None, (nodes, nodes.coarse)):
+        if not s.weights.all():  # np.log of them in `_log_moments` would read -inf
+            raise UnboundedRegionError(f"{type(dom).__name__} quadrature weights underflow to 0")
         for array in (a for a in vars(s).values() if isinstance(a, np.ndarray)):
             array.setflags(write=False)
     _memo = (key, nodes)

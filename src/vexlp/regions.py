@@ -4,14 +4,15 @@ Concrete descriptors cover the sets the decay estimates integrate over:
 balls and annular shells around the origin, the unit tube about the x1
 axis, solids of revolution whose cross-section radius follows a power law
 in x1 (widening as x1^gamma or shrinking as x1^(-sigma/2)), and boolean
-combinations.  Each of the three axial families is one class whose axial
-bound (``half_length`` or ``length``) defaults to inf, the unbounded set;
-a finite bound clips it to a finite volume.  Each solid of revolution about
-the x1 axis also gives, in closed form or as a root bisected to adjacent
-floats, the polar angles where a sphere about the origin may cross its
-boundary, and the radii where those crossings appear, vanish or pass a
-corner of the boundary (`radial_breaks`): a radial integrand over the
-pieces kinks there.
+combinations.  The tube is `Cylinder`; both cusp families are one `Cusp`,
+x2^2 + x3^2 <= x1^power with power 2 gamma or -sigma (`PowerCusp` and
+`ShrinkCusp` build it).  Each axial bound (``half_length`` or ``length``)
+defaults to inf, the unbounded set; a finite bound clips it to a finite
+volume.  Each solid of revolution about the x1 axis also gives, in closed
+form or as a root bisected to adjacent floats, the polar angles where a
+sphere about the origin may cross its boundary, and the radii where those
+crossings appear, vanish or pass a corner of the boundary
+(`radial_breaks`): a radial integrand over the pieces kinks there.
 
 Membership treats boundary points as members (closed sets) so repeated
 evaluation is deterministic.  Sampling (the members of one stratified draw)
@@ -420,100 +421,77 @@ class Cylinder(Region):
         return _end_breaks(self.half_length, 1.0, (1.0,))
 
 
-def _check_cusp(name: str, value: float, length: float):
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {value}")
-    if not length > 0:
-        raise ValueError(f"length must be positive, got {length}")
-
-
 @dataclass(frozen=True)
-class PowerCusp(Region):
-    """Solid of revolution sqrt(x2^2 + x3^2) <= x1^gamma, 0 < x1 <= length; a
-    truncation to 0 < x1 <= L has volume pi * L^(2*gamma+1) / (2*gamma+1)."""
+class Cusp(Region):
+    """Solid of revolution x2^2 + x3^2 <= x1^power, 0 < x1 <= length; a
+    truncation to 0 < x1 <= L has volume pi * L^e / e, e = power + 1.  A
+    negative power flares near the plane x1 = 0, unbounded in every
+    direction there (module notes): a truncation has no finite bounding box."""
 
-    gamma: float
+    power: float
     length: float = math.inf
 
     def __post_init__(self):
-        _check_cusp("gamma", self.gamma, self.length)
+        if not (-1.0 < self.power < 2.0 and self.power != 0.0):
+            raise ValueError(f"cusp power must lie in (-1, 0) or (0, 2), got {self.power}")
+        if not self.length > 0:
+            raise ValueError(f"length must be positive, got {self.length}")
 
     def _contains_batch(self, pts):
-        return _cusp_contains(pts, 2.0 * self.gamma, self.length)
+        x1 = pts[:, 0]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # read only where x1 > 0
+            mask = (x1 > 0) & (_axis_dist_sq(pts) <= x1**self.power)
+        return mask & (x1 <= self.length) if math.isfinite(self.length) else mask
 
     def _closed_volume(self):
         if math.isinf(self.length):
-            raise UnboundedRegionError("the widening cusp has infinite volume")
-        e = 2.0 * self.gamma + 1.0
+            raise UnboundedRegionError("the cusp has infinite volume")
+        e = self.power + 1.0
         return math.pi * self.length**e / e
 
     def _extent(self):
-        g, L = self.gamma, self.length
-        return Extent(0.0, L, lambda a, b: min(max(b, 0.0), L) ** g)
+        side, L = 0.5 * self.power, self.length
+        if self.power > 0:
+            return Extent(0.0, L, lambda a, b: min(max(b, 0.0), L) ** side)
+        e = self.power + 1.0
+        return Extent(0.0, L, lambda a, b: math.inf if a <= 0 else a**side,
+                      diverging_lo=True, tail_volume=lambda delta: math.pi * delta**e / e)
 
     def polar_breaks(self, r):
-        return _cusp_breaks(r, 2.0 * self.gamma, self.length)
+        return _cusp_breaks(r, self.power, self.length)
 
     def radial_breaks(self):
-        """The end's alone: the side's radius grows with x1."""
-        return _end_breaks(self.length, self.length**self.gamma, ())
+        """The side's least radius, at x1 = s0 where s^2 + s^power is least (if the
+        power is negative and the cusp reaches s0; else the side's radius grows
+        with x1), and the end's."""
+        s0 = _least_side(self.power)
+        side = (math.sqrt(s0 * s0 + s0**self.power),) if s0 < self.length else ()
+        return _end_breaks(self.length, self.length ** (0.5 * self.power), side)
 
 
-@dataclass(frozen=True)
-class ShrinkCusp(Region):
-    """Solid of revolution sqrt(x2^2 + x3^2) <= x1^(-sigma/2), 0 < x1 <= length,
-    unbounded in every direction near the plane x1 = 0 (module notes): a
-    truncation has volume pi * length^(1-sigma) / (1-sigma) but no finite bounding box."""
+def PowerCusp(gamma: float, length: float = math.inf) -> Cusp:
+    """The widening cusp sqrt(x2^2 + x3^2) <= x1^gamma, 0 < gamma < 1."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    return Cusp(2.0 * gamma, length)
 
-    sigma: float
-    length: float = math.inf
 
-    def __post_init__(self):
-        _check_cusp("sigma", self.sigma, self.length)
+def ShrinkCusp(sigma: float, length: float = math.inf) -> Cusp:
+    """The shrinking cusp sqrt(x2^2 + x3^2) <= x1^(-sigma/2), 0 < sigma < 1."""
+    if not 0.0 < sigma < 1.0:
+        raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
+    return Cusp(-sigma, length)
 
-    def _contains_batch(self, pts):
-        return _cusp_contains(pts, -self.sigma, self.length)
 
-    def _closed_volume(self):
-        if math.isinf(self.length):
-            raise UnboundedRegionError("the shrinking cusp has infinite volume")
-        e = 1.0 - self.sigma
-        return math.pi * self.length**e / e
-
-    def _rho(self, a: float, b: float) -> float:
-        return math.inf if a <= 0 else a ** (-self.sigma / 2.0)
-
-    def _tail(self, delta: float) -> float:
-        return math.pi * delta ** (1.0 - self.sigma) / (1.0 - self.sigma)
-
-    def _extent(self):
-        return Extent(
-            0.0, self.length, self._rho, diverging_lo=True, tail_volume=self._tail
-        )
-
-    def polar_breaks(self, r):
-        return _cusp_breaks(r, -self.sigma, self.length)
-
-    def radial_breaks(self):
-        """The side's least radius, at x1 = s0 where s^2 + s^-sigma is least (if
-        the cusp reaches it), and the end's."""
-        s0 = (0.5 * self.sigma) ** (1.0 / (2.0 + self.sigma))
-        side = (math.sqrt(s0 * s0 + s0**-self.sigma),) if s0 < self.length else ()
-        return _end_breaks(self.length, self.length ** (-0.5 * self.sigma), side)
+def _least_side(power: float) -> float:
+    """x1 = s0 = (-power/2)^(1/(2 - power)), where s^2 + s^power is least, if power < 0; else NaN."""
+    return (-0.5 * power) ** (1.0 / (2.0 - power)) if power < 0 else math.nan
 
 
 def _end_breaks(x1: float, rho: float, side: tuple) -> tuple[float, ...]:
     """``side``, and for a finite axial bound x1 the radii where the sphere
     meets the end disc of radius rho there: x1 at the axis, hypot(x1, rho) at the rim."""
     return side if math.isinf(x1) else (*side, x1, math.hypot(x1, rho))
-
-
-def _cusp_contains(pts: np.ndarray, power: float, length: float) -> np.ndarray:
-    """0 < x1 <= length and x2^2 + x3^2 <= x1^power."""
-    x1 = pts[:, 0]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # read only where x1 > 0
-        mask = (x1 > 0) & (_axis_dist_sq(pts) <= x1**power)
-    return mask & (x1 <= length) if math.isfinite(length) else mask
 
 
 def _bisect_floats(excess, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -534,7 +512,7 @@ def _cusp_breaks(r: np.ndarray, power: float, length: float) -> np.ndarray:
     minimum s0 and x1 = 0, each at the well conditioned atan2(s^(power/2), s).
     Each root is the float `_bisect_floats` returns on its bracket."""
     r = r[:, None]
-    s0 = np.full_like(r, (-0.5 * power) ** (1.0 / (2.0 - power)) if power < 0 else math.nan)
+    s0 = np.full_like(r, _least_side(power))
     lo, hi = (np.hstack([0.0 * r, s0]), np.hstack([s0, r])) if power < 0 else (0.0 * r, r)
     with np.errstate(all="ignore"):
         def excess(s):

@@ -894,6 +894,7 @@ GAUSSIAN_RADIAL = ["--field", '{"name":"gaussian"}', "--quad", "radial"]
 CYLINDER_FLAGS = ["--preset", "cylinder", "--inner", "5", "--outer", "4"]
 BALL_1E160 = '{"type":"ball","radius":1e160}'
 BALL_1E104 = '{"type":"ball","radius":1e104}'
+BALL_1E_107 = '{"type":"ball","radius":1e-107}'
 POWER_CUSP_1E160 = '{"type":"truncated_power_cusp","gamma":0.5,"length":1e160}'
 # runs that end in an error no other test or snapshot reaches: argv, stderr text
 ERROR_PATHS = {
@@ -972,7 +973,15 @@ ERROR_PATHS = {
        for name, kind, region in (
            ("volume-ball-1e104", "Ball", BALL_1E104),
            ("volume-annulus-1e104", "Annulus", '{"type":"annulus","inner":1,"outer":1e104}'),
-           ("volume-power-cusp-1e160", "PowerCusp", POWER_CUSP_1E160))},
+           ("volume-power-cusp-1e160", "Cusp", POWER_CUSP_1E160))},
+    # node weights that underflow to 0 would give a false zero norm
+    **{f"norm-ball-1e-107-{scheme}": (["norm", "--field", '{"name":"gaussian"}', "--exponent",
+                                       '{"constant":2}', "--region", BALL_1E_107, *flags],
+                                      "error: Ball quadrature weights underflow to 0")
+       for scheme, flags in (("radial", ["--quad", "radial"]), ("mc", ["--seed", "1"]))},
+    # a rate whose square overflows would give the Jacobian NaN entries
+    "energy-rate-1e300": (["energy", "--field", '{"name":"decaying_solenoidal","rate":1e300}',
+                           "--radii", "2"], "bad field spec"),
 }
 
 

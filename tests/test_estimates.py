@@ -384,6 +384,14 @@ def test_energy_identity_withholds_verdict_for_non_solution():
     assert math.isfinite(rep.rel_gap)
 
 
+def test_energy_identity_withholds_verdict_on_a_nan_residual():
+    # NaN > tol is False, yet a NaN residual shows no pointwise solution
+    nan_field = VectorField3(lambda pts: np.full(pts.shape, math.nan),
+                             lambda pts: np.full((len(pts), 3, 3), math.nan))
+    rep = energy_identity_check(nan_field, zero_scalar(), 8.0)
+    assert math.isnan(rep.residual_sup) and rep.verdict is None
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 

@@ -25,6 +25,7 @@ from vexlp.regions import (
     Ball,
     Box,
     Complement,
+    Cusp,
     Cylinder,
     Diff,
     Intersect,
@@ -475,6 +476,20 @@ def test_one_class_per_cusp_family():
         assert clipped.any()
         with pytest.raises(ValueError, match="length must be positive"):
             cusp(0.5, 0)
+    # both cusp families are one Cusp(power, length), power 2 gamma or -sigma
+    assert PowerCusp(0.3, 4.0) == Cusp(0.6, 4.0) and ShrinkCusp(0.3, 4.0) == Cusp(-0.3, 4.0)
+    for power in (0.0, -1.0, -1.5, 2.0, 3.0, math.nan):
+        with pytest.raises(ValueError, match="cusp power must lie in"):
+            Cusp(power)
+    for length in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="length must be positive"):
+            Cusp(0.5, length)
+    # the hand-written growth d of the cusp piece is the region's power + 1
+    for kind, shape in (("power_cusp", "gamma"), ("shrink_cusp", "sigma")):
+        for value in ("3/10", "14/25"):
+            spec = PresetSpec.make(kind, outer=4, inner=5, **{shape: value})
+            (_, _, growth), _ = spec.pieces()
+            assert spec.inner_region().power + 1.0 == pytest.approx(float(growth), rel=1e-15)
 
 
 def test_ball_center_needs_three_finite_coordinates():
