@@ -32,7 +32,10 @@ order (for a norm, between the two roots).  The last node set, of either
 scheme, is kept in a one-slot memo (`_memo`): a Monte Carlo set by its
 (domain, quad), a radial rule by what it reads, so a shell's integrals
 share one rule and so do its two cutoff norms; the rules of a whole radius
-grid come from one pass (`radial_grid`).
+grid come from one pass (`radial_grid`).  A set holds only the nodes in its
+domain, C-ordered: a Monte Carlo set keeps the members of its draw and, per
+stratum, their range, the draw count and the weight, so a draw outside the
+domain enters only the stratified error, in closed form (`_stratified_se`).
 
 Fields enter as plain callables mapping (n, 3) point arrays to scalars or
 vectors; vector values are reduced by the Euclidean magnitude.
@@ -113,50 +116,24 @@ class NormResult:
 
 @dataclass
 class _NodeSet:
-    points: np.ndarray          # (n, 3); column-major for Monte Carlo
+    points: np.ndarray          # (n, 3) C-ordered: the nodes in the domain, no other
     weights: np.ndarray         # (n,)
-    inside: np.ndarray          # (n,) bool
-    slices: tuple[tuple[int, int], ...] = ()  # Monte Carlo strata
+    # Monte Carlo: per stratum its node range [a, b), draw count and weight
+    strata: tuple[tuple[int, int, int, float], ...] = ()
     piece: Optional[np.ndarray] = None        # radial: each node's index into p.values()
     radii: Optional[np.ndarray] = None        # radial: the rule's radii
     ring: Optional[np.ndarray] = None         # radial: each node's index into radii
     coarse: Optional["_NodeSet"] = None       # the same radial rule at half the order
     tail_bound: float = 0.0
 
-    @functools.cached_property
-    def in_domain(self) -> tuple[Optional[np.ndarray], np.ndarray]:
-        """The indices of the in-domain nodes (None when every node is
-        inside) and their points in C order, gathered on first use and kept,
-        read-only, as long as the set; C-ordered points with every node
-        inside are a view of ``points``."""
-        idx = None if self.inside.all() else np.flatnonzero(self.inside)
-        if idx is None:
-            pts = np.ascontiguousarray(self.points[:])  # a view: the read-only flag is its own
-        else:  # by columns: from column-major points half the time of a row gather
-            pts = np.empty((idx.size, 3))
-            for j in range(3):
-                np.take(self.points[:, j], idx, out=pts[:, j], mode="clip")
-            idx.setflags(write=False)
-        pts.setflags(write=False)
-        return idx, pts
-
     def on_domain(self, fn, radial=None) -> list[np.ndarray]:
-        """fn's values on the in-domain nodes, zero on the rest; fn maps
-        (m, 3) points to a (k, m) stack of rows (a list of k arrays will do),
-        and each row is written straight into its own length-n array.  (One
-        (k, n) block instead fragments the heap: a README-size `liouville`
-        cycle then peaked 4 MB higher in RSS with no more bytes live.)"""
-        idx, pts = self.in_domain
-        rows = fn(pts)
+        """fn's rows on the nodes as fn gives them; fn maps (m, 3) points to
+        a (k, m) stack of rows (a list of k arrays will do)."""
+        rows = fn(self.points)
         if radial is not None:  # `integrate_many`'s factors, once per radius of a radial rule
-            rows = map(np.multiply, rows, radial(row_norm(pts)) if self.ring is None
+            rows = map(np.multiply, rows, radial(row_norm(self.points)) if self.ring is None
                        else (factor[self.ring] for factor in radial(self.radii)))
-        out = []
-        for values in rows:
-            row = np.zeros(self.inside.size)
-            row[slice(None) if idx is None else idx] = values
-            out.append(row)
-        return out
+        return list(rows)
 
 
 # The last node set as (key, set), or None: a Monte Carlo set keyed by its
@@ -167,16 +144,22 @@ _prebuilt: dict[tuple, _NodeSet] = {}
 
 
 def _mc_nodes(domain: Region, quad: Quadrature) -> _NodeSet:
-    """The Monte Carlo nodes of (domain, quad), a function of the two alone."""
+    """The Monte Carlo nodes of (domain, quad), a function of the two alone:
+    the members of the stratified draw, gathered once in draw order."""
     env = domain.envelope()
     boxes, vols, counts, rngs = zip(*env.strata(quad.n, quad.seed))
-    ends = np.cumsum(counts).tolist()
-    slices = tuple(zip([0] + ends[:-1], ends))
-    points = np.empty((3, ends[-1])).T
-    for box, rng, (a, b) in zip(boxes, rngs, slices):
-        box.sample(rng, b - a, out=points[a:b])
-    weights = np.repeat(np.array(vols) / counts, counts)
-    return _NodeSet(points, weights, domain.contains(points), slices, tail_bound=env.tail_bound)
+    ends = np.cumsum((0,) + counts).tolist()
+    draws = np.empty((3, ends[-1])).T
+    for box, rng, a, b in zip(boxes, rngs, ends[:-1], ends[1:]):
+        box.sample(rng, b - a, out=draws[a:b])
+    idx = np.flatnonzero(domain.contains(draws))
+    points = np.empty((idx.size, 3))
+    for j in range(3):  # by columns: from the column-major draw half the time of a row gather
+        np.take(draws[:, j], idx, out=points[:, j], mode="clip")
+    starts = np.searchsorted(idx, ends).tolist()  # each stratum's first node
+    weights = np.array(vols) / counts
+    strata = tuple(zip(starts[:-1], starts[1:], counts, weights.tolist()))
+    return _NodeSet(points, np.repeat(weights, np.diff(starts)), strata, tail_bound=env.tail_bound)
 
 
 def _radial_span(domain: Region) -> Optional[tuple[float, float]]:
@@ -278,7 +261,7 @@ def _radial_rules(keys: Sequence[tuple], p: ExponentField) -> list[_NodeSet]:
         angular, i, j = rules[lo // n][1:], starts[lo], starts[hi]
         arrays = _arc_nodes(r, wr, row[i:j], a[i:j], b[i:j], (piece[i:j], ring[i:j]), *angular)
         splits = [math.prod(angular) * (s - i) for s in starts[lo + 1:hi]]
-        sets += [_NodeSet(pts, w, np.ones(w.size, dtype=bool), piece=pc, radii=rs, ring=rg)
+        sets += [_NodeSet(pts, w, piece=pc, radii=rs, ring=rg)
                  for pts, w, pc, rg, rs in zip(*(np.split(x, splits) for x in arrays), spans[lo:hi])]
     return [replace(nodes, coarse=coarse) for nodes, coarse in zip(sets[:n], sets[n:])]
 
@@ -324,19 +307,18 @@ def _magnitude(f, pts: np.ndarray) -> np.ndarray:
 
 
 def _stratified_se(nodes: _NodeSet, contrib: np.ndarray) -> float:
-    """Standard error of sum(w * contrib) over the node strata."""
+    """Standard error of sum(w * contrib) over the Monte Carlo strata: per
+    stratum of n_i draws, k of them nodes, the spread of y = w * contrib (of
+    the order of the sum, so neither w^2 underflows nor contrib^2 overflows)
+    about its mean m over the draws, the outside draws' zeros adding
+    (n_i - k) m^2.  An overflowing power (inf - inf gives NaN) reads +inf."""
     var = 0.0
-    for a, b in nodes.slices:
-        block = contrib[a:b]
-        n_i = b - a
-        if n_i < 2:
-            continue
-        vol = float(nodes.weights[a] * n_i)
-        try:
-            var += vol**2 * float(np.var(block)) / n_i
-        except OverflowError:  # Python's float ** raises where numpy gives inf
-            var = math.inf
-    return math.sqrt(var)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b, n_i, w in nodes.strata:
+            y = w * contrib[a:b]
+            m = float(np.sum(y)) / n_i
+            var += float(np.sum(np.square(y - m))) + (n_i - (b - a)) * m * m
+    return math.inf if math.isnan(var) else math.sqrt(var)
 
 
 def _estimate(
@@ -366,23 +348,21 @@ class _Compact(NamedTuple):
 
 
 def _exponent_on(nodes: _NodeSet, p: ExponentField) -> np.ndarray:
-    """p on the in-domain nodes, read off a radial rule's piece indices."""
-    return (np.asarray(p(nodes.in_domain[1]), dtype=float) if nodes.piece is None
-            else np.array(p.values(), dtype=float)[nodes.piece])  # radial nodes are all inside
+    """p on the nodes, read off a radial rule's piece indices."""
+    return (np.asarray(p(nodes.points), dtype=float) if nodes.piece is None
+            else np.array(p.values(), dtype=float)[nodes.piece])
 
 
 def _compact(nodes: _NodeSet, f, p: ExponentField) -> tuple[_Compact, float]:
-    """f and p (`_exponent_on`) on the in-domain nodes as a `_Compact`, and
-    the largest |f| on the nodes where p = +inf (0 if none)."""
-    idx, pts = nodes.in_domain
+    """f and p (`_exponent_on`) on the nodes as a `_Compact`, and the
+    largest |f| on the nodes where p = +inf (0 if none)."""
     on_radii = nodes.ring is not None and isinstance(f, RadialProfile)
-    mag = f.radial(nodes.radii)[nodes.ring] if on_radii else _magnitude(f, pts)
+    mag = f.radial(nodes.radii)[nodes.ring] if on_radii else _magnitude(f, nodes.points)
     pv = _exponent_on(nodes, p)
     finite = np.isfinite(pv)
     keep = finite & (mag > 0.0)
-    at = np.flatnonzero(keep) if idx is None else idx[keep]
     sup = float(np.max(mag, where=~finite, initial=0.0))
-    return _Compact(at, pv[keep], np.log(mag[keep]), nodes.weights), sup
+    return _Compact(np.flatnonzero(keep), pv[keep], np.log(mag[keep]), nodes.weights), sup
 
 
 def _power_contrib(nodes: _NodeSet, c: _Compact, lam: float) -> np.ndarray:
@@ -555,14 +535,9 @@ def _root_uncertainty(nodes, compact: _Compact, coarse, lam: float, rel_tol: flo
     if coarse is not None:
         return abs(lam - _bisect_root(_modular_at(*_log_moments(coarse[0])), rel_tol)[0])
     contrib = _power_contrib(nodes, compact, lam)
-    se = _stratified_se(nodes, contrib)
-    # w p contrib vanishes off the compact nodes but is summed over the
-    # whole set: a pairwise sum rounds by its length
-    at = compact.at
-    slope = np.zeros(contrib.size)
-    slope[at] = nodes.weights[at] * compact.p * contrib[at]
-    deriv = float(np.sum(slope)) / lam
-    return se / deriv if deriv > 0 else 0.0
+    at = compact.at  # w p contrib vanishes off the compact nodes
+    deriv = float(np.sum(nodes.weights[at] * compact.p * contrib[at])) / lam
+    return _stratified_se(nodes, contrib) / deriv if deriv > 0 else 0.0
 
 
 def integrate(
@@ -678,12 +653,13 @@ def lemma1_check(
     p: ExponentField, region: Region, quad: Quadrature = Quadrature()
 ) -> CheckReport:
     """Norm of the constant 1 vs. 2 * max(|O|^(1/p-), |O|^(1/p+)), with p-
-    and p+ the least and greatest p on the norm's in-domain nodes."""
+    and p+ the least and greatest p on the norm's nodes."""
     lhs = luxemburg_norm(constant_one, p, region, quad)
     nodes = _build_nodes(region, quad, constant_one, p)
     if not (pv := _exponent_on(nodes, p)).size:
-        raise SamplingBudgetError(f"{type(region).__name__} holds none of its {nodes.inside.size} "
-                                  "nodes: the region is empty or too thin for its envelope")
+        draws = sum(n_i for _, _, n_i, _ in nodes.strata)
+        raise SamplingBudgetError(f"{type(region).__name__} holds none of its {draws} draws: "
+                                  "the region is empty or too thin for its envelope")
     lower, upper = float(pv.min()), float(pv.max())  # Python floats: volumes are raised to them
     try:
         vol = region.analytic_volume()
@@ -698,10 +674,10 @@ def lemma1_check(
 def lemma2_check(
     f, p: ExponentField, region: Region, quad: Quadrature = Quadrature()
 ) -> CheckReport:
-    """Norm of f vs. (sup of |f| on the in-domain nodes of both norms) * norm of 1."""
+    """Norm of f vs. (sup of |f| on the nodes of both norms) * norm of 1."""
     lhs = luxemburg_norm(f, p, region, quad)
     one = luxemburg_norm(constant_one, p, region, quad)
-    sup = float(np.max(_magnitude(f, _build_nodes(region, quad, f, p).in_domain[1]), initial=0.0))
+    sup = float(np.max(_magnitude(f, _build_nodes(region, quad, f, p).points), initial=0.0))
     rhs = sup * one.value
     tol = 3.0 * (lhs.abs_error + sup * one.abs_error) + 1e-6 * max(rhs, 1.0)
     return CheckReport(lhs.value, rhs, max(0.0, lhs.value - rhs), tol,

@@ -23,8 +23,9 @@ diverges), so its envelope uses geometrically refined strata toward 0 and
 reports the volume of the omitted sliver as part of the error estimate.
 Every Monte Carlo stratum is drawn by `Box.sample`, 16,384 rows of its
 stream at a time (so the draws are those of one whole-stratum draw), into
-a column-major buffer whose coordinates the membership tests read as
-contiguous columns (an `Annulus` test on stride-3 rows took 3x as long).
+a column-major draw buffer whose coordinates the membership tests read as
+contiguous columns (an `Annulus` test on stride-3 rows took 3x as long);
+the members are then gathered out of it, C-ordered, and the buffer dropped.
 A Monte Carlo volume counts a stratum chunk by chunk in one such buffer, so
 its memory does not grow with the sample count; a 16,384-row chunk (384 KB)
 stays in cache (a `volume-growth` cycle took 8,800 minor page faults at 65,536
@@ -222,7 +223,7 @@ class Region(ABC):
     def sample(self, n: int, seed: int) -> np.ndarray:
         """The members, C-ordered, of the points `Envelope.strata(n, seed)` draws
         (n, or more where a stratum's one-point floor adds some): bit for bit
-        the in-domain nodes of `Quadrature(n=n, seed=seed)`."""
+        the ``points`` of the Monte Carlo node set of `Quadrature(n=n, seed=seed)`."""
         strata = self.envelope().strata(n, seed)
         pts = np.concatenate([box.sample(rng, k) for box, _, k, rng in strata])
         if not (kept := pts[self._contains_batch(pts)]).size:

@@ -1001,13 +1001,32 @@ def test_a_radial_rule_past_the_float_range_is_an_error(command, tmp_path, capsy
 
 
 def test_a_shell_variance_past_the_float_range_is_no_error(tmp_path):
-    # at radius 1e100 a Monte Carlo stratum volume squares past the float range;
-    # the variance is then inf, and the fit drops the norm there, under its zero floor
+    # at radius 1e100 a Monte Carlo stratum volume squares past the float range,
+    # though the error, formed on w * contrib, does not; the fit drops the norm
+    # there, under its zero floor
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["decay", *CYLINDER_FLAGS, "--radii", "2,4,8,1e100", "--quad", "mc",
                      "--seed", "1", "--samples", "1000", "--out", str(tmp_path)]) == 0
     rows = list(csv.DictReader((tmp_path / "decay.csv").open()))
     assert [float(r["R"]) for r in rows] == [2.0, 4.0, 8.0] * 2
+
+
+def test_a_monte_carlo_norm_on_a_tiny_ball_has_a_finite_error_bar(tmp_path):
+    # on Ball(1e-60) each |f / lambda|^2 is about 1e179, so its square
+    # overflows; the bar is formed on w * contrib, of the order of the sum
+    flags = ["--field", '{"name":"gaussian"}', "--exponent", '{"constant":2}',
+             "--region", '{"type":"ball","radius":1e-60}']
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        assert main(["norm", *flags, "--seed", "1", "--out", str(tmp_path / "mc")]) == 0
+        assert main(["norm", *flags, "--quad", "radial", "--out", str(tmp_path / "radial")]) == 0
+    assert not caught
+    mc, radial = (next(csv.DictReader((tmp_path / scheme / "norm.csv").open()))
+                  for scheme in ("mc", "radial"))
+    bar = float(mc["abs_error"])
+    assert mc["status"] == "finite" and math.isfinite(bar) and bar > 0.0
+    assert abs(float(mc["value"]) - float(radial["value"])) <= 3.0 * bar
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_PATHS))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from vexlp import norms, regions
 from vexlp.errors import UnboundedRegionError
-from vexlp.norms import Quadrature, _build_nodes, _NodeSet
+from vexlp.norms import Quadrature, _build_nodes
 from vexlp.regions import (
     Annulus, Ball, Complement, Cylinder, Diff, Intersect, PowerCusp, ShrinkCusp)
 
@@ -149,28 +149,15 @@ def test_node_set_does_not_depend_on_chunk_size(monkeypatch):
         monkeypatch.setattr(norms, "_memo", None)  # draw afresh
         sets.append(_build_nodes(domain, quad))
     first = sets[0]
-    assert first.points.flags.f_contiguous
     for other in sets[1:]:
-        for attr in ("points", "inside", "weights"):
+        for attr in ("points", "weights", "strata"):
             assert np.array_equal(getattr(other, attr), getattr(first, attr)), attr
-    idx, pts = first.in_domain
-    assert pts.flags.c_contiguous and not pts.flags.writeable
-    assert np.array_equal(pts, first.points[first.inside])
-    assert np.array_equal(idx, np.flatnonzero(first.inside))
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_in_domain_points_are_c_ordered_when_every_node_is_inside(order):
-    points = np.asarray(np.random.default_rng(2).random((50, 3)), order=order)
-    nodes = _NodeSet(points, np.ones(50), np.ones(50, dtype=bool))
-    idx, pts = nodes.in_domain
-    assert idx is None and pts.flags.c_contiguous and np.array_equal(pts, points)
-    # C-ordered points are gathered as a view; column-major ones are copied
-    assert np.shares_memory(pts, points) == (order == "C")
-    assert points.flags.writeable
-
-
-def test_sample_is_the_in_domain_nodes_of_the_same_draw():
+def test_sample_is_the_in_domain_nodes_of_the_same_draw(monkeypatch):
+    # a Monte Carlo node set is the members of its draw and nothing else:
+    # C-ordered and read-only, `Region.sample` bit for bit, weighing the
+    # Monte Carlo volume, over strata whose draws add up to the draw
     sampled = []
     for name, region in LAYOUT_REGIONS.items():
         try:
@@ -179,6 +166,12 @@ def test_sample_is_the_in_domain_nodes_of_the_same_draw():
             continue
         sampled.append(name)
         for n, seed in ((1000, 3), (50_000, 8)):
-            expected = norms._mc_nodes(region, Quadrature(n=n, seed=seed)).in_domain[1]
-            assert np.array_equal(region.sample(n, seed), expected), (name, n)
+            monkeypatch.setattr(norms, "_memo", None)
+            nodes = _build_nodes(region, Quadrature(n=n, seed=seed))
+            assert nodes.points.flags.c_contiguous and not nodes.points.flags.writeable
+            assert np.array_equal(region.sample(n, seed), nodes.points), (name, n)
+            volume = region.volume("monte_carlo", n=n, seed=seed).value
+            assert nodes.weights.sum() == pytest.approx(volume, rel=1e-12, abs=0.0), (name, n)
+            draw = sum(count for _, _, count, _ in region.envelope().strata(n, seed))
+            assert sum(n_i for _, _, n_i, _ in nodes.strata) == draw, (name, n)
     assert len(sampled) == 8  # all but the unbounded tube, cusps and complement

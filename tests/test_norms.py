@@ -166,7 +166,7 @@ def test_monte_carlo_sups_come_from_the_norms_own_nodes(monkeypatch):
     f = decaying_solenoidal(2.0)
     p = preset(PresetSpec.make("shrink_cusp", outer=4, sigma="1/2"))
     domain, quad = Ball(radius=16), Quadrature(n=20_000, seed=7)
-    pts = norms._mc_nodes(domain, quad).in_domain[1]
+    pts = norms._mc_nodes(domain, quad).points
     mag, on_piece = np.linalg.norm(f(pts), axis=1), ~np.isfinite(p(pts))
     assert on_piece.any()
     res = luxemburg_norm(f, p, domain, quad)
@@ -199,9 +199,9 @@ def cutoff_term(k: int, radius: float):
 
 
 def node_modular(nodes, f, p, lam):
-    """The modular of f/lam as a weighted exp/log pass over every in-domain
-    node, evaluating f and p afresh."""
-    pts, w = nodes.points[nodes.inside], nodes.weights[nodes.inside]
+    """The modular of f/lam as a weighted exp/log pass over every node,
+    evaluating f and p afresh."""
+    pts, w = nodes.points, nodes.weights
     mag, pv = np.abs(f(pts)), p(pts)
     m = np.isfinite(pv) & (mag > 0.0)
     return float(np.sum(w[m] * np.exp(pv[m] * (np.log(mag[m]) - math.log(lam)))))
@@ -581,19 +581,19 @@ def test_quadrature_rejects_unusable_budgets(bad):
     Intersect(Annulus(8, 16), Cylinder()), ShrinkCusp(0.5, 16.0),
 ], ids=["shell-tube", "shrink-cusp"])
 def test_mc_volume_counts_the_norm_nodes(region):
-    # one stratified draw: the volume's hit count is the in-domain weight
-    # of the node set built from the same budget and seed
+    # one stratified draw: the volume's hit count is the weight of the
+    # node set built from the same budget and seed
     n, seed = 30_000, 4
     est = region.volume("monte_carlo", n=n, seed=seed)
     nodes = _build_nodes(region, Quadrature(n=n, seed=seed))
-    weight = float(np.sum(nodes.weights[nodes.inside]))
+    weight = float(np.sum(nodes.weights))
     assert est.value == pytest.approx(weight, rel=1e-12, abs=0.0)
 
 
 def test_domain_without_nodes_integrates_to_zero():
     empty = Intersect(Annulus(8, 16), Cylinder(0.001))
     quad = Quadrature(n=20_000, seed=1)
-    assert not _build_nodes(empty, quad).inside.any()
+    assert _build_nodes(empty, quad).points.shape == (0, 3)
     assert integrate(constant_one, empty, quad) == (0.0, 0.0)
     res = luxemburg_norm(constant_one, constant_field(3.0), empty, quad)
     assert res.status == "zero" and res.value == 0.0
@@ -604,7 +604,7 @@ def test_same_request_returns_the_same_read_only_nodes():
     nodes = _build_nodes(shell, quad)
     # equal keys built separately hit the slot too: they compare by value
     assert _build_nodes(Annulus(8.0, 16.0), Quadrature(n=20_000, seed=2)) is nodes
-    for array in (nodes.points, nodes.weights, nodes.inside):
+    for array in (nodes.points, nodes.weights):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
@@ -621,7 +621,7 @@ def test_another_request_gets_a_fresh_set_equal_to_a_cold_build(domain, quad, mo
     monkeypatch.setattr(norms, "_memo", None)
     cold = _build_nodes(domain, quad)
     assert cold is not warm
-    for name in ("points", "weights", "inside", "slices", "tail_bound"):
+    for name in ("points", "weights", "strata", "tail_bound"):
         assert np.array_equal(getattr(warm, name), getattr(cold, name)), name
 
 
@@ -635,8 +635,7 @@ def test_a_miss_releases_the_previous_set_before_drawing():
             return super()._contains_batch(pts)
 
     first = _build_nodes(Annulus(8, 16), Quadrature(n=20_000, seed=2))
-    first.on_domain(lambda pts: [pts[:, 0]])  # fills its in-domain gather
-    watched = [weakref.ref(first), *(weakref.ref(array) for array in first.in_domain)]
+    watched = [weakref.ref(obj) for obj in (first, first.points, first.weights)]
     old = lambda: next((ref() for ref in watched if ref() is not None), None)  # noqa: E731
     del first
     _build_nodes(Probe(8, 16), Quadrature(n=20_000, seed=2))
@@ -662,35 +661,80 @@ def test_results_do_not_depend_on_the_slot(monkeypatch):
 
 
 def test_the_in_domain_gather_is_kept_read_only_and_equals_a_cold_gather():
-    nodes = _build_nodes(Annulus(8, 16), Quadrature(n=20_000, seed=2))
-    idx, pts = nodes.in_domain
-    assert nodes.in_domain[1] is pts  # gathered once per set
-    assert np.array_equal(idx, np.flatnonzero(nodes.inside))
-    assert np.array_equal(pts, nodes.points[nodes.inside])
-    for array in (idx, pts):
+    # a one-stratum draw, drawn again by hand: the set holds its members alone
+    domain, quad = Annulus(8, 16), Quadrature(n=20_000, seed=2)
+    nodes = _build_nodes(domain, quad)
+    ((box, vol, n, rng),) = domain.envelope().strata(quad.n, quad.seed)
+    draw = box.sample(rng, n)
+    assert np.array_equal(nodes.points, draw[domain.contains(draw)])
+    assert nodes.points.flags.c_contiguous and 0 < len(nodes.points) < n
+    assert nodes.strata == ((0, len(nodes.points), n, vol / n),)
+    for array in (nodes.points, nodes.weights):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
 
-def test_a_radial_set_gathers_its_points_without_a_copy():
-    nodes = _build_nodes(Annulus(8, 16), RADIAL)
-    idx, pts = nodes.in_domain
-    assert idx is None and np.shares_memory(pts, nodes.points)
-    assert np.array_equal(pts, nodes.points) and not pts.flags.writeable
+@pytest.mark.parametrize("quad", [Quadrature(n=20_000, seed=2), RADIAL], ids=["mc", "radial"])
+def test_on_domain_gives_fn_rows_on_the_nodes(quad):
+    nodes = _build_nodes(Annulus(8, 16), quad)
+    seen, rows = [], [np.arange(len(nodes.points)), np.ones(len(nodes.points), dtype=bool)]
+    out = nodes.on_domain(lambda pts: seen.append(pts) or rows)
+    assert len(seen) == 1 and seen[0] is nodes.points  # the set's own points, no copy
+    assert len(out) == 2 and all(got is row for got, row in zip(out, rows))
+    # radial factors multiply the rows: per point on Monte Carlo nodes, per rule radius else
+    (scaled,) = nodes.on_domain(lambda pts: [pts[:, 0]], lambda r: [2.0 * r])
+    r = row_norm(nodes.points) if nodes.ring is None else nodes.radii[nodes.ring]
+    assert np.array_equal(scaled, nodes.points[:, 0] * (2.0 * r))
 
 
-def test_on_domain_writes_each_row_and_zero_off_the_domain():
-    nodes = _build_nodes(Annulus(8, 16), Quadrature(n=20_000, seed=2))
-    out = nodes.on_domain(lambda pts: [pts[:, 0], np.ones(len(pts), dtype=bool)])
-    assert [(row.shape, row.dtype) for row in out] == [(nodes.inside.shape, float)] * 2
-    assert np.array_equal(out[0], np.where(nodes.inside, nodes.points[:, 0], 0.0))
-    assert np.array_equal(out[1], nodes.inside.astype(float))
+@pytest.mark.parametrize("top", [math.inf, 1e300], ids=["inf", "square-overflows"])
+def test_a_stratified_se_past_the_float_range_reads_inf(top):
+    # an overflowed power (then inf - inf in the spread), or a spread whose
+    # square overflows: +inf, and no numpy warning
+    nodes = norms._mc_nodes(Annulus(8, 16), Quadrature(n=2_000, seed=1))
+    contrib = np.ones(len(nodes.points))
+    contrib[::7] = top
+    assert norms._stratified_se(nodes, contrib) == math.inf
+
+
+def _zero_padded_se(domain: Region, quad: Quadrature, fn) -> float:
+    """The stratified error of sum(w * fn) as formed on every draw: fn on
+    the members and 0 on the rest, then vol^2 var(block) / n_i per stratum."""
+    var = 0.0
+    for box, vol, n_i, rng in domain.envelope().strata(quad.n, quad.seed):
+        draw = box.sample(rng, n_i)
+        block = np.where(domain.contains(draw), fn(draw), 0.0)
+        if n_i > 1:
+            var += vol**2 * float(np.var(block)) / n_i
+    return math.sqrt(var)
+
+
+STRATIFIED_SE_CASES = {  # domain, budget and the strata shape the case must reach
+    "one-stratum": (Annulus(8, 16), 20_000, lambda strata: len(strata) == 1),
+    "empty-strata": (Intersect(Annulus(8, 16), PowerCusp(0.5)), 20_000,
+                     lambda strata: len(strata) == 16 and any(a == b for a, b, *_ in strata)),
+    "120-strata": (ShrinkCusp(0.5, 16.0), 30_000, lambda strata: len(strata) == 120),
+    "single-draws": (ShrinkCusp(0.5, 16.0), 300,
+                     lambda strata: any(n_i == 1 for _, _, n_i, _ in strata)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRATIFIED_SE_CASES))
+def test_stratified_se_matches_the_zero_padded_estimator(name):
+    domain, n, shape = STRATIFIED_SE_CASES[name]
+    quad = Quadrature(n=n, seed=5)
+    fn = lambda pts: np.exp(-row_norm(pts) / 8.0) * (1.0 + pts[:, 0] ** 2)  # noqa: E731
+    nodes = norms._mc_nodes(domain, quad)
+    assert shape(nodes.strata)
+    want = _zero_padded_se(domain, quad, fn)
+    assert want > 0.0
+    assert norms._stratified_se(nodes, fn(nodes.points)) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("quad", [Quadrature(n=100_000, seed=5), RADIAL], ids=["mc", "radial"])
 def test_norm_and_integral_passes_keep_no_per_node_array(quad, monkeypatch):
     # once a call returns, per-node memory is held by the memo'd node sets
-    # and the Monte Carlo set's in-domain gather alone; each call below
+    # alone; each call below
     # leaves at least 40k per-node values behind if it keeps any other
     p = preset(PRESETS["cylinder"]).conjugate(2)
     cut = make_cutoff(16.0)
@@ -699,7 +743,7 @@ def test_norm_and_integral_passes_keep_no_per_node_array(quad, monkeypatch):
              lambda: modular(f, p, shell, quad),
              lambda: integrate_many(lambda pts: [f(pts), f(pts) ** 2], shell, quad))
     monkeypatch.setattr(norms, "_memo", None)  # restored after the test
-    for call in calls:  # the memo, its gather and first-use caches
+    for call in calls:  # the memo and first-use caches
         call()
     gc.collect()
     tracemalloc.start()
@@ -969,7 +1013,7 @@ def test_each_shell_of_a_grid_pass_is_its_standalone_rule(name, grid, monkeypatc
             monkeypatch.setattr(norms, "_memo", None)
             want = _build_nodes(cut.support(), RADIAL, cut.size(kind), p)
             for g, w in ((got, want), (got.coarse, want.coarse)):
-                for attr in ("points", "weights", "inside", "piece", "radii", "ring"):
+                for attr in ("points", "weights", "piece", "radii", "ring"):
                     assert np.array_equal(getattr(g, attr), getattr(w, attr)), attr
 
 
@@ -1016,7 +1060,7 @@ def test_a_radial_set_is_reused_only_for_the_same_equal_value_pattern(
     cold = rule(second)
     assert cold is not warm
     for got, want in ((warm, cold), (warm.coarse, cold.coarse)):
-        for name in ("points", "weights", "inside"):
+        for name in ("points", "weights"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
@@ -1110,7 +1154,7 @@ def test_memoized_radial_arrays_are_read_only(monkeypatch):
     nodes = _build_nodes(cut.support(), RADIAL, cut.size("laplacian"), preset(PRESETS["cylinder"]))
     assert norms._memo[1] is nodes
     for s in (nodes, nodes.coarse):
-        for array in (s.points, s.weights, s.inside, s.piece, s.radii, s.ring, s.in_domain[1]):
+        for array in (s.points, s.weights, s.piece, s.radii, s.ring):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -1127,11 +1171,9 @@ def test_a_radial_miss_releases_the_previous_set_before_building(monkeypatch):
     monkeypatch.setattr(norms, "_memo", None)
     cut = make_cutoff(16.0)
     first = _build_nodes(cut.support(), RADIAL, cut.size("gradient"), two_piece_field(Cylinder(), 5, 4))
-    first.on_domain(lambda pts: [pts[:, 0]])  # fills its in-domain gather
     drawn = _build_nodes(Annulus(8, 16), Quadrature(n=20_000, seed=2))  # and a draw after it
-    drawn.on_domain(lambda pts: [pts[:, 0]])
     watched = [weakref.ref(obj) for s in (first, first.coarse, drawn)
-               for obj in (s, s.points, s.weights, s.inside, s.in_domain[1])]
+               for obj in (s, s.points, s.weights)]
     old = lambda: next((ref() for ref in watched if ref() is not None), None)  # noqa: E731
     del first, drawn
     _build_nodes(cut.support(), RADIAL, cut.size("gradient"), two_piece_field(Probe(), 5, 4))
