@@ -52,8 +52,12 @@ class RadialCutoff:
 
     def __call__(self, x) -> np.ndarray | float:
         pts, single = as_points(x)
-        val = 1.0 - transition(self._t(row_norm(pts)))
+        val = self.value(row_norm(pts))
         return float(val[0]) if single else val
+
+    def value(self, r: np.ndarray) -> np.ndarray:
+        """The cutoff on 1-D radii."""
+        return 1.0 - transition(self._t(r))
 
     def grad(self, x) -> np.ndarray:
         return self.derivatives(x)[0]

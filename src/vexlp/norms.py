@@ -1,15 +1,15 @@
 """Modular integrals and Luxemburg norms for piecewise variable exponents.
 
 The modular of f is the integral of |f(x)|^p(x); the norm is the smallest
-lambda making the modular of f/lambda at most 1, located by bracketing and
-bisection on a map that is monotone in lambda by construction.  The nodes
-are frozen for the whole root search.  The exponent is piecewise
-constant, so with distinct finite values p_j the modular of f/lambda is
-sum_j lambda^(-p_j) M_j with M_j = sum of w |f|^p_j over the nodes where
-p = p_j; one pass over the nodes (a `_Compact`) gives every log M_j, and
-each bisection step is then a sum of a few terms on Python floats, with
-every bit of numpy's array sum (`_modular_at`).  Where p = +inf the norm
-degenerates to the sup of |f| there (`_frozen`, `_finish`).
+lambda making the modular of f/lambda at most 1, a map monotone in lambda by
+construction: one search steps lambda by 2 or 1/2 until the modular crosses
+1, then bisects (`_bisect_root`), on nodes frozen for the whole search.  The
+exponent is piecewise constant, so with distinct finite values p_j the
+modular of f/lambda is sum_j lambda^(-p_j) M_j, M_j = sum of w |f|^p_j over
+the nodes where p = p_j; one pass over the nodes (a `_Compact`) gives every
+log M_j, and each bisection step is then a sum of a few terms on Python
+floats, with every bit of numpy's array sum (`_modular_at`).  Where p = +inf
+the norm degenerates to the sup of |f| there (`_frozen`, `luxemburg_norm`).
 
 Quadrature is either stratified rejection Monte Carlo over a region
 envelope (any samplable region, piecewise integrands included) or a radial
@@ -325,14 +325,17 @@ def _estimate(
     nodes: _NodeSet, contrib: np.ndarray, coarse: Optional[np.ndarray]
 ) -> tuple[float, float]:
     """Weighted sum of contrib and its error: the fine-minus-coarse gap of
-    the radial rule (coarse: contrib on ``nodes.coarse``) or the stratified
-    standard error, plus the tail bound times the largest |contrib|."""
+    the radial rule (coarse: contrib on ``nodes.coarse``; inf - inf between
+    overflowed sums reads +inf) or the stratified standard error, plus the
+    tail bound, where there is one, times the largest |contrib|."""
     value = float(np.sum(nodes.weights * contrib))
     if coarse is None:
         se = _stratified_se(nodes, contrib)
-    else:
-        se = abs(value - float(np.sum(nodes.coarse.weights * coarse)))
-    return value, se + nodes.tail_bound * float(np.max(np.abs(contrib), initial=0.0))
+    elif math.isnan(se := abs(value - float(np.sum(nodes.coarse.weights * coarse)))):
+        se = math.inf
+    if nodes.tail_bound:  # no 0 * inf from an overflowed contrib where there is no tail
+        se += nodes.tail_bound * float(np.max(np.abs(contrib), initial=0.0))
+    return value, se
 
 
 class _Compact(NamedTuple):
@@ -430,27 +433,29 @@ def luxemburg_norm(
     status "infinite"; a vanishing modular reports status "zero".  The
     quadrature part of ``abs_error`` is the gap to the root on the coarse
     rule for the deterministic radial rule, and the propagated standard
-    error for Monte Carlo; `_finish` gives the error where the sup sets it.
+    error for Monte Carlo.
     """
-    nodes, compact, sup_inf_piece, coarse = _frozen(f, p, domain, quad)
-    evaluations = 0
-    root, bracket = 0.0, 0.0
+    nodes, compact, sup, coarse = _frozen(f, p, domain, quad)
+    root, bracket, evaluations = 0.0, 0.0, 0
     if compact.at.size:
-        modular_at = _modular_at(*_log_moments(compact))
-
-        def rho(lam: float) -> float:
-            nonlocal evaluations
-            evaluations += 1
-            return modular_at(lam)
-
-        root, bracket = _bisect_root(rho, quad.rel_tol)
+        root, bracket, evaluations = _bisect_root(_modular_at(*_log_moments(compact)), quad.rel_tol)
         if math.isinf(root):
             return NormResult(math.inf, math.inf, "infinite", evaluations)
-    quad_err = 0.0
-    if root > 0:
-        quad_err = _root_uncertainty(nodes, compact, coarse, root, quad.rel_tol)
-    sup_err = None if coarse is None else abs(sup_inf_piece - coarse[1])
-    return _finish(root, bracket, quad_err, sup_inf_piece, sup_err, evaluations)
+    value = max(root, sup)
+    if value == 0.0:
+        return NormResult(0.0, 0.0, "zero", evaluations)
+    quad_err = _root_uncertainty(nodes, compact, coarse, root, quad.rel_tol) if root > 0 else 0.0
+    # Where the root sets the norm, its error is the bracket plus the root's
+    # quadrature error.  Where the sup does, it is the radial rule's
+    # fine-minus-coarse gap of the sup, widened to reach the root's upper end
+    # if that lies above; Monte Carlo has no coarse sup and reports the bracket.
+    if value == root:
+        err = bracket + quad_err
+    elif coarse is None:
+        err = bracket
+    else:
+        err = max(abs(sup - coarse[1]), root + bracket + quad_err - sup)
+    return NormResult(value, err, "finite", evaluations)
 
 
 def _modular_at(exps: np.ndarray, log_m: np.ndarray):
@@ -471,60 +476,36 @@ def _modular_at(exps: np.ndarray, log_m: np.ndarray):
     return rho
 
 
-def _bisect_root(rho, rel_tol: float) -> tuple[float, float]:
-    """The root of rho(lam) = 1 for rho decreasing in lam, and its bracket
-    width, by doubling/halving from lam = max(1, rho(1)) and bisecting to
-    rel_tol/4.  (inf, inf) when the bracket escapes _CAP; (0, 0) when rho
-    stays at or below 1 at every positive scale."""
+def _bisect_root(rho, rel_tol: float) -> tuple[float, float, int]:
+    """The root of rho(lam) = 1 for rho decreasing in lam, its bracket width
+    and the number of rho evaluations.  From lam = max(1, rho(1)) capped at
+    _CAP, one search steps lam by 2 (rho above 1 there) or by 1/2 (at or
+    below 1) until rho crosses 1, then bisection narrows the bracket to
+    rel_tol/4.  For lam >= 1 and p >= 1, rho(lam) <= rho(1)/lam, so the
+    upward steps run only past the cap or by rounding.  The root is inf
+    when the bracket escapes _CAP, and 0 when rho stays at or below 1 down
+    to 1e-300; the bracket then equals the root."""
     lam = max(1.0, min(rho(1.0), _CAP))
-    if rho(lam) > 1.0:
-        lo = lam
-        while True:
-            lam *= 2.0
-            if lam > _CAP:
-                return math.inf, math.inf
-            if rho(lam) <= 1.0:
-                break
-            lo = lam
-        hi = lam
-    else:
-        hi = lam
-        lo = None
-        while lam > 1e-300:
-            lam *= 0.5
-            if rho(lam) > 1.0:
-                lo = lam
-                break
-            hi = lam
-        if lo is None:
-            return 0.0, 0.0
+    above, evaluations = rho(lam) > 1.0, 2
+    while True:
+        if (nxt := lam * (2.0 if above else 0.5)) > _CAP or lam <= 1e-300:
+            edge = math.inf if above else 0.0
+            return edge, edge, evaluations
+        evaluations += 1
+        if (rho(nxt) > 1.0) != above:
+            break
+        lam = nxt
+    lo, hi = sorted((lam, nxt))
     while (hi - lo) > 0.25 * rel_tol * hi:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
             break
+        evaluations += 1
         if rho(mid) > 1.0:
             lo = mid
         else:
             hi = mid
-    return hi, hi - lo
-
-
-def _finish(root, bracket, quad_err, sup, sup_err, evaluations) -> NormResult:
-    """The norm max(root, sup) and its error.  Where the root sets it, the
-    bracket plus the root's quadrature error.  Where the sup does, the
-    radial rule's fine-minus-coarse gap of the sup (sup_err), widened to
-    reach the root's upper end if that lies above; Monte Carlo (sup_err
-    None) reports the bracket there."""
-    value = max(root, sup)
-    if value == 0.0:
-        return NormResult(0.0, 0.0, "zero", evaluations)
-    if value == root:
-        err = bracket + quad_err
-    elif sup_err is None:
-        err = bracket
-    else:
-        err = max(sup_err, root + bracket + quad_err - sup)
-    return NormResult(value, err, "finite", evaluations)
+    return hi, hi - lo, evaluations
 
 
 def _root_uncertainty(nodes, compact: _Compact, coarse, lam: float, rel_tol: float) -> float:

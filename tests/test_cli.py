@@ -6,9 +6,12 @@ import dataclasses
 import io
 import json
 import math
+import os
 import platform
 import re
 import signal
+import subprocess
+import sys
 import tempfile
 import warnings
 from fractions import Fraction
@@ -625,6 +628,47 @@ def test_a_bad_spec_leaves_no_output_directory(tmp_path, capsys):
     assert main(["volume", "--region", '{"type":"nope"}', "--out", str(out)]) == 1
     assert "usage error: unknown region type 'nope'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# one run per bad input whose usage error no other run reaches, with a
+# fragment of its message that names the input
+BAD_RUNS = {
+    "complement-of": (["volume", "--region", '{"type":"complement","of":[1]}'], "got [1]"),
+    "ball-center": (["volume", "--region", '{"type":"ball","center":5,"radius":1}'],
+                    "'center' must be a list of finite numbers, got 5"),
+    "piece-value": (["norm", "--exponent", '{"pieces":[{"region":{"type":"ball"}}],"default":3}',
+                     *NORM_ARGS], "missing field 'value'"),
+    "outer-fraction": (["certify", "--preset", "power_cusp", "--gamma", "1", "--outer", "1/0"],
+                       "'outer': '1/0'"),
+    "energy-radii": (CASES["energy"][:-1] + ["0,4"], "radii must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUNS))
+def test_a_bad_run_is_a_usage_error_without_output(case, tmp_path, capsys):
+    argv, message = BAD_RUNS[case]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _vexlp_process(argv, cwd):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}  # this checkout's package, not an installed one
+    return subprocess.run([sys.executable, "-m", "vexlp", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_vexlp_runs_the_cli(tmp_path):
+    run = _vexlp_process(["certify", "--preset", "power_cusp", "--gamma", "1", "--outer", "4",
+                          "--out", "out"], tmp_path)
+    assert run.returncode == 0 and run.stdout == "certify: upper bound 4.5\n"
+    assert {p.name for p in (tmp_path / "out").iterdir()} == {"certify.csv", "certify.json"}
+    bare = _vexlp_process([], tmp_path)
+    assert bare.returncode == 1
+    assert "usage error: choose a subcommand" in bare.stderr and "Traceback" not in bare.stderr
 
 
 def test_region_numbers_keep_the_missing_field_message():

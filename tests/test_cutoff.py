@@ -166,3 +166,13 @@ def test_derivatives_equal_grad_and_laplacian_bit_for_bit(R):
         g, lap_x = c.derivatives(x)
         assert g.tobytes() == c.grad(x).tobytes() and g.shape == (3,)
         assert type(lap_x) is float and lap_x == c.laplacian(x)
+
+
+@pytest.mark.parametrize("R", [1.5, 16.0, 1e100])
+def test_value_on_radii_is_the_cutoff_at_those_radii(R):
+    c = make_cutoff(R)
+    radii = np.array([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.75, np.nextafter(1.0, 0.0),
+                      1.0, np.nextafter(1.0, 2.0), 3.0]) * R
+    on_axis = np.column_stack([radii, np.zeros_like(radii), np.zeros_like(radii)])
+    assert c.value(radii).tobytes() == c(on_axis).tobytes()
+    assert c.value(radii)[[0, 2, 6, 8]].tolist() == [1.0, 1.0, 0.0, 0.0]

@@ -39,7 +39,7 @@ from vexlp.fields import (
     zero_vector,
 )
 from vexlp.norms import Quadrature, integrate_many
-from vexlp.regions import row_norm
+from vexlp.regions import Ball, row_norm
 
 RADIAL = Quadrature(scheme="radial")
 CYL = PresetSpec.make("cylinder", outer=4, inner=5)
@@ -370,6 +370,24 @@ def test_energy_identity_counterexample():
         assert rep.rel_gap <= 1e-2
         assert rep.lhs == pytest.approx(6.0 * cutoff_mass(R), rel=1e-4)
         assert abs(rep.beta) <= 1e-9 * abs(rep.lhs)
+
+
+@pytest.mark.parametrize("quad", [Quadrature(n=20_000, seed=3), Quadrature("radial")],
+                         ids=["mc", "radial"])
+def test_energy_takes_the_cutoff_as_a_radial_factor(quad):
+    # on Monte Carlo nodes the factor is the cutoff at |x|, so lhs keeps the
+    # bits of the cutoff taken on every node; on the radial rule it is the
+    # cutoff at the rule's radii, which moves lhs only in its last bits
+    u, P = gradient_counterexample()
+    cut = make_cutoff(8.0)
+    (per_node,), _ = integrate_many(
+        lambda pts: [cut(pts) * np.einsum("nij,nij->n", u.jacobian(pts), u.jacobian(pts))],
+        Ball(radius=8.0), quad)
+    lhs = energy_identity_check(u, P, 8.0, quad).lhs
+    if quad.scheme == "mc":
+        assert lhs == per_node
+    else:
+        assert lhs == pytest.approx(per_node, rel=1e-14)
 
 
 def test_energy_identity_zero_field():

@@ -180,6 +180,93 @@ def test_norm_counts_evaluations():
     assert res.evaluations > 5
 
 
+def _two_loop_bisect_root(rho, rel_tol):
+    """The root search as it stood with separate doubling and halving loops:
+    the reference for the one-loop `norms._bisect_root`."""
+    lam = max(1.0, min(rho(1.0), norms._CAP))
+    if rho(lam) > 1.0:
+        lo = lam
+        while True:
+            lam *= 2.0
+            if lam > norms._CAP:
+                return math.inf, math.inf
+            if rho(lam) <= 1.0:
+                break
+            lo = lam
+        hi = lam
+    else:
+        hi = lam
+        lo = None
+        while lam > 1e-300:
+            lam *= 0.5
+            if rho(lam) > 1.0:
+                lo = lam
+                break
+            hi = lam
+        if lo is None:
+            return 0.0, 0.0
+    while (hi - lo) > 0.25 * rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if rho(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi, hi - lo
+
+
+# decreasing modulars, each with the root the search must reach
+ROOT_SEARCHES = {
+    "down": (lambda lam: 0.3 / lam**2, math.sqrt(0.3)),  # rho(1) <= 1
+    "usual": (lambda lam: 50.0 / lam**3, 50.0 ** (1 / 3)),  # rho(1) > 1
+    "doubling": (lambda lam: 3.0 / math.sqrt(lam), 9.0),  # steps up to the bracket [6, 12]
+    "past-the-cap": (lambda lam: 1e40 / lam**10, 1e4),  # rho(1) > 1e30 > root
+    "infinite": (lambda lam: (1e35 / lam) ** 2, math.inf),  # the bracket escapes the cap
+    "zero": (lambda lam: 1e-320 / lam, 0.0),  # at or below 1 down to 1e-300
+}
+
+
+@pytest.mark.parametrize("rel_tol", [1e-4, 1e-10])
+@pytest.mark.parametrize("case", sorted(ROOT_SEARCHES))
+def test_one_loop_root_search_makes_the_two_loop_calls(case, rel_tol):
+    rho, root = ROOT_SEARCHES[case]
+    calls, ref_calls = [], []
+    got = norms._bisect_root(lambda lam: calls.append(lam) or rho(lam), rel_tol)
+    ref = _two_loop_bisect_root(lambda lam: ref_calls.append(lam) or rho(lam), rel_tol)
+    assert calls == ref_calls
+    assert got == (*ref, len(ref_calls))  # the same root and bracket bits
+    assert got[0] == pytest.approx(root, rel=rel_tol)
+    if case == "doubling":
+        assert calls[:5] == [1.0, 3.0, 6.0, 12.0, 9.0]
+
+
+@pytest.mark.parametrize("quad", [Quadrature(n=2000, seed=1), Quadrature("radial")],
+                         ids=["mc", "radial"])
+def test_an_overflowed_integrand_reads_inf_with_an_inf_error(quad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = modular(lambda pts: np.full(len(pts), 1e200), constant_field(4.0),
+                      Ball(radius=1), quad)
+        infinite = integrate(lambda pts: np.full(len(pts), np.inf), Ball(radius=1), quad)
+    assert big == infinite == (math.inf, math.inf)
+
+
+def test_an_annulus_piece_under_the_radial_rule_matches_its_closed_form():
+    # p = 6 on Annulus(1, 2) and 3 elsewhere in Ball(4): the norm of 1 is
+    # mu^(-1/3), mu the positive root of V_A mu^2 + V_R mu = 1
+    p = two_piece_field(Annulus(1.0, 2.0), 6.0, 3.0)
+    v_a, v_r = 28.0 * math.pi / 3.0, 228.0 * math.pi / 3.0
+    mu = (math.sqrt(v_r**2 + 4.0 * v_a) - v_r) / (2.0 * v_a)
+    exact = mu ** (-1.0 / 3.0)
+    for rel_tol in (1e-4, 1e-10):
+        res = luxemburg_norm(constant_one, p, Ball(radius=4.0), Quadrature("radial", rel_tol=rel_tol))
+        assert res.status == "finite"
+        assert abs(res.value - exact) <= res.abs_error
+    res = luxemburg_norm(constant_one, p, Ball(radius=4.0), Quadrature(n=200_000, seed=3))
+    assert abs(res.value - exact) <= 3.0 * res.abs_error
+
+
 # ---------------------------------------------------------------------------
 # moment-form modular: sum_j lam^(-p_j) M_j against the pass over every node
 
@@ -286,7 +373,7 @@ def test_moment_norm_matches_node_pass_norm(kind, k):
         with np.errstate(over="ignore"):
             return node_modular(nodes, f, p, lam)
 
-    root, _ = norms._bisect_root(rho, quad.rel_tol)
+    root, _, _ = norms._bisect_root(rho, quad.rel_tol)
     assert moment.evaluations == len(steps)
     assert moment.status == "finite"
     assert moment.value == pytest.approx(root, rel=1e-12)
